@@ -5,28 +5,28 @@
 # stand-ins under vendor/ (the build environment cannot reach crates.io),
 # so no pre-warmed registry is required. Run from the repository root.
 #
-# The test suite runs six times: once with the dentry cache enabled
-# (the default), once with ARCKFS_DCACHE=0 so the lock-free resolution
-# path and the plain locked walk both stay green, once with
-# ARCKFS_BATCH=1 so group durability (fence-coalescing batch commit,
-# DESIGN.md §8) is exercised by the whole suite, not just its own tests,
-# once with ARCKFS_ALLOC_SHARDS=1 so the sharded allocator's
-# single-shard (old global-lock) configuration stays behaviour-identical
-# (DESIGN.md §9), once each with ARCKFS_DELEG_RINGS=0 (inline data
-# path, the delegation runtime fully off) and ARCKFS_DELEG_RINGS=4 (the
-# per-core SQ/CQ ring runtime arbitrating every large write, DESIGN.md
-# §10), and once each with ARCKFS_RANGE_LOCKS=0 (the legacy per-file
-# write lock and pointer-table mapping) and ARCKFS_RANGE_LOCKS=1 (the
-# ranged shared-file data path: extent tree + interval locks, DESIGN.md
-# §11). The batch_sweep smoke pins the fence-coalescing win (>= 4x
+# The test suite runs five times, each leg a configuration some code
+# path is only reachable in:
+#   * default — dentry cache on, batch off, default allocator shards,
+#     inline data path (no delegation rings);
+#   * ARCKFS_DCACHE=0 — the plain locked walk under the lock-free
+#     resolution path stays green on its own;
+#   * ARCKFS_BATCH=1 — group durability (fence-coalescing batch commit,
+#     DESIGN.md §8) is exercised by the whole suite, not just its own
+#     tests;
+#   * ARCKFS_ALLOC_SHARDS=1 — the sharded allocator's single-shard
+#     configuration stays behaviour-identical (DESIGN.md §9);
+#   * ARCKFS_DELEG_RINGS=4 — the per-core SQ/CQ ring runtime arbitrates
+#     every large write (DESIGN.md §10).
+# The batch_sweep smoke pins the fence-coalescing win (>= 4x
 # create-path sfence reduction at batch 8); the alloc_scale smoke pins
 # the sharding win (>= 4x busiest-shard lock-acquisition reduction at 8
-# shards, a deterministic count); the delegate_scale smoke pins the ring
-# win (>= 2x 8-thread submit throughput over ticket-per-op, with
-# fences/op falling as the drain batch grows); the shared_file smoke
-# pins the range-lock win (>= 4x modelled 8-thread DWOM throughput over
-# the per-file-lock baseline, with whole-file lock acquisitions per op
-# falling). The service_storm smoke runs twice (DESIGN.md §12): once
+# shards, a deterministic count); the delegate_scale smoke pins the
+# drain-batch amortization (fences/op falling as the batch grows); the
+# shared_file smoke pins the data path's lock counts (at least one
+# range-lock acquisition and zero whole-object lock acquisitions per
+# overwrite) and prints the modelled 8-/48-thread DWOM projection.
+# The service_storm smoke runs twice (DESIGN.md §12): once
 # with per-tenant quotas on (asserting the typed QuotaExceeded rejection
 # for the capped tenant while others proceed, and the cold-tenant p99
 # fairness bound under a 10x hot tenant) and once with quotas off
@@ -54,14 +54,11 @@
 set -eux
 
 cargo build --release
-ARCKFS_DCACHE=1 cargo test -q --workspace
+cargo test -q --workspace
 ARCKFS_DCACHE=0 cargo test -q --workspace
 ARCKFS_BATCH=1 cargo test -q --workspace
 ARCKFS_ALLOC_SHARDS=1 cargo test -q --workspace
-ARCKFS_DELEG_RINGS=0 cargo test -q --workspace
 ARCKFS_DELEG_RINGS=4 cargo test -q --workspace
-ARCKFS_RANGE_LOCKS=0 ARCKFS_EXTENT=0 cargo test -q --workspace
-ARCKFS_RANGE_LOCKS=1 ARCKFS_EXTENT=1 cargo test -q --workspace
 BENCH_ITERS=2000 cargo run --release -q -p bench --bin batch_sweep
 BENCH_ITERS=2000 cargo run --release -q -p bench --bin alloc_scale
 BENCH_ITERS=2000 cargo run --release -q -p bench --bin delegate_scale

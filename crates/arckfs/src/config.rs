@@ -103,24 +103,6 @@ pub struct Config {
     pub dcache: bool,
     /// Number of direct-mapped dentry-cache slots.
     pub dcache_slots: usize,
-
-    /// Extent-tree block mapping for regular files (DESIGN.md §11): new
-    /// block allocations append crash-atomic `(file_block, page, len)`
-    /// runs to a per-file extent-leaf chain instead of filling the
-    /// direct/indirect page table. Files written under either mapping stay
-    /// readable under both (the read path dispatches on the on-PM extent
-    /// root, not on this knob). On by default; the preset constructors
-    /// honor `ARCKFS_EXTENT` (`0` disables, keeping the legacy mapping as
-    /// the differential baseline).
-    pub extent: bool,
-    /// Byte-range locking for the regular-file data path (DESIGN.md §11):
-    /// writers acquire only the page ranges they touch from a per-inode
-    /// interval table (lock-ordered by range start, whole-file mode for
-    /// truncate/release), making disjoint-range writers to one file fully
-    /// parallel instead of serializing behind the per-file write lock. On
-    /// by default; the preset constructors honor `ARCKFS_RANGE_LOCKS`
-    /// (`0` disables, restoring the single file-wide lock).
-    pub range_locks: bool,
 }
 
 /// Preset default for [`Config::dcache`]: on, unless `ARCKFS_DCACHE=0`.
@@ -131,17 +113,6 @@ fn dcache_env_default() -> bool {
 /// Preset default for [`Config::batch`]: off, unless `ARCKFS_BATCH=1`.
 fn batch_env_default() -> bool {
     std::env::var("ARCKFS_BATCH").is_ok_and(|v| v == "1")
-}
-
-/// Preset default for [`Config::extent`]: on, unless `ARCKFS_EXTENT=0`.
-fn extent_env_default() -> bool {
-    std::env::var("ARCKFS_EXTENT").map_or(true, |v| v != "0")
-}
-
-/// Preset default for [`Config::range_locks`]: on, unless
-/// `ARCKFS_RANGE_LOCKS=0`.
-fn range_locks_env_default() -> bool {
-    std::env::var("ARCKFS_RANGE_LOCKS").map_or(true, |v| v != "0")
 }
 
 /// Preset default for a numeric batch knob, from the environment.
@@ -186,8 +157,6 @@ impl Config {
             batch_bytes: batch_usize_env("ARCKFS_BATCH_BYTES", 16 * 1024),
             dcache: dcache_env_default(),
             dcache_slots: 4096,
-            extent: extent_env_default(),
-            range_locks: range_locks_env_default(),
         }
     }
 

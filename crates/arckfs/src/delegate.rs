@@ -297,21 +297,6 @@ impl Ticket {
         self.finish()
     }
 
-    /// [`Ticket::wait`] without the polling phase: park on the condvar
-    /// immediately, as the pre-ring delegation runtime did. Same
-    /// durability contract as `wait`. This is the ticket-per-op baseline
-    /// discipline the `delegate_scale` bench measures the ring runtime
-    /// against; real callers want `wait`.
-    pub fn wait_parking(self) -> FsResult<()> {
-        self.shared.counters.park_waits.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.done.lock.lock();
-        while self.done.remaining.load(Ordering::SeqCst) != 0 {
-            self.done.cv.wait(&mut guard);
-        }
-        drop(guard);
-        self.finish()
-    }
-
     /// Non-blocking completion poll for open-loop submission: returns the
     /// write's result if every chunk has completed, or hands the ticket
     /// back untouched.

@@ -1,9 +1,10 @@
 //! Per-file extent trees: the crash-atomic block mapping behind the
 //! parallel data path (DESIGN.md §11).
 //!
-//! A regular file whose inode has a non-zero `extent_root` maps file
-//! blocks through a chain of **extent leaves** (one page each, linked via
-//! a next pointer at offset 0). Each leaf holds 24-byte records
+//! A regular file maps its blocks through a chain of **extent leaves**
+//! (one page each, linked via a next pointer at offset 0) headed by the
+//! inode's `extent_root`; 0 means no block is mapped yet. Each leaf holds
+//! 24-byte records
 //! `(file_block_start, page_start, len)`; `len` is the record's commit
 //! marker, published *after* the other two fields persist, so a torn
 //! insert is an invisible hole whose pages surface as benign `PageLeak`
@@ -56,7 +57,6 @@ impl CachedRec {
 #[derive(Debug, Default)]
 pub struct ExtentCache {
     loaded: bool,
-    root: u64,
     /// `file_block → data page` with later records already resolved.
     map: BTreeMap<u64, u64>,
     /// Committed records in chain (= temporal) order.
@@ -74,23 +74,27 @@ impl ExtentCache {
     pub fn invalidate(&mut self) {
         *self = ExtentCache::default();
     }
-
-    /// Whether the file has any extent mapping (after a load).
-    pub fn has_extents(&self) -> bool {
-        self.root != 0
-    }
 }
 
 impl LibFs {
-    /// Zero a freshly allocated page through the mapping and persist it.
-    pub(crate) fn zero_page(&self, mapping: &Mapping, page: u64) -> FsResult<()> {
+    /// Store zeroes over a freshly allocated page, unflushed: the partial
+    /// write that follows flushes the lines it covers, and nothing past
+    /// them is readable until a later write (and its flush) lands there.
+    pub(crate) fn zero_fill(&self, mapping: &Mapping, page: u64) -> FsResult<()> {
         let off = page * PAGE_SIZE as u64;
         let zeroes = [0u8; 1024];
         for i in 0..4 {
             mapping.write(off + i * 1024, &zeroes).map_err(map_fault)?;
         }
-        mapping.clwb(off, PAGE_SIZE).map_err(map_fault)?;
         Ok(())
+    }
+
+    /// Zero a freshly allocated page through the mapping and flush it.
+    pub(crate) fn zero_page(&self, mapping: &Mapping, page: u64) -> FsResult<()> {
+        self.zero_fill(mapping, page)?;
+        mapping
+            .clwb(page * PAGE_SIZE as u64, PAGE_SIZE)
+            .map_err(map_fault)
     }
 
     /// Rebuild the DRAM mirror from the on-PM chain if it is not loaded.
@@ -105,9 +109,7 @@ impl LibFs {
             return Ok(());
         }
         let ibase = self.geom.inode_offset(file.ino);
-        let root = mapping.read_u64(ibase + I_EXTENT_ROOT).map_err(map_fault)?;
-        cache.root = root;
-        let mut leaf = root;
+        let mut leaf = mapping.read_u64(ibase + I_EXTENT_ROOT).map_err(map_fault)?;
         let mut hops = 0u64;
         while leaf != 0 && hops <= self.geom.total_pages {
             hops += 1;
@@ -143,31 +145,22 @@ impl LibFs {
         Ok(())
     }
 
-    /// Look the block up in the extent mapping. `Ok(None)` when the file
-    /// has no extent chain at all (caller falls through to the legacy
-    /// direct/indirect map); `Ok(Some(0))` when the chain exists but the
-    /// block is a hole.
+    /// The data page mapped at block `idx`, or 0 for a hole.
     pub(crate) fn extent_lookup(
         &self,
         file: &MemInode,
         mapping: &Mapping,
         idx: u64,
-    ) -> FsResult<Option<u64>> {
+    ) -> FsResult<u64> {
         {
             let cache = file.extents.read();
             if cache.loaded {
-                if !cache.has_extents() {
-                    return Ok(None);
-                }
-                return Ok(Some(cache.map.get(&idx).copied().unwrap_or(0)));
+                return Ok(cache.map.get(&idx).copied().unwrap_or(0));
             }
         }
         let mut cache = file.extents.write();
         self.extent_load(&mut cache, file, mapping)?;
-        if !cache.has_extents() {
-            return Ok(None);
-        }
-        Ok(Some(cache.map.get(&idx).copied().unwrap_or(0)))
+        Ok(cache.map.get(&idx).copied().unwrap_or(0))
     }
 
     /// Append one committed record to the chain (write lock held),
@@ -194,7 +187,6 @@ impl LibFs {
                 .map_err(map_fault)?;
             mapping.clwb(ibase + I_EXTENT_ROOT, 8).map_err(map_fault)?;
             mapping.sfence();
-            cache.root = leaf;
             cache.tail_leaf = leaf;
             cache.tail_slot = 0;
         } else if cache.tail_slot >= EXTENTS_PER_PAGE {

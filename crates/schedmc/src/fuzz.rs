@@ -372,8 +372,8 @@ pub struct FuzzOpts {
     /// Vocabulary the generator and mutator draw from.
     pub vocabulary: Vec<FuzzOpKind>,
     /// LibFS configuration under test. The fuzzer enables the optional
-    /// subsystems (delegation, extent/range locks, batching) in its
-    /// defaults so their inject points are reachable.
+    /// subsystems (delegation, batching) in its defaults so their inject
+    /// points are reachable.
     pub config: Config,
 }
 
@@ -383,13 +383,11 @@ impl FuzzOpts {
     /// in the loop, quotas on, full vocabulary.
     pub fn smoke() -> FuzzOpts {
         let mut config = Config::arckfs_plus();
-        // Reach the optional subsystems' inject points: the ranged data
-        // path and group durability. Delegation rings stay OFF here — their
-        // free-running worker threads race the quiesce grace deadline, and
-        // the smoke's same-seed determinism contract can't survive that
-        // (the nightly leg turns them on; it makes no determinism claim).
-        config.range_locks = true;
-        config.extent = true;
+        // Reach group durability's inject points. Delegation rings stay
+        // OFF here — their free-running worker threads race the quiesce
+        // grace deadline, and the smoke's same-seed determinism contract
+        // can't survive that (the nightly leg turns them on; it makes no
+        // determinism claim).
         config.batch = true;
         // The service-crate pooling shape, so quota charges flow through
         // the batched grant path.

@@ -105,8 +105,7 @@ pub enum Op {
     /// `write_vectored_at` of a tid-tagged payload into `/d/f0` at a
     /// tid-distinct block-aligned offset — two disjoint ranged writers on
     /// one shared file, driving the `file.write.range_lock` and
-    /// `file.write.extent_insert` windows when the config under test
-    /// enables the ranged data path ([`explore_range_pairs`]).
+    /// `file.write.extent_insert` windows ([`explore_range_pairs`]).
     WriteRanged,
     /// `fallocate(fd, 1024, 2048)` on `/d/f0` — preallocation racing the
     /// data ops; a no-op when the file system reports it unsupported.
@@ -1149,30 +1148,23 @@ pub fn explore_delegate_pairs(opts: &ExploreOpts) -> ExploreReport {
 }
 
 /// Explore every unordered pair involving a ranged-data op
-/// ([`Op::RANGED`]: the disjoint vectored writer and the preallocator)
-/// twice: once with the extent mapping and range locks forced **on** (the
-/// `file.write.{range_lock,extent_insert,cow_tail}` points arbitrate) and
-/// once forced **off**, so the same pair space is re-checked on the legacy
-/// whole-file-lock path. Same preemption bound and budget semantics as
+/// ([`Op::RANGED`]: the disjoint vectored writer and the preallocator), so
+/// the `file.write.{range_lock,extent_insert,cow_tail}` points arbitrate
+/// against every other op. Same preemption bound and budget semantics as
 /// [`explore_vocabulary`].
 pub fn explore_range_pairs(opts: &ExploreOpts) -> ExploreReport {
     let deadline = opts.budget.map(|b| Instant::now() + b);
     let mut report = ExploreReport::default();
-    for ranged_on in [true, false] {
-        let mut opts = opts.clone();
-        opts.config.range_locks = ranged_on;
-        opts.config.extent = ranged_on;
-        for i in 0..Op::ALL.len() {
-            for j in i..Op::ALL.len() {
-                if !Op::RANGED.contains(&Op::ALL[i]) && !Op::RANGED.contains(&Op::ALL[j]) {
-                    continue;
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    report.truncated = true;
-                    return report;
-                }
-                report.merge(explore_inner(&[Op::ALL[i], Op::ALL[j]], &opts, deadline));
+    for i in 0..Op::ALL.len() {
+        for j in i..Op::ALL.len() {
+            if !Op::RANGED.contains(&Op::ALL[i]) && !Op::RANGED.contains(&Op::ALL[j]) {
+                continue;
             }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                report.truncated = true;
+                return report;
+            }
+            report.merge(explore_inner(&[Op::ALL[i], Op::ALL[j]], opts, deadline));
         }
     }
     report

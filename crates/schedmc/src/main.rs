@@ -49,9 +49,8 @@ fn main() {
     // sweep above never arbitrates the `delegate.sq.*` points).
     report.merge(schedmc::explore_delegate_pairs(&opts));
     // Every pair involving a ranged-data op (disjoint vectored writer,
-    // preallocator), swept with the extent/range-lock path forced on and
-    // then again forced off, so the `file.write.*` windows arbitrate and
-    // the legacy whole-file-lock path is re-checked on the same pairs.
+    // preallocator) on its own budget, so the `file.write.*` windows
+    // arbitrate even when the sweep above is truncated before them.
     report.merge(schedmc::explore_range_pairs(&opts));
 
     eprintln!(

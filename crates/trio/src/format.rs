@@ -19,11 +19,10 @@
 //! | 24 | `size: u64` | file length in bytes; directories: live entry count |
 //! | 32 | `nlink: u64` | |
 //! | 40 | `seq: u64` | monotone per-inode sequence (dentry ordering) |
-//! | 48 | `direct[16]: u64` | files: direct data pages; dirs: tail head pages |
-//! | 176 | `indirect: u64` | single-indirect page (512 pointers) |
-//! | 184 | `dindirect: u64` | double-indirect page |
+//! | 48 | `direct[16]: u64` | directories: tail head pages; regular files: reserved, must be zero |
+//! | 176 | `reserved[2]: u64` | must be zero |
 //! | 192 | `batch_seq: u64` | directories: group-durability watermark — 0 when quiescent; a batch's open sequence `S0` while a commit batch is in flight (records with `seq > S0` are uncommitted until the batch fences; see DESIGN.md §8) |
-//! | 200 | `extent_root: u64` | regular files: head of the extent-leaf chain; 0 = legacy direct/indirect mapping (DESIGN.md §11) |
+//! | 200 | `extent_root: u64` | regular files: head of the extent-leaf chain, the file's only block mapping; 0 = no block mapped (DESIGN.md §11) |
 //!
 //! ## Extent leaf (one page)
 //!
@@ -79,10 +78,8 @@ pub const DIRPAGE_FIRST_DENTRY: u64 = 128;
 /// Dentries per directory-log page.
 pub const DENTRIES_PER_PAGE: u64 = (PAGE_SIZE as u64 - DIRPAGE_FIRST_DENTRY) / DENTRY_SIZE;
 
-/// Number of direct page pointers in an inode.
+/// Number of `direct[]` words in an inode (directory tail heads).
 pub const NDIRECT: usize = 16;
-/// Page pointers per indirect page.
-pub const PTRS_PER_PAGE: u64 = PAGE_SIZE as u64 / 8;
 
 // Inode field offsets.
 /// Inode field offset.
@@ -103,15 +100,13 @@ pub const I_NLINK: u64 = 32;
 pub const I_SEQ: u64 = 40;
 /// Inode field offset.
 pub const I_DIRECT: u64 = 48;
-/// Inode field offset.
-pub const I_INDIRECT: u64 = 176;
-/// Inode field offset.
-pub const I_DINDIRECT: u64 = 184;
+/// Inode field offset: two reserved words, zero in every committed inode.
+pub const I_RESERVED: u64 = 176;
 /// Inode field offset: the group-durability watermark (own cache line —
 /// `192 = 3 × 64` — so persisting it never drags neighbouring fields).
 pub const I_BATCH_SEQ: u64 = 192;
-/// Inode field offset: extent-tree root (regular files; 0 = legacy
-/// direct/indirect block mapping).
+/// Inode field offset: extent-tree root (regular files; 0 = no block
+/// mapped).
 pub const I_EXTENT_ROOT: u64 = 200;
 
 // Extent-leaf page layout.
@@ -328,15 +323,13 @@ pub struct RawInode {
     pub nlink: u64,
     /// Per-inode sequence counter.
     pub seq: u64,
-    /// Direct page pointers (files) or tail heads (dirs).
+    /// Tail heads (directories); reserved-zero for regular files.
     pub direct: [u64; NDIRECT],
-    /// Single-indirect page.
-    pub indirect: u64,
-    /// Double-indirect page.
-    pub dindirect: u64,
+    /// The two reserved words after `direct[]`; zero when well-formed.
+    pub reserved: [u64; 2],
     /// Group-durability watermark (directories; 0 when no batch is open).
     pub batch_seq: u64,
-    /// Extent-tree root (regular files; 0 = legacy block mapping).
+    /// Extent-tree root (regular files; 0 = no block mapped).
     pub extent_root: u64,
 }
 
@@ -349,6 +342,13 @@ impl RawInode {
     /// Decoded type, if the tag is well-formed.
     pub fn inode_type(&self) -> Option<InodeType> {
         InodeType::from_raw(self.itype)
+    }
+
+    /// Are `direct[]` and the reserved words all zero? Required of every
+    /// committed regular file: its only block mapping is the extent chain,
+    /// so a non-zero word here names a page nothing accounts for.
+    pub fn pointer_words_clear(&self) -> bool {
+        self.direct.iter().chain(&self.reserved).all(|&w| w == 0)
     }
 }
 
@@ -382,8 +382,7 @@ pub fn decode_inode(rec: &[u8; INODE_SIZE as usize]) -> RawInode {
         nlink: u64_at(I_NLINK),
         seq: u64_at(I_SEQ),
         direct,
-        indirect: u64_at(I_INDIRECT),
-        dindirect: u64_at(I_DINDIRECT),
+        reserved: [u64_at(I_RESERVED), u64_at(I_RESERVED + 8)],
         batch_seq: u64_at(I_BATCH_SEQ),
         extent_root: u64_at(I_EXTENT_ROOT),
     }
@@ -441,7 +440,11 @@ pub fn walk_extents(
                 page: u64_at(E_PAGE),
                 len,
             };
-            if ext.page < geom.data_start_page || ext.page + ext.len > geom.total_pages {
+            // `page` and `len` are LibFS-written: compare without adding.
+            if ext.page < geom.data_start_page
+                || ext.page >= geom.total_pages
+                || ext.len > geom.total_pages - ext.page
+            {
                 return Err(format!(
                     "extent run [{}, +{}) out of data region",
                     ext.page, ext.len

@@ -309,17 +309,12 @@ pub fn fsck_with_geometry(device: &Arc<PmemDevice>, geom: &Geometry) -> FsckRepo
 }
 
 /// Every data page referenced by one committed inode: directory log chains
-/// (per tail, following `DP_NEXT`), file direct pointers, and the indirect
-/// and double-indirect trees (pointer pages included). Out-of-range
-/// pointers are skipped (the walk reports them as structural); chain hops
-/// are bounded so a log cycle cannot hang the scan.
+/// (per tail, following `DP_NEXT`) and file extent chains (leaves and
+/// committed runs). Out-of-range pointers are skipped (the walk reports
+/// them as structural); chain hops are bounded so a log cycle cannot hang
+/// the scan.
 fn inode_pages(device: &Arc<PmemDevice>, geom: &Geometry, inode: &format::RawInode) -> Vec<u64> {
     let in_range = |p: u64| p >= geom.data_start_page && p < geom.total_pages;
-    let read_ptr = |page: u64, slot: u64| {
-        device
-            .read_u64(geom.page_offset(page) + slot * 8)
-            .unwrap_or(0)
-    };
     let mut out = Vec::new();
     match inode.inode_type() {
         Some(InodeType::Directory) => {
@@ -330,7 +325,9 @@ fn inode_pages(device: &Arc<PmemDevice>, geom: &Geometry, inode: &format::RawIno
                 while page != 0 && in_range(page) && hops <= geom.total_pages {
                     hops += 1;
                     out.push(page);
-                    page = read_ptr(page, format::DP_NEXT / 8);
+                    page = device
+                        .read_u64(geom.page_offset(page) + format::DP_NEXT)
+                        .unwrap_or(0);
                 }
             }
         }
@@ -347,32 +344,6 @@ fn inode_pages(device: &Arc<PmemDevice>, geom: &Geometry, inode: &format::RawIno
                 |e| out.extend(e.page..e.page + e.len),
             );
             out.append(&mut leaves);
-            out.extend(inode.direct.iter().copied().filter(|&p| in_range(p)));
-            if in_range(inode.indirect) {
-                out.push(inode.indirect);
-                for i in 0..format::PTRS_PER_PAGE {
-                    let p = read_ptr(inode.indirect, i);
-                    if in_range(p) {
-                        out.push(p);
-                    }
-                }
-            }
-            if in_range(inode.dindirect) {
-                out.push(inode.dindirect);
-                for i in 0..format::PTRS_PER_PAGE {
-                    let l1 = read_ptr(inode.dindirect, i);
-                    if !in_range(l1) {
-                        continue;
-                    }
-                    out.push(l1);
-                    for j in 0..format::PTRS_PER_PAGE {
-                        let p = read_ptr(l1, j);
-                        if in_range(p) {
-                            out.push(p);
-                        }
-                    }
-                }
-            }
         }
         None => {}
     }
@@ -697,6 +668,12 @@ fn walk_dir(
                 .push(FsckIssue::MultiplyReachable { ino: child });
             continue;
         }
+        if ctype == InodeType::Regular && !cinode.pointer_words_clear() {
+            report.issues.push(FsckIssue::Structural {
+                ino: child,
+                detail: "regular file with a non-zero direct/reserved word".into(),
+            });
+        }
         if ctype == InodeType::Directory {
             walk_dir(device, geom, child, visited, report, depth + 1);
         }
@@ -881,52 +858,16 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
 
 /// Hash a regular file's content in logical block order.
 ///
-/// The block → page map is built from the direct, indirect and
-/// double-indirect pointers first, then the extent tree on top (a
-/// committed extent run supersedes the legacy mapping for its blocks, and
-/// later records supersede earlier ones, matching the read path). Only the
-/// mapping's *data* enters the hash — page numbers never do, so the hash
-/// is stable across allocator shard counts and physical placement.
+/// The block → page map is the extent tree, later records superseding
+/// earlier ones as on the read path. Only the mapping's *data* enters the
+/// hash — page numbers never do, so the hash is stable across allocator
+/// shard counts and physical placement.
 fn file_content_hash(
     device: &Arc<PmemDevice>,
     geom: &Geometry,
     inode: &format::RawInode,
 ) -> u64 {
-    let in_range = |p: u64| p >= geom.data_start_page && p < geom.total_pages;
-    let read_ptr = |page: u64, slot: u64| {
-        device
-            .read_u64(geom.page_offset(page) + slot * 8)
-            .unwrap_or(0)
-    };
     let mut map: HashMap<u64, u64> = HashMap::new(); // file block → page
-    for (i, &p) in inode.direct.iter().enumerate() {
-        if in_range(p) {
-            map.insert(i as u64, p);
-        }
-    }
-    if in_range(inode.indirect) {
-        for i in 0..format::PTRS_PER_PAGE {
-            let p = read_ptr(inode.indirect, i);
-            if in_range(p) {
-                map.insert(format::NDIRECT as u64 + i, p);
-            }
-        }
-    }
-    if in_range(inode.dindirect) {
-        let l1_base = format::NDIRECT as u64 + format::PTRS_PER_PAGE;
-        for i in 0..format::PTRS_PER_PAGE {
-            let l1 = read_ptr(inode.dindirect, i);
-            if !in_range(l1) {
-                continue;
-            }
-            for j in 0..format::PTRS_PER_PAGE {
-                let p = read_ptr(l1, j);
-                if in_range(p) {
-                    map.insert(l1_base + i * format::PTRS_PER_PAGE + j, p);
-                }
-            }
-        }
-    }
     let _ = format::walk_extents(device, geom, inode, |_| {}, |e| {
         for k in 0..e.len {
             map.insert(e.file_block + k, e.page + k);
@@ -1067,6 +1008,32 @@ mod tests {
         dev.persist_all();
     }
 
+    /// Hand-commit regular file `ino` owned by `uid`: one extent leaf at
+    /// `leaf` whose single record maps block 0 to `page`. Both pages are
+    /// marked allocated.
+    fn commit_extent_file(
+        dev: &Arc<PmemDevice>,
+        geom: &Geometry,
+        ino: u64,
+        uid: u32,
+        leaf: u64,
+        page: u64,
+    ) {
+        poke_bit(dev, geom, leaf, true);
+        poke_bit(dev, geom, page, true);
+        let rec = geom.page_offset(leaf) + format::EXTENT_FIRST_REC;
+        dev.write_u64(rec + format::E_FILE_BLOCK, 0).unwrap();
+        dev.write_u64(rec + format::E_PAGE, page).unwrap();
+        dev.write_u64(rec + format::E_LEN, 1).unwrap();
+        let base = geom.inode_offset(ino);
+        dev.write_u32(base + format::I_TYPE, InodeType::Regular.to_raw())
+            .unwrap();
+        dev.write_u32(base + format::I_UID, uid).unwrap();
+        dev.write_u64(base + format::I_EXTENT_ROOT, leaf).unwrap();
+        dev.write_u64(base, ino).unwrap();
+        dev.persist_all();
+    }
+
     #[test]
     fn leaked_page_is_benign_and_shard_attributed() {
         let dev = fresh_device();
@@ -1115,9 +1082,8 @@ mod tests {
         let dev = fresh_device();
         let geom = format::read_superblock(&dev).unwrap();
         let page = geom.data_start_page + 7;
-        poke_bit(&dev, &geom, page, true);
-        // Root's dentry page holds one entry naming file 7; both the root
-        // log and file 7 then claim `page`.
+        // Root's dentry page holds one entry naming file 7, whose extent
+        // chain maps `page`.
         let dirp = geom.data_start_page + 8;
         poke_bit(&dev, &geom, dirp, true);
         let root_base = geom.inode_offset(crate::ROOT_INO);
@@ -1128,19 +1094,11 @@ mod tests {
         dev.write_u64(rec + format::D_SEQ, 1).unwrap();
         dev.write(rec + format::D_NAME, b"f").unwrap();
         dev.write_u16(rec + format::D_MARKER, 1).unwrap();
-        let f_base = geom.inode_offset(7);
-        dev.write_u32(f_base + format::I_TYPE, InodeType::Regular.to_raw())
-            .unwrap();
-        dev.write_u64(f_base + format::I_DIRECT, page).unwrap();
-        dev.write_u64(f_base, 7).unwrap();
-        // A second committed file 8 claiming the same page, orphaned (no
-        // dentry): orphans are excluded from the double-use check.
-        let g_base = geom.inode_offset(8);
-        dev.write_u32(g_base + format::I_TYPE, InodeType::Regular.to_raw())
-            .unwrap();
-        dev.write_u64(g_base + format::I_DIRECT, page).unwrap();
-        dev.write_u64(g_base, 8).unwrap();
-        dev.persist_all();
+        commit_extent_file(&dev, &geom, 7, 0, geom.data_start_page + 9, page);
+        // A second committed file 8 mapping the same page through its own
+        // leaf, orphaned (no dentry): orphans are excluded from the
+        // double-use check.
+        commit_extent_file(&dev, &geom, 8, 0, geom.data_start_page + 10, page);
         let report = fsck(&dev).unwrap();
         assert!(report.is_consistent(), "{:?}", report.issues);
 
@@ -1158,6 +1116,17 @@ mod tests {
             i,
             FsckIssue::PageDoubleUse { page: p, .. } if *p == page
         )));
+
+        // A reachable regular file naming a page outside its extent chain
+        // (a `direct[]` word) is structural corruption.
+        dev.write_u64(geom.inode_offset(7) + format::I_DIRECT, page)
+            .unwrap();
+        dev.persist_all();
+        let report = fsck(&dev).unwrap();
+        assert!(report
+            .issues
+            .iter()
+            .any(|i| matches!(i, FsckIssue::Structural { ino: 7, .. })));
     }
 
     #[test]
@@ -1202,24 +1171,15 @@ mod tests {
     fn tenant_usage_groups_by_uid_and_dedupes_pages() {
         let dev = fresh_device();
         let geom = format::read_superblock(&dev).unwrap();
-        // Tenant 100 commits inode 7 with one page; tenant 200 commits
+        // Tenant 100 commits inode 7 mapping one page; tenant 200 commits
         // inodes 8 and 9 where inode 9 re-references 8's page — the page
-        // charge must not double-count (first committed owner wins).
+        // charge must not double-count (first committed owner wins). Each
+        // file also pins its own extent leaf.
         let p1 = geom.data_start_page + 3;
         let p2 = geom.data_start_page + 4;
-        poke_bit(&dev, &geom, p1, true);
-        poke_bit(&dev, &geom, p2, true);
-        let commit = |ino: u64, uid: u32, page: u64| {
-            let base = geom.inode_offset(ino);
-            dev.write_u32(base + format::I_TYPE, InodeType::Regular.to_raw())
-                .unwrap();
-            dev.write_u32(base + format::I_UID, uid).unwrap();
-            dev.write_u64(base + format::I_DIRECT, page).unwrap();
-            dev.write_u64(base, ino).unwrap();
-        };
-        commit(7, 100, p1);
-        commit(8, 200, p2);
-        commit(9, 200, p2);
+        commit_extent_file(&dev, &geom, 7, 100, geom.data_start_page + 5, p1);
+        commit_extent_file(&dev, &geom, 8, 200, geom.data_start_page + 6, p2);
+        commit_extent_file(&dev, &geom, 9, 200, geom.data_start_page + 7, p2);
         // Inode 10 is staged but never committed: invisible to the durable
         // derivation no matter what its uid field says.
         let base = geom.inode_offset(10);
@@ -1231,11 +1191,11 @@ mod tests {
         let usage = derive_tenant_usage(&dev, &geom).unwrap();
         assert_eq!(
             usage.charges[&100],
-            TenantCharges { pages: 1, inodes: 1 }
+            TenantCharges { pages: 2, inodes: 1 }
         );
         assert_eq!(
             usage.charges[&200],
-            TenantCharges { pages: 1, inodes: 2 }
+            TenantCharges { pages: 3, inodes: 2 }
         );
         assert_eq!(usage.page_owner[&p1], 100);
         assert_eq!(usage.page_owner[&p2], 200);
@@ -1249,27 +1209,21 @@ mod tests {
         let dev = fresh_device();
         let geom = format::read_superblock(&dev).unwrap();
         let p1 = geom.data_start_page + 3;
-        poke_bit(&dev, &geom, p1, true);
-        let base = geom.inode_offset(7);
-        dev.write_u32(base + format::I_TYPE, InodeType::Regular.to_raw())
-            .unwrap();
-        dev.write_u32(base + format::I_UID, 100).unwrap();
-        dev.write_u64(base + format::I_DIRECT, p1).unwrap();
-        dev.write_u64(base, 7).unwrap();
-        dev.persist_all();
+        commit_extent_file(&dev, &geom, 7, 100, geom.data_start_page + 4, p1);
 
         let usage = derive_tenant_usage(&dev, &geom).unwrap();
-        // Tenant 100 holds 3 volatile page charges but only 1 durable page:
-        // 2 pages of benign grant residue. Tenant 200 matches exactly.
+        // Tenant 100 holds 4 volatile page charges but only 2 durable pages
+        // (the data page and its extent leaf): 2 pages of benign grant
+        // residue. Tenant 200 matches exactly.
         let leaks = attribute_tenant_leaks(
             vfs::QuotaKind::Pages,
-            &[(100, 3), (200, 0)],
+            &[(100, 4), (200, 0)],
             &usage,
         );
         assert_eq!(leaks.len(), 1);
         assert_eq!(leaks[0].tenant, 100);
         assert_eq!(leaks[0].leaked(), 2);
-        assert_eq!(leaks[0].durable, 1);
+        assert_eq!(leaks[0].durable, 2);
         // Inode residue attributes the same way.
         let leaks = attribute_tenant_leaks(vfs::QuotaKind::Inodes, &[(100, 1)], &usage);
         assert!(leaks.is_empty(), "{leaks:?}");

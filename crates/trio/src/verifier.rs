@@ -32,7 +32,7 @@ use pmem::{PmemDevice, PAGE_SIZE};
 use vfs::{FsError, FsResult};
 
 use crate::controller::{KState, KernelConfig, LibFsId};
-use crate::format::{self, mode, Geometry, InodeType, RawDentry, RawInode, NDIRECT, PTRS_PER_PAGE};
+use crate::format::{self, mode, Geometry, InodeType, RawDentry, RawInode, NDIRECT};
 use crate::lease::RenameLease;
 use crate::shadow::ShadowEntry;
 
@@ -149,58 +149,67 @@ fn fail(ino: u64, reason: impl Into<String>) -> FsError {
     }
 }
 
-/// Structural validation of a file inode's page tree: every nonzero pointer
-/// reachable within `size` must be an allocated data page.
+/// Are all of `[page, page + len)` marked allocated in the durable bitmap?
+/// The caller has range-checked the run against the data region. One
+/// device read covers the run's bitmap bytes.
+fn run_allocated(device: &Arc<PmemDevice>, geom: &Geometry, page: u64, len: u64) -> bool {
+    let first = page - geom.data_start_page;
+    let last = first + len - 1;
+    let mut bytes = vec![0u8; (last / 8 - first / 8 + 1) as usize];
+    if device
+        .read(geom.bitmap_offset() + first / 8, &mut bytes)
+        .is_err()
+    {
+        return false;
+    }
+    (first..=last).all(|idx| bytes[(idx / 8 - first / 8) as usize] & (1 << (idx % 8)) != 0)
+}
+
+/// Structural validation of a file inode's block map: every extent leaf
+/// and every page of every committed run is an in-range, allocated data
+/// page ([`format::walk_extents`] bounds the chain and range-checks leaves
+/// and runs), and the pointer words the extent mapping does not use are
+/// zero.
 fn check_file_pages(
     device: &Arc<PmemDevice>,
     geom: &Geometry,
     ino: u64,
     inode: &RawInode,
 ) -> FsResult<()> {
-    let npages = inode.size.div_ceil(PAGE_SIZE as u64);
-    let check = |p: u64| -> FsResult<()> {
-        if p != 0 && !page_allocated(device, geom, p) {
-            return Err(fail(ino, format!("file page {p} not allocated")));
-        }
-        Ok(())
-    };
-    for i in 0..npages.min(NDIRECT as u64) {
-        check(inode.direct[i as usize])?;
+    if !inode.pointer_words_clear() {
+        return Err(fail(
+            ino,
+            "regular file with a non-zero direct/reserved word",
+        ));
     }
-    if npages > NDIRECT as u64 && inode.indirect != 0 {
-        check(inode.indirect)?;
-        let ind_base = geom.page_offset(inode.indirect);
-        let n = (npages - NDIRECT as u64).min(PTRS_PER_PAGE);
-        for i in 0..n {
-            let p = device
-                .read_u64(ind_base + 8 * i)
-                .map_err(|e| fail(ino, e.to_string()))?;
-            check(p)?;
-        }
+    let (mut bad_leaf, mut bad_run) = (None, None);
+    format::walk_extents(
+        device,
+        geom,
+        inode,
+        |leaf| {
+            if bad_leaf.is_none() && !page_allocated(device, geom, leaf) {
+                bad_leaf = Some(leaf);
+            }
+        },
+        |e| {
+            if bad_run.is_none() && !run_allocated(device, geom, e.page, e.len) {
+                bad_run = Some(e);
+            }
+        },
+    )
+    .map_err(|e| fail(ino, e))?;
+    if let Some(leaf) = bad_leaf {
+        return Err(fail(ino, format!("extent leaf {leaf} not allocated")));
     }
-    let dind_start = NDIRECT as u64 + PTRS_PER_PAGE;
-    if npages > dind_start && inode.dindirect != 0 {
-        check(inode.dindirect)?;
-        let dind_base = geom.page_offset(inode.dindirect);
-        let remaining = npages - dind_start;
-        let n_l1 = remaining.div_ceil(PTRS_PER_PAGE).min(PTRS_PER_PAGE);
-        for i in 0..n_l1 {
-            let l1 = device
-                .read_u64(dind_base + 8 * i)
-                .map_err(|e| fail(ino, e.to_string()))?;
-            if l1 == 0 {
-                continue;
-            }
-            check(l1)?;
-            let l1_base = geom.page_offset(l1);
-            let in_this = (remaining - i * PTRS_PER_PAGE).min(PTRS_PER_PAGE);
-            for j in 0..in_this {
-                let p = device
-                    .read_u64(l1_base + 8 * j)
-                    .map_err(|e| fail(ino, e.to_string()))?;
-                check(p)?;
-            }
-        }
+    if let Some(e) = bad_run {
+        return Err(fail(
+            ino,
+            format!(
+                "extent run [{}, +{}) covers an unallocated page",
+                e.page, e.len
+            ),
+        ));
     }
     Ok(())
 }

@@ -251,10 +251,9 @@ pub struct FsStats {
     pub deleg_polls: u64,
     /// Delegation ticket completions that parked on the condvar.
     pub deleg_parks: u64,
-    /// Byte-range lock acquisitions on the shared-file data path (the
-    /// range-lock discipline's replacement for the per-file lock; counted
-    /// separately from `shared_lock_acqs` so the scalability model can see
-    /// per-file lock acquisitions fall as range locks take over).
+    /// Byte-range lock acquisitions on the regular-file data path
+    /// (counted separately from `shared_lock_acqs`: disjoint ranges of one
+    /// file do not contend, whole-object locks do).
     pub range_lock_acqs: u64,
     /// Extent records appended (or coalesced) into per-file extent chains.
     pub extent_inserts: u64,

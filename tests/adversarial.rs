@@ -117,6 +117,60 @@ fn dentry_to_unallocated_page_region_is_rejected() {
 }
 
 #[test]
+fn tampering_with_a_file_block_map_is_rejected() {
+    // Each case grows /pub/file through the honest data path (so its inode
+    // differs from the acquire-time snapshot and the block map is walked),
+    // then forges one piece of the map raw-through-the-device.
+    type Tamper = fn(&Kernel, &format::RawInode, u64);
+    let cases: [(&str, Tamper); 3] = [
+        ("extent run over an unallocated page", |kernel, inode, _| {
+            let geom = kernel.geometry();
+            let dev = kernel.device();
+            let bit_set = |page: u64| {
+                let idx = page - geom.data_start_page;
+                dev.read_u8(geom.bitmap_offset() + idx / 8).unwrap() & (1 << (idx % 8)) != 0
+            };
+            let free = (geom.data_start_page..geom.total_pages)
+                .rev()
+                .find(|&p| !bit_set(p))
+                .expect("a free page");
+            // Commit a record in the first empty slot of the file's leaf.
+            let leaf = geom.page_offset(inode.extent_root);
+            let slot = (0..format::EXTENTS_PER_PAGE)
+                .map(|s| leaf + format::EXTENT_FIRST_REC + s * format::EXTENT_REC_SIZE)
+                .find(|&off| dev.read_u64(off + format::E_LEN).unwrap() == 0)
+                .expect("an empty slot");
+            dev.write_u64(slot + format::E_FILE_BLOCK, 100).unwrap();
+            dev.write_u64(slot + format::E_PAGE, free).unwrap();
+            dev.write_u64(slot + format::E_LEN, 1).unwrap();
+        }),
+        ("extent leaf outside the data region", |kernel, inode, _| {
+            let next = kernel.geometry().page_offset(inode.extent_root) + format::EP_NEXT;
+            kernel.device().write_u64(next, 1).unwrap(); // the inode table
+        }),
+        ("non-zero direct word", |kernel, inode, base| {
+            // A page the file really owns and that really is allocated:
+            // only the reserved-zero rule can object.
+            kernel
+                .device()
+                .write_u64(base + format::I_DIRECT, inode.extent_root)
+                .unwrap();
+        }),
+    ];
+    for (what, tamper) in cases {
+        let (kernel, attacker) = setup();
+        let fd = attacker.open("/pub/file", vfs::OpenFlags::rw()).unwrap();
+        attacker.write_at(fd, &[7u8; 8192], 0).unwrap();
+        attacker.close(fd).unwrap();
+        let ino = attacker.stat("/pub/file").unwrap().ino;
+        let inode = format::read_inode(kernel.device(), kernel.geometry(), ino).unwrap();
+        assert_ne!(inode.extent_root, 0, "{what}: the file is extent-mapped");
+        tamper(&kernel, &inode, kernel.geometry().inode_offset(ino));
+        expect_verification_failure(attacker.release_path("/pub/file"), what);
+    }
+}
+
+#[test]
 fn inflating_a_directory_size_is_rejected() {
     let (kernel, attacker) = setup();
     let pub_ino = attacker.stat("/pub").unwrap().ino;

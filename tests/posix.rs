@@ -274,30 +274,30 @@ fn fallocate_extends_with_zeros_where_supported() {
 
 #[test]
 fn boundary_write_returns_typed_file_too_big() {
-    // Both ArckFS mappings surface the same typed EFBIG from write_at,
-    // truncate, and fallocate: the extent path at its block cap, the
-    // legacy table at the double-indirect boundary.
-    for extent in [true, false] {
-        let mut cfg = Config::arckfs_plus();
-        cfg.extent = extent;
-        cfg.range_locks = extent;
-        let (_k, fs) = arckfs::new_fs(DEV, cfg).unwrap();
-        let fd = fs.create("/big").unwrap();
-        let off = if extent { (1u64 << 32) * 4096 } else { 1u64 << 33 };
+    // write_at, truncate, and fallocate surface the same typed EFBIG at the
+    // extent mapping's block cap — and fallocate does so before any block
+    // arithmetic, for a range that wraps u64 or is merely enormous.
+    let (_k, fs) = arckfs::new_fs(DEV, Config::arckfs_plus()).unwrap();
+    let fd = fs.create("/big").unwrap();
+    let off = (1u64 << 32) * 4096;
+    assert!(
+        matches!(fs.write_at(fd, b"x", off), Err(FsError::FileTooBig { .. })),
+        "write_at past the cap"
+    );
+    for (offset, len) in [(off, 4096), (u64::MAX - 1, 4096), (0, 1 << 60)] {
         assert!(
-            matches!(fs.write_at(fd, b"x", off), Err(FsError::FileTooBig { .. })),
-            "extent={extent}: write_at past the cap"
+            matches!(
+                fs.fallocate(fd, offset, len),
+                Err(FsError::FileTooBig { .. })
+            ),
+            "fallocate({offset}, {len}) past the cap"
         );
-        assert!(
-            matches!(fs.fallocate(fd, off, 4096), Err(FsError::FileTooBig { .. })),
-            "extent={extent}: fallocate past the cap"
-        );
-        assert!(
-            matches!(fs.truncate(fd, off + 4096), Err(FsError::FileTooBig { .. })),
-            "extent={extent}: truncate past the cap"
-        );
-        // Nothing was committed by the refused ops.
-        assert_eq!(fs.stat("/big").unwrap().size, 0, "extent={extent}");
-        fs.close(fd).unwrap();
     }
+    assert!(
+        matches!(fs.truncate(fd, off + 4096), Err(FsError::FileTooBig { .. })),
+        "truncate past the cap"
+    );
+    // Nothing was committed by the refused ops.
+    assert_eq!(fs.stat("/big").unwrap().size, 0);
+    fs.close(fd).unwrap();
 }

@@ -492,13 +492,12 @@ fn delegate_ring_points_are_swept() {
     cfg.delegation_threads = 2;
     cfg.delegation_min = 4096;
     cfg.deleg_batch = 2;
-    // Pin the legacy data path: this test's subject is the SQ publish
-    // window, and the extent/range-lock points would grow the pair space
-    // past the in-test schedule budget (they get their own sweep in
-    // `range_lock_points_are_swept`).
-    cfg.extent = false;
-    cfg.range_locks = false;
-    let report = explore(&[Op::WriteDelegated, Op::Append], &opts(cfg));
+    let mut o = opts(cfg);
+    // The write crosses the range-lock and extent-insert points as well
+    // as the SQ publish window, so the bound-2 space outgrows the default
+    // cap; raise it and still demand full enumeration.
+    o.max_schedules = 4096;
+    let report = explore(&[Op::WriteDelegated, Op::Append], &o);
     assert!(!report.truncated);
     assert!(
         report.points_hit.get("delegate.sq.enqueue").copied() >= Some(1),
@@ -512,16 +511,12 @@ fn delegate_ring_points_are_swept() {
 // ISSUE 7: the ranged shared-file data path (extent tree + range locks)
 // ---------------------------------------------------------------------------
 
-/// The bound-2 pair space around the new range-lock acquisition and
-/// extent-insert windows, swept with the ranged path forced on: two
-/// disjoint ranged writers on one shared file find nothing, and the new
-/// points actually arbitrate.
+/// The bound-2 pair space around the range-lock acquisition and
+/// extent-insert windows: two disjoint ranged writers on one shared file
+/// find nothing, and the points actually arbitrate.
 #[test]
 fn range_lock_points_are_swept() {
-    let mut cfg = Config::arckfs_plus();
-    cfg.range_locks = true;
-    cfg.extent = true;
-    let mut o = opts(cfg);
+    let mut o = opts(Config::arckfs_plus());
     // The ranged ops cross more schedule points than the metadata ops, so
     // the bound-2 space is bigger; raise the cap and still demand full
     // enumeration.
@@ -546,10 +541,7 @@ fn range_lock_points_are_swept() {
 /// scheduled through — and still linearizes.
 #[test]
 fn cow_tail_point_is_swept() {
-    let mut cfg = Config::arckfs_plus();
-    cfg.range_locks = true;
-    cfg.extent = true;
-    let mut o = opts(cfg);
+    let mut o = opts(Config::arckfs_plus());
     o.max_schedules = 4096;
     let report = explore(&[Op::WriteRanged, Op::Append], &o);
     assert!(!report.truncated, "bound-2 space must be fully enumerated");
@@ -561,34 +553,25 @@ fn cow_tail_point_is_swept() {
     assert!(report.is_clean(), "{:?}", report.failures);
 }
 
-/// The same pair space on the legacy whole-file-lock path: the differential
-/// half of the sweep — the new ops stay clean with the ranged path off.
+/// A ranged writer against the preallocator on the same file: the
+/// remaining pair of the ranged vocabulary stays clean.
 #[test]
-fn ranged_ops_are_clean_on_legacy_path() {
-    let mut cfg = Config::arckfs_plus();
-    cfg.range_locks = false;
-    cfg.extent = false;
-    let mut o = opts(cfg);
+fn ranged_write_against_fallocate_is_clean() {
+    let mut o = opts(Config::arckfs_plus());
     o.max_schedules = 4096;
     let report = explore(&[Op::WriteRanged, Op::Fallocate], &o);
     assert!(!report.truncated);
     assert!(report.is_clean(), "{:?}", report.failures);
-    assert!(
-        !report.points_hit.contains_key("file.write.range_lock"),
-        "the legacy path must not cross the range-lock window"
-    );
 }
 
 /// Crash differential for a torn multi-block write into a shared file that
 /// already has a durable committed range: park the second writer
 /// mid-stream, and every sampled crash state must keep the committed range
 /// intact while the torn range recovers to prefix-or-nothing (the size
-/// word never moves). Run on both data paths.
-fn torn_ranged_write_preserves_committed_ranges(range_locks: bool, gate_point: &str) {
+/// word never moves). Run with the writer parked at each of its windows.
+fn torn_ranged_write_preserves_committed_ranges(gate_point: &str) {
     let device = PmemDevice::new_tracked(8 << 20);
     let mut cfg = Config::arckfs_plus();
-    cfg.range_locks = range_locks;
-    cfg.extent = range_locks;
     cfg.delegation_threads = 0;
     let (_k, fs) = arckfs::new_fs_on(device.clone(), cfg.clone()).unwrap();
     fs.mkdir("/d").unwrap();
@@ -649,12 +632,12 @@ fn torn_ranged_write_preserves_committed_ranges(range_locks: bool, gate_point: &
 
 #[test]
 fn torn_multi_extent_write_preserves_committed_ranges() {
-    torn_ranged_write_preserves_committed_ranges(true, "file.write.extent_insert");
+    torn_ranged_write_preserves_committed_ranges("file.write.extent_insert");
 }
 
 #[test]
-fn torn_legacy_range_write_preserves_committed_ranges() {
-    torn_ranged_write_preserves_committed_ranges(false, "file.write.chunk");
+fn torn_mid_chunk_write_preserves_committed_ranges() {
+    torn_ranged_write_preserves_committed_ranges("file.write.chunk");
 }
 
 // ---------------------------------------------------------------------------
