@@ -295,18 +295,6 @@ pub fn paper_thread_counts() -> Vec<usize> {
     vec![1, 2, 4, 8, 16, 28, 48]
 }
 
-/// Capacity planning for the multi-tenant service harness: how many users
-/// (tenants) an aggregate throughput supports, given each user's sustained
-/// per-second demand. Returns 0 when the demand is non-positive — a user
-/// who asks for nothing is not "infinitely supported", it is a
-/// configuration error the caller should surface.
-pub fn users_supported(ops_per_sec: f64, per_user_ops_per_sec: f64) -> f64 {
-    if per_user_ops_per_sec <= 0.0 || !ops_per_sec.is_finite() {
-        return 0.0;
-    }
-    (ops_per_sec / per_user_ops_per_sec).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,15 +306,6 @@ mod tests {
             syscalls: 0.0,
             lock_acqs: 3.0,
         }
-    }
-
-    #[test]
-    fn users_supported_divides_and_rejects_bad_demand() {
-        assert_eq!(users_supported(1_000_000.0, 1.0), 1_000_000.0);
-        assert_eq!(users_supported(500.0, 0.5), 1000.0);
-        assert_eq!(users_supported(500.0, 0.0), 0.0);
-        assert_eq!(users_supported(500.0, -1.0), 0.0);
-        assert_eq!(users_supported(f64::NAN, 1.0), 0.0);
     }
 
     #[test]

@@ -111,8 +111,8 @@ struct Shard {
     /// `alloc_scale` bench asserts on).
     lock_acqs: AtomicU64,
     /// Pages taken from this shard by *non-home* threads (the shard is the
-    /// steal victim). Per-victim counters are what the service harness
-    /// reports to show a hot tenant's overflow is spread, not focused.
+    /// steal victim). Per-victim counters show whether one hot home
+    /// shard's overflow is spread across victims or focused on one.
     steals_from: AtomicU64,
     /// Approximate free-list length, maintained alongside the locked list.
     /// Steal passes read it lock-free to pick the fullest victim first.

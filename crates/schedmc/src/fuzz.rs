@@ -40,23 +40,17 @@
 //! |------|-----------|---------|
 //! | `size_monotone` | durable file sizes never shrink within a run | per crash check |
 //! | `commit_before_link` | no dangling dentry in the durable image (a visible link implies a committed target) | per crash check |
-//! | `charge_le_quota.pages` | every tenant's volatile page charge ≤ its quota | per decision |
-//! | `charge_le_quota.inodes` | every tenant's volatile inode charge ≤ its quota | per decision |
-//! | `durable_within_charge` | durable per-tenant page usage ≤ volatile charge | per crash check |
 //!
 //! `size_monotone` is refuted by any `truncate` that shrinks across a
-//! durable boundary and `durable_within_charge` by an `unlink` whose
-//! volatile uncharge races the durable image — both demote themselves in a
-//! full-vocabulary campaign, which is exactly the lifecycle working as
-//! designed. The quota-charge invariants hold by construction of the
-//! provider layer and promote; a later violation would be a real bug.
+//! durable boundary, so it demotes itself in a full-vocabulary campaign —
+//! exactly the lifecycle working as designed. `commit_before_link` is the
+//! §4.2 ordering and promotes; a later violation would be a real bug.
 //!
 //! Every failure carries the program, the executed schedule, and the run
 //! seed: [`replay_fuzz`] re-executes it pinned, [`minimize`] shrinks the
 //! program while the failure still reproduces.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,8 +64,7 @@ use vfs::{Fd, FileSystem, FsError, FsResult, OpenFlags};
 
 use crate::{env_u64, fatal_op_error, FailureKind, Op, DEVICE_LEN};
 
-/// First tenant uid; tenant `k` mounts as `TENANT_UID_BASE + k` (the same
-/// convention the `service` crate uses).
+/// First tenant uid; tenant `k` mounts as `TENANT_UID_BASE + k`.
 pub const TENANT_UID_BASE: u32 = 100;
 
 /// Corpus size cap: beyond this the lowest-energy entry is evicted.
@@ -86,12 +79,6 @@ const MAX_FUZZ_FAILURES: usize = 8;
 pub const INV_SIZE_MONOTONE: &str = "size_monotone";
 /// Mined invariant: a visible link implies a committed target inode.
 pub const INV_COMMIT_BEFORE_LINK: &str = "commit_before_link";
-/// Mined invariant: volatile page charge ≤ page quota, per tenant.
-pub const INV_PAGE_CHARGE: &str = "charge_le_quota.pages";
-/// Mined invariant: volatile inode charge ≤ inode quota, per tenant.
-pub const INV_INO_CHARGE: &str = "charge_le_quota.inodes";
-/// Mined invariant: durable page usage ≤ volatile charge, per tenant.
-pub const INV_DURABLE_WITHIN_CHARGE: &str = "durable_within_charge";
 
 // ---- op vocabulary ---------------------------------------------------------
 
@@ -197,13 +184,12 @@ const NAME_POOL: [&str; 16] = [
 ];
 
 /// A mounted tenant: its LibFS, home path, and the pinned home handle
-/// every `*_at` op anchors on (the service-crate idiom — path walks from
-/// the root would serialize every tenant on root ownership).
+/// every `*_at` op anchors on (path walks from the root would serialize
+/// every tenant on root ownership).
 struct TenantCtx {
     fs: Arc<LibFs>,
     home: String,
     home_fd: Fd,
-    uid: u32,
 }
 
 impl FuzzOp {
@@ -349,10 +335,6 @@ pub struct FuzzOpts {
     pub threads: usize,
     /// Mounted tenants (distinct LibFS uids).
     pub tenants: usize,
-    /// Per-tenant page quota installed at format time.
-    pub page_quota: Option<u64>,
-    /// Per-tenant inode quota installed at format time.
-    pub ino_quota: Option<u64>,
     /// Run the crash oracle (and the durable-image invariants) every this
     /// many schedule decisions; `0` disables crash checking entirely.
     pub crash_period: usize,
@@ -380,7 +362,7 @@ pub struct FuzzOpts {
 impl FuzzOpts {
     /// The deterministic CI smoke: exec-bounded (`ARCKFS_FUZZ_EXECS`,
     /// default 24), seeded (`ARCKFS_FUZZ_SEED`), no wall-clock dependence
-    /// in the loop, quotas on, full vocabulary.
+    /// in the loop, full vocabulary.
     pub fn smoke() -> FuzzOpts {
         let mut config = Config::arckfs_plus();
         // Reach group durability's inject points. Delegation rings stay
@@ -389,8 +371,8 @@ impl FuzzOpts {
         // can't survive that (the nightly leg turns them on; it makes no
         // determinism claim).
         config.batch = true;
-        // The service-crate pooling shape, so quota charges flow through
-        // the batched grant path.
+        // Small pools, so a 10–50-op program crosses the kernel's batched
+        // grant and surplus-return paths.
         config.page_batch = 16;
         config.ino_batch = 8;
         config.pool_low = 8;
@@ -403,8 +385,6 @@ impl FuzzOpts {
             program_max: 50,
             threads: 3,
             tenants: 2,
-            page_quota: Some(192),
-            ino_quota: Some(96),
             crash_period: 6,
             crash_exhaustive_limit: 32,
             crash_samples: 6,
@@ -545,8 +525,6 @@ pub struct FuzzReport {
     pub crash_states_checked: u64,
     /// Largest crash-state space seen.
     pub state_space_max: u64,
-    /// Quota rejections tolerated (expected under quota pressure).
-    pub quota_rejections: u64,
     /// Failing executions (capped so a broken build cannot flood memory).
     pub failures: Vec<FuzzFailure>,
     /// The mined-invariant ledger.
@@ -638,7 +616,6 @@ impl FuzzReport {
             "new_coverage_events": self.new_coverage_events,
             "crash_states_checked": self.crash_states_checked,
             "state_space_max": self.state_space_max,
-            "quota_rejections": self.quota_rejections,
             "failures": failures,
             "invariants": serde_json::Value::Object(invariants),
             "invariants_promoted": self.invariants_with(InvariantStatus::Promoted).len(),
@@ -759,7 +736,6 @@ struct FuzzRun {
     points: BTreeMap<String, u64>,
     crash_states: u64,
     state_space_max: u64,
-    quota_rejections: u64,
     /// Invariants this run could evaluate at least once.
     evaluated: BTreeSet<&'static str>,
     /// Invariant name → first counterexample this run.
@@ -820,7 +796,6 @@ fn run_program(program: &[FuzzOp], plan: Plan<'_>, opts: &FuzzOpts) -> FuzzRun {
         points: BTreeMap::new(),
         crash_states: 0,
         state_space_max: 0,
-        quota_rejections: 0,
         evaluated: BTreeSet::new(),
         violated: BTreeMap::new(),
         diverged_from_schedule: false,
@@ -832,9 +807,7 @@ fn run_program(program: &[FuzzOp], plan: Plan<'_>, opts: &FuzzOpts) -> FuzzRun {
         PmemDevice::new(DEVICE_LEN)
     };
     let geom = trio::Geometry::for_device(DEVICE_LEN);
-    let mut kconfig = KernelConfig::arckfs_plus()
-        .with_page_quota(opts.page_quota)
-        .with_ino_quota(opts.ino_quota);
+    let mut kconfig = KernelConfig::arckfs_plus();
     // The rename lease expires on wall-clock time and a waiter then
     // *steals* it. Under the controller a rename can sit parked at an
     // inject point for many grace periods while holding the lease, so a
@@ -851,8 +824,8 @@ fn run_program(program: &[FuzzOp], plan: Plan<'_>, opts: &FuzzOpts) -> FuzzRun {
     };
     let geom = *kernel.geometry();
 
-    // Mount the tenants (service-crate hand-off: creating the home
-    // acquires root, so release it once the home handle exists).
+    // Mount the tenants (creating the home acquires root, so release it
+    // once the home handle exists).
     let mut tenants: Vec<TenantCtx> = Vec::with_capacity(opts.tenants);
     for k in 0..opts.tenants {
         let uid = TENANT_UID_BASE + k as u32;
@@ -875,7 +848,6 @@ fn run_program(program: &[FuzzOp], plan: Plan<'_>, opts: &FuzzOpts) -> FuzzRun {
                 fs,
                 home,
                 home_fd,
-                uid,
             })
         })();
         match setup {
@@ -891,9 +863,7 @@ fn run_program(program: &[FuzzOp], plan: Plan<'_>, opts: &FuzzOpts) -> FuzzRun {
         // crash states (and size history) from here on.
         device.persist_all();
     }
-    let tenant_uids: Vec<u32> = tenants.iter().map(|t| t.uid).collect();
     let tenants = Arc::new(tenants);
-    let quota_hits = Arc::new(AtomicU64::new(0));
 
     // Stripe the program across the participant threads.
     let ctl = Controller::new();
@@ -907,16 +877,12 @@ fn run_program(program: &[FuzzOp], plan: Plan<'_>, opts: &FuzzOpts) -> FuzzRun {
             .map(|(_, op)| *op)
             .collect();
         let tenants = tenants.clone();
-        let quota_hits = quota_hits.clone();
         let label = format!("w{t}");
         handles.push(ctl.spawn(&label, move || -> FsResult<()> {
             for op in slice {
                 let ctx = &tenants[op.tenant as usize % tenants.len()];
                 match op.run(ctx, t) {
                     Ok(()) => {}
-                    Err(e) if e.is_quota() => {
-                        quota_hits.fetch_add(1, Ordering::Relaxed);
-                    }
                     Err(e) if FuzzOp::benign(&e) => {}
                     Err(e) => return Err(e),
                 }
@@ -926,7 +892,6 @@ fn run_program(program: &[FuzzOp], plan: Plan<'_>, opts: &FuzzOpts) -> FuzzRun {
     }
 
     // Invariant scratch state for this run.
-    let quotas_on = opts.page_quota.is_some() || opts.ino_quota.is_some();
     let mut last_sizes: Option<BTreeMap<String, u64>> = None;
     let note_violation = |out: &mut FuzzRun, name: &'static str, detail: String| {
         out.violated.entry(name).or_insert(detail);
@@ -954,35 +919,6 @@ fn run_program(program: &[FuzzOp], plan: Plan<'_>, opts: &FuzzOpts) -> FuzzRun {
                     format!("no schedulable participant; statuses: {:?}", ctl.statuses()),
                 ));
                 break;
-            }
-        }
-
-        // Per-decision invariants: quota charges are cheap atomic reads.
-        if quotas_on {
-            out.evaluated.insert(INV_PAGE_CHARGE);
-            out.evaluated.insert(INV_INO_CHARGE);
-            for &uid in &tenant_uids {
-                let uid = u64::from(uid);
-                if let Some(q) = opts.page_quota {
-                    let charged = kernel.allocator().charged(uid);
-                    if charged > q {
-                        note_violation(
-                            &mut out,
-                            INV_PAGE_CHARGE,
-                            format!("tenant {uid}: page charge {charged} > quota {q}"),
-                        );
-                    }
-                }
-                if let Some(q) = opts.ino_quota {
-                    let charged = kernel.ino_provider().charged(uid);
-                    if charged > q {
-                        note_violation(
-                            &mut out,
-                            INV_INO_CHARGE,
-                            format!("tenant {uid}: inode charge {charged} > quota {q}"),
-                        );
-                    }
-                }
             }
         }
 
@@ -1059,26 +995,6 @@ fn run_program(program: &[FuzzOp], plan: Plan<'_>, opts: &FuzzOpts) -> FuzzRun {
                     }
                     last_sizes = Some(sizes);
                 }
-                if quotas_on {
-                    if let Ok(usage) = trio::derive_tenant_usage(&recovered, &geom) {
-                        out.evaluated.insert(INV_DURABLE_WITHIN_CHARGE);
-                        for &uid in &tenant_uids {
-                            let uid = u64::from(uid);
-                            let durable =
-                                usage.charges.get(&uid).map(|c| c.pages).unwrap_or(0);
-                            let volatile = kernel.allocator().charged(uid);
-                            if durable > volatile {
-                                note_violation(
-                                    &mut out,
-                                    INV_DURABLE_WITHIN_CHARGE,
-                                    format!(
-                                        "tenant {uid}: durable pages {durable} > volatile charge {volatile}"
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
             }
         }
 
@@ -1142,7 +1058,6 @@ fn run_program(program: &[FuzzOp], plan: Plan<'_>, opts: &FuzzOpts) -> FuzzRun {
     for (t, h) in handles.into_iter().enumerate() {
         op_results.push((t, h.join()));
     }
-    out.quota_rejections = quota_hits.load(Ordering::Relaxed);
     if out.failure.is_some() {
         return out;
     }
@@ -1296,7 +1211,6 @@ pub fn fuzz(opts: &FuzzOpts) -> FuzzReport {
         report.execs += 1;
         report.crash_states_checked += run.crash_states;
         report.state_space_max = report.state_space_max.max(run.state_space_max);
-        report.quota_rejections += run.quota_rejections;
         for (point, n) in &run.points {
             *report.points_hit.entry(point.clone()).or_insert(0) += n;
         }

@@ -112,7 +112,7 @@ fn fuzz_main() {
 
     let report = schedmc::fuzz::fuzz(&opts);
     eprintln!(
-        "schedmc: fuzz {} execs in {:?} ({} corpus, {} pairs, {} buckets, {} new-coverage events, {} crash states, {} quota rejections)",
+        "schedmc: fuzz {} execs in {:?} ({} corpus, {} pairs, {} buckets, {} new-coverage events, {} crash states)",
         report.execs,
         report.elapsed,
         report.corpus,
@@ -120,7 +120,6 @@ fn fuzz_main() {
         report.point_buckets.len(),
         report.new_coverage_events,
         report.crash_states_checked,
-        report.quota_rejections,
     );
     for (name, st) in &report.invariants {
         eprintln!(

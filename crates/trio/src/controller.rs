@@ -20,11 +20,11 @@ use parking_lot::Mutex;
 
 use pmem::{default_alloc_shards, LatencyModel, Mapping, MappingRegistry, PmemDevice};
 use pmem::ShardedPageAllocator;
-use vfs::{FsError, FsResult, QuotaKind};
+use vfs::{FsError, FsResult};
 
 use crate::format::{self, Geometry, InodeType};
 use crate::lease::{LeaseGrant, RenameLease};
-use crate::provider::{self, QuotaProvider, ResourceProvider};
+use crate::provider;
 use crate::shadow::{ShadowEntry, ShadowTable};
 use crate::verifier::{self, Snapshot};
 use crate::ROOT_INO;
@@ -52,15 +52,6 @@ pub struct KernelConfig {
     /// `0` means "auto": `ARCKFS_ALLOC_SHARDS` if set, else
     /// `min(cores, 8)` (see [`pmem::default_alloc_shards`]).
     pub alloc_shards: usize,
-    /// Per-tenant data-page quota. `None` (the presets' default) leaves the
-    /// allocator bare — single-tenant callers pay nothing for tenancy. When
-    /// set, the page provider is wrapped in a [`QuotaProvider`] keyed by
-    /// LibFS uid and grants fail with [`FsError::QuotaExceeded`] once a
-    /// tenant's charge reaches the limit.
-    pub page_quota: Option<u64>,
-    /// Per-tenant inode-number quota (same wrapping rule as
-    /// [`KernelConfig::page_quota`], over the volatile inode pool).
-    pub ino_quota: Option<u64>,
 }
 
 impl KernelConfig {
@@ -73,8 +64,6 @@ impl KernelConfig {
             lease_timeout: Duration::from_secs(2),
             syscall_cost: Duration::ZERO,
             alloc_shards: 0,
-            page_quota: None,
-            ino_quota: None,
         }
     }
 
@@ -86,8 +75,6 @@ impl KernelConfig {
             lease_timeout: Duration::from_secs(2),
             syscall_cost: Duration::ZERO,
             alloc_shards: 0,
-            page_quota: None,
-            ino_quota: None,
         }
     }
 
@@ -100,18 +87,6 @@ impl KernelConfig {
     /// Pin the allocator shard count (`0` restores auto selection).
     pub fn with_alloc_shards(mut self, shards: usize) -> Self {
         self.alloc_shards = shards;
-        self
-    }
-
-    /// Set a uniform per-tenant data-page quota (`None` disables).
-    pub fn with_page_quota(mut self, quota: Option<u64>) -> Self {
-        self.page_quota = quota;
-        self
-    }
-
-    /// Set a uniform per-tenant inode quota (`None` disables).
-    pub fn with_ino_quota(mut self, quota: Option<u64>) -> Self {
-        self.ino_quota = quota;
         self
     }
 
@@ -225,13 +200,12 @@ pub struct Kernel {
     device: Arc<PmemDevice>,
     geom: Geometry,
     config: KernelConfig,
-    /// Data-page provider: a [`ShardedPageAllocator`] over the durable
-    /// bitmap region.
-    allocator: Box<dyn ResourceProvider>,
-    /// Inode-number provider: the same engine over a volatile scratch
-    /// bitmap (the durable truth for inode occupancy is the inode table's
-    /// commit markers, re-scanned by [`Kernel::recover`]).
-    inos: Box<dyn ResourceProvider>,
+    /// Data-page pool, over the durable bitmap region.
+    allocator: ShardedPageAllocator,
+    /// Inode-number pool: the same engine over a volatile scratch bitmap
+    /// (the durable truth for inode occupancy is the inode table's commit
+    /// markers, re-scanned by [`Kernel::recover`]).
+    inos: ShardedPageAllocator,
     lease: RenameLease,
     pub(crate) state: Mutex<KState>,
     stats: KernelStats,
@@ -244,19 +218,6 @@ impl std::fmt::Debug for Kernel {
             .field("geom", &self.geom)
             .field("config", &self.config)
             .finish()
-    }
-}
-
-/// Wrap a provider in a [`QuotaProvider`] when a quota is configured;
-/// otherwise hand it back bare — tenancy is strictly pay-for-what-you-use.
-fn wrap_quota(
-    inner: Box<dyn ResourceProvider>,
-    kind: QuotaKind,
-    quota: Option<u64>,
-) -> Box<dyn ResourceProvider> {
-    match quota {
-        Some(q) => Box::new(QuotaProvider::new(inner, kind, q)),
-        None => inner,
     }
 }
 
@@ -322,8 +283,6 @@ impl Kernel {
 
         let inos = provider::volatile_pool(2, geom.max_inodes - 1, shards);
         let lease = RenameLease::new(config.lease_timeout);
-        let allocator = wrap_quota(Box::new(allocator), QuotaKind::Pages, config.page_quota);
-        let inos = wrap_quota(Box::new(inos), QuotaKind::Inodes, config.ino_quota);
         Ok(Arc::new(Kernel {
             device,
             geom,
@@ -488,40 +447,6 @@ impl Kernel {
             })
             .map_err(fs_err)?;
         let lease = RenameLease::new(config.lease_timeout);
-        // With quotas on, reseed the charge tables from commit markers —
-        // the quota durability rule (DESIGN.md §12): a tenant's post-crash
-        // charge is exactly what its committed inodes pin. Volatile grant
-        // residue was reclaimed above and is never re-charged.
-        let (allocator, inos): (Box<dyn ResourceProvider>, Box<dyn ResourceProvider>) =
-            if config.page_quota.is_some() || config.ino_quota.is_some() {
-                let usage =
-                    crate::fsck::derive_tenant_usage(&device, &geom).map_err(FsError::Corrupted)?;
-                let alloc: Box<dyn ResourceProvider> = match config.page_quota {
-                    Some(q) => {
-                        let qp = QuotaProvider::new(Box::new(allocator), QuotaKind::Pages, q);
-                        qp.seed(
-                            usage.charges.iter().map(|(&t, c)| (t, c.pages)).collect(),
-                            usage.page_owner.clone(),
-                        );
-                        Box::new(qp)
-                    }
-                    None => Box::new(allocator),
-                };
-                let ino_p: Box<dyn ResourceProvider> = match config.ino_quota {
-                    Some(q) => {
-                        let qp = QuotaProvider::new(Box::new(inos), QuotaKind::Inodes, q);
-                        qp.seed(
-                            usage.charges.iter().map(|(&t, c)| (t, c.inodes)).collect(),
-                            usage.ino_owner,
-                        );
-                        Box::new(qp)
-                    }
-                    None => Box::new(inos),
-                };
-                (alloc, ino_p)
-            } else {
-                (Box::new(allocator), Box::new(inos))
-            };
         Ok(Arc::new(Kernel {
             device,
             geom,
@@ -621,19 +546,22 @@ impl Kernel {
         st.libfs.get(&libfs.0).and_then(|i| i.group)
     }
 
+    /// Grants and returns are refused for a `LibFsId` that is not (or no
+    /// longer) registered: a stale id must neither drain nor refill a pool.
+    fn ensure_registered(&self, libfs: LibFsId) -> FsResult<()> {
+        Self::uid_of(&self.state.lock(), libfs).map(drop)
+    }
+
     /// Grant `n` unused inode numbers to the LibFS. The LibFS initializes
     /// them directly in userspace; the kernel learns of them when a parent
     /// directory referencing them is verified.
     pub fn grant_inodes(&self, libfs: LibFsId, n: usize) -> FsResult<Vec<u64>> {
         self.syscall();
-        let tenant = self.tenant_of(libfs)?;
+        self.ensure_registered(libfs)?;
         // Take the numbers from the sharded pool *before* entering the
         // kernel lock — allocation contention stays on the pool's shard
         // locks, not the global kernel state.
-        let inos = self
-            .inos
-            .alloc_extent_for(tenant, n)
-            .map_err(provider::tenant_err)?;
+        let inos = self.inos.alloc_extent(n).map_err(provider::provider_err)?;
         let mut st = self.state.lock();
         // The grantee owns the fresh inodes: it may commit/release them
         // (subject to Rule (1) — they verify only once connected).
@@ -649,11 +577,8 @@ impl Kernel {
     /// acquire-time mapping.
     pub fn grant_inodes_mapped(&self, libfs: LibFsId, n: usize) -> FsResult<Vec<(u64, Mapping)>> {
         self.syscall();
-        let tenant = self.tenant_of(libfs)?;
-        let inos = self
-            .inos
-            .alloc_extent_for(tenant, n)
-            .map_err(provider::tenant_err)?;
+        self.ensure_registered(libfs)?;
+        let inos = self.inos.alloc_extent(n).map_err(provider::provider_err)?;
         let mut st = self.state.lock();
         let mut out = Vec::with_capacity(n);
         for ino in inos {
@@ -669,11 +594,15 @@ impl Kernel {
     }
 
     /// Return unused inode numbers: ownership is dropped, any grant
-    /// mapping is invalidated, and the numbers re-enter circulation.
+    /// mapping is invalidated, and the numbers re-enter circulation. A
+    /// call from an unregistered LibFS changes nothing.
     pub fn return_inodes(&self, libfs: LibFsId, inos: Vec<u64>) {
         self.syscall();
         {
             let mut st = self.state.lock();
+            if !st.libfs.contains_key(&libfs.0) {
+                return;
+            }
             for &ino in &inos {
                 if let Some(owners) = st.owners.get_mut(&ino) {
                     owners.remove(&libfs.0);
@@ -687,48 +616,36 @@ impl Kernel {
         // A misbehaving LibFS returning numbers it never held must not
         // poison the pool; the error (double free) is dropped, matching
         // the old free-list's silent acceptance.
-        let tenant = self.tenant_of(libfs).unwrap_or(0);
-        let _ = self.inos.free_extent_for(tenant, &inos);
+        let _ = self.inos.free_extent(&inos);
     }
 
-    /// The quota tenant a LibFS allocates as: its uid. The uid is durable
-    /// (inodes carry it), so post-crash charge re-derivation attributes to
-    /// the same identity a live grant charges.
-    fn tenant_of(&self, libfs: LibFsId) -> FsResult<u64> {
-        let st = self.state.lock();
-        Self::uid_of(&st, libfs).map(u64::from)
-    }
-
-    /// Grant a page extent to the LibFS, charged to its tenant (uid). With
-    /// a quota configured the grant may be *clamped* to the tenant's
-    /// remaining budget — fewer pages than asked, never zero — so batched
-    /// refills degrade gracefully near the limit.
+    /// Grant a page extent to the LibFS.
     pub fn grant_pages(&self, libfs: LibFsId, n: usize) -> FsResult<Vec<u64>> {
         self.syscall();
-        let tenant = self.tenant_of(libfs)?;
+        self.ensure_registered(libfs)?;
         self.allocator
-            .alloc_extent_for(tenant, n)
-            .map_err(provider::tenant_err)
+            .alloc_extent(n)
+            .map_err(provider::provider_err)
     }
 
-    /// Return a page extent, uncharging the tenant that was charged for it.
+    /// Return a page extent to the pool.
     pub fn return_pages(&self, libfs: LibFsId, pages: &[u64]) -> FsResult<()> {
         self.syscall();
-        let tenant = self.tenant_of(libfs).unwrap_or(0);
+        self.ensure_registered(libfs)?;
         self.allocator
-            .free_extent_for(tenant, pages)
-            .map_err(provider::tenant_err)
+            .free_extent(pages)
+            .map_err(provider::provider_err)
     }
 
-    /// The page provider (exposed for fsck cross-checks and the obs
-    /// `alloc` block).
-    pub fn allocator(&self) -> &dyn ResourceProvider {
-        self.allocator.as_ref()
+    /// The page pool (exposed for fsck cross-checks and the obs `alloc`
+    /// block).
+    pub fn allocator(&self) -> &ShardedPageAllocator {
+        &self.allocator
     }
 
-    /// The inode-number provider (counters feed the obs `alloc` block).
-    pub fn ino_provider(&self) -> &dyn ResourceProvider {
-        self.inos.as_ref()
+    /// The inode-number pool (counters feed the obs `alloc` block).
+    pub fn ino_provider(&self) -> &ShardedPageAllocator {
+        &self.inos
     }
 
     /// Map a freshly granted (not yet committed) inode for `libfs`. The

@@ -371,119 +371,6 @@ pub(crate) fn referenced_pages(
     Ok(set)
 }
 
-/// Durable per-tenant resource charges, re-derived from commit markers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantCharges {
-    /// Data pages referenced by the tenant's committed inodes.
-    pub pages: u64,
-    /// Committed inodes owned by the tenant.
-    pub inodes: u64,
-}
-
-/// Durable tenant usage derived from the inode table: per-tenant charges
-/// plus the id → tenant ownership maps the [`crate::QuotaProvider`]
-/// reseeds its charge table from at recovery.
-#[derive(Debug, Default)]
-pub struct TenantUsage {
-    /// tenant (inode `uid`) → durable charges.
-    pub charges: HashMap<u64, TenantCharges>,
-    /// page → owning tenant (first committed referencing inode wins).
-    pub page_owner: HashMap<u64, u64>,
-    /// ino → owning tenant.
-    pub ino_owner: HashMap<u64, u64>,
-}
-
-/// Walk every committed inode and attribute durable charges to tenants.
-///
-/// This is the **quota durability rule** (DESIGN.md §12): a tenant's
-/// durable charge is exactly what its committed inodes pin — the inode
-/// itself (inode charge) and every page the inode references (page
-/// charge), attributed through the inode's durable `uid` field. Grants
-/// that never reached a commit marker are volatile residue: recovery
-/// rolls them back, so they never survive a crash as charges.
-pub fn derive_tenant_usage(
-    device: &Arc<PmemDevice>,
-    geom: &Geometry,
-) -> Result<TenantUsage, String> {
-    let mut usage = TenantUsage::default();
-    for ino in 1..=geom.max_inodes {
-        let inode = match format::read_inode(device, geom, ino) {
-            Ok(i) => i,
-            Err(e) => return Err(e.to_string()),
-        };
-        if !inode.is_committed(ino) {
-            continue;
-        }
-        let tenant = inode.uid as u64;
-        let entry = usage.charges.entry(tenant).or_default();
-        entry.inodes += 1;
-        usage.ino_owner.insert(ino, tenant);
-        for page in inode_pages(device, geom, &inode) {
-            if usage.page_owner.insert(page, tenant).is_none() {
-                usage.charges.entry(tenant).or_default().pages += 1;
-            }
-        }
-    }
-    Ok(usage)
-}
-
-/// One tenant's grant residue: its volatile charge sits above its durable
-/// charge, meaning extents were granted but never durably linked. Benign
-/// (recovery reclaims the residue) but attributable — this is the
-/// per-tenant refinement of [`FsckIssue::PageLeak`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantLeak {
-    /// The tenant holding the residue.
-    pub tenant: u64,
-    /// Which resource class.
-    pub kind: vfs::QuotaKind,
-    /// The provider's volatile charge for the tenant.
-    pub charged: u64,
-    /// The durable charge re-derived from commit markers.
-    pub durable: u64,
-}
-
-impl TenantLeak {
-    /// Identifiers charged but not durably linked.
-    pub fn leaked(&self) -> u64 {
-        self.charged - self.durable
-    }
-}
-
-/// Audit a provider's volatile per-tenant charges (its
-/// [`crate::ResourceProvider::charged_tenants`] output) against the
-/// durable usage of [`derive_tenant_usage`], attributing any excess to
-/// the tenant holding it. A durable charge *above* the volatile one is
-/// impossible under the charge-at-grant rule and is reported too (as a
-/// negative-residue entry with `charged < durable`) so accounting bugs
-/// cannot hide.
-pub fn attribute_tenant_leaks(
-    kind: vfs::QuotaKind,
-    charged: &[(u64, u64)],
-    usage: &TenantUsage,
-) -> Vec<TenantLeak> {
-    let mut out = Vec::new();
-    for &(tenant, c) in charged {
-        let durable = usage
-            .charges
-            .get(&tenant)
-            .map(|tc| match kind {
-                vfs::QuotaKind::Pages => tc.pages,
-                vfs::QuotaKind::Inodes => tc.inodes,
-            })
-            .unwrap_or(0);
-        if c != durable {
-            out.push(TenantLeak {
-                tenant,
-                kind,
-                charged: c,
-                durable,
-            });
-        }
-    }
-    out
-}
-
 /// Per-shard page audit: cross-check the durable allocator bitmap against
 /// the page set referenced by committed inodes.
 ///
@@ -835,7 +722,7 @@ pub struct LogicalEntry {
     pub path: String,
     /// Inode type.
     pub itype: InodeType,
-    /// Owning tenant uid.
+    /// Owning uid.
     pub uid: u32,
     /// File size in bytes; 0 for directories (their logical content is the
     /// set of entries under them, which appear as their own paths — the
@@ -1008,14 +895,13 @@ mod tests {
         dev.persist_all();
     }
 
-    /// Hand-commit regular file `ino` owned by `uid`: one extent leaf at
+    /// Hand-commit regular file `ino`: one extent leaf at
     /// `leaf` whose single record maps block 0 to `page`. Both pages are
     /// marked allocated.
     fn commit_extent_file(
         dev: &Arc<PmemDevice>,
         geom: &Geometry,
         ino: u64,
-        uid: u32,
         leaf: u64,
         page: u64,
     ) {
@@ -1028,7 +914,6 @@ mod tests {
         let base = geom.inode_offset(ino);
         dev.write_u32(base + format::I_TYPE, InodeType::Regular.to_raw())
             .unwrap();
-        dev.write_u32(base + format::I_UID, uid).unwrap();
         dev.write_u64(base + format::I_EXTENT_ROOT, leaf).unwrap();
         dev.write_u64(base, ino).unwrap();
         dev.persist_all();
@@ -1094,11 +979,11 @@ mod tests {
         dev.write_u64(rec + format::D_SEQ, 1).unwrap();
         dev.write(rec + format::D_NAME, b"f").unwrap();
         dev.write_u16(rec + format::D_MARKER, 1).unwrap();
-        commit_extent_file(&dev, &geom, 7, 0, geom.data_start_page + 9, page);
+        commit_extent_file(&dev, &geom, 7, geom.data_start_page + 9, page);
         // A second committed file 8 mapping the same page through its own
         // leaf, orphaned (no dentry): orphans are excluded from the
         // double-use check.
-        commit_extent_file(&dev, &geom, 8, 0, geom.data_start_page + 10, page);
+        commit_extent_file(&dev, &geom, 8, geom.data_start_page + 10, page);
         let report = fsck(&dev).unwrap();
         assert!(report.is_consistent(), "{:?}", report.issues);
 
@@ -1165,68 +1050,6 @@ mod tests {
             .issues
             .iter()
             .any(|i| matches!(i, FsckIssue::OrphanInode { ino: 7 })));
-    }
-
-    #[test]
-    fn tenant_usage_groups_by_uid_and_dedupes_pages() {
-        let dev = fresh_device();
-        let geom = format::read_superblock(&dev).unwrap();
-        // Tenant 100 commits inode 7 mapping one page; tenant 200 commits
-        // inodes 8 and 9 where inode 9 re-references 8's page — the page
-        // charge must not double-count (first committed owner wins). Each
-        // file also pins its own extent leaf.
-        let p1 = geom.data_start_page + 3;
-        let p2 = geom.data_start_page + 4;
-        commit_extent_file(&dev, &geom, 7, 100, geom.data_start_page + 5, p1);
-        commit_extent_file(&dev, &geom, 8, 200, geom.data_start_page + 6, p2);
-        commit_extent_file(&dev, &geom, 9, 200, geom.data_start_page + 7, p2);
-        // Inode 10 is staged but never committed: invisible to the durable
-        // derivation no matter what its uid field says.
-        let base = geom.inode_offset(10);
-        dev.write_u32(base + format::I_TYPE, InodeType::Regular.to_raw())
-            .unwrap();
-        dev.write_u32(base + format::I_UID, 100).unwrap();
-        dev.persist_all();
-
-        let usage = derive_tenant_usage(&dev, &geom).unwrap();
-        assert_eq!(
-            usage.charges[&100],
-            TenantCharges { pages: 2, inodes: 1 }
-        );
-        assert_eq!(
-            usage.charges[&200],
-            TenantCharges { pages: 3, inodes: 2 }
-        );
-        assert_eq!(usage.page_owner[&p1], 100);
-        assert_eq!(usage.page_owner[&p2], 200);
-        assert_eq!(usage.ino_owner[&7], 100);
-        assert_eq!(usage.ino_owner[&9], 200);
-        assert!(!usage.ino_owner.contains_key(&10), "uncommitted inode charged");
-    }
-
-    #[test]
-    fn tenant_leaks_attribute_residue_to_the_holder() {
-        let dev = fresh_device();
-        let geom = format::read_superblock(&dev).unwrap();
-        let p1 = geom.data_start_page + 3;
-        commit_extent_file(&dev, &geom, 7, 100, geom.data_start_page + 4, p1);
-
-        let usage = derive_tenant_usage(&dev, &geom).unwrap();
-        // Tenant 100 holds 4 volatile page charges but only 2 durable pages
-        // (the data page and its extent leaf): 2 pages of benign grant
-        // residue. Tenant 200 matches exactly.
-        let leaks = attribute_tenant_leaks(
-            vfs::QuotaKind::Pages,
-            &[(100, 4), (200, 0)],
-            &usage,
-        );
-        assert_eq!(leaks.len(), 1);
-        assert_eq!(leaks[0].tenant, 100);
-        assert_eq!(leaks[0].leaked(), 2);
-        assert_eq!(leaks[0].durable, 2);
-        // Inode residue attributes the same way.
-        let leaks = attribute_tenant_leaks(vfs::QuotaKind::Inodes, &[(100, 1)], &usage);
-        assert!(leaks.is_empty(), "{leaks:?}");
     }
 }
 

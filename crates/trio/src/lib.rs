@@ -33,12 +33,8 @@ pub mod verifier;
 
 pub use controller::{InodeGrant, Kernel, KernelConfig, KernelStats, LibFsId};
 pub use format::{Geometry, InodeType};
-pub use fsck::{
-    attribute_tenant_leaks, derive_tenant_usage, logical_fingerprint, logical_snapshot, FsckIssue,
-    FsckReport, LogicalEntry, TenantCharges, TenantLeak, TenantUsage,
-};
+pub use fsck::{logical_fingerprint, logical_snapshot, FsckIssue, FsckReport, LogicalEntry};
 pub use lease::RenameLease;
-pub use provider::{ProviderError, QuotaProvider, ResourceProvider};
 
 /// The well-known inode number of the root directory.
 pub const ROOT_INO: u64 = 1;

@@ -1,385 +1,14 @@
-//! The resource-provider abstraction behind the kernel's grants.
+//! The kernel's two resource pools.
 //!
 //! The controller hands LibFSes *extents* of two resources: data pages and
 //! inode numbers. Both are "a set of integers with durable (or rebuildable)
 //! occupancy state, sharded for multicore scalability", so both are served
-//! by the same engine — [`pmem::ShardedPageAllocator`] — behind this trait.
-//! kernelfs, fsck's cross-checks, and the tests program against the trait,
-//! not the concrete allocator, which is what lets the inode-number pool be
-//! a second allocator instance over a tiny volatile scratch bitmap instead
-//! of a hand-rolled `Vec<u64>` free list under the kernel lock.
+//! by the same engine, [`pmem::ShardedPageAllocator`]: the page pool over
+//! the durable bitmap region, and the inode-number pool as a second
+//! instance over a tiny volatile scratch bitmap (built here) instead of a
+//! hand-rolled `Vec<u64>` free list under the kernel lock.
 
-use std::collections::HashMap;
-
-use parking_lot::Mutex;
-use pmem::{AllocStatsSnapshot, PmemDevice, ShardedPageAllocator};
-use pmem::{PmemError, PmemResult};
-use vfs::QuotaKind;
-
-/// A sharded allocator of integer-identified resources (pages, inode
-/// numbers) with per-shard occupancy and contention counters.
-///
-/// Identifiers are absolute (page numbers, inode numbers), never
-/// shard-relative; implementations own a contiguous range
-/// `[first, first + count)` split into disjoint shards.
-pub trait ResourceProvider: Send + Sync + std::fmt::Debug {
-    /// Allocate `n` identifiers, home shard picked from the calling
-    /// thread's identity. Fails with [`PmemError::NoSpace`] — leaving the
-    /// provider unchanged — when fewer than `n` are free.
-    fn alloc_extent(&self, n: usize) -> PmemResult<Vec<u64>>;
-
-    /// As [`ResourceProvider::alloc_extent`] with an explicit home-shard
-    /// hint (`hint % shard_count` is the home shard). Benches pin threads
-    /// to shards through this.
-    fn alloc_extent_hinted(&self, hint: usize, n: usize) -> PmemResult<Vec<u64>>;
-
-    /// Return identifiers to circulation. Freeing an id that is not
-    /// currently allocated is an error.
-    fn free_extent(&self, ids: &[u64]) -> PmemResult<()>;
-
-    /// Currently free identifiers across all shards.
-    fn free_count(&self) -> u64;
-
-    /// Currently allocated identifiers across all shards.
-    fn allocated_count(&self) -> u64;
-
-    /// Total identifiers managed (free + allocated).
-    fn capacity(&self) -> u64;
-
-    /// `(first, count)` of each shard's range, in shard order.
-    fn shard_ranges(&self) -> Vec<(u64, u64)>;
-
-    /// Is `id` currently allocated?
-    fn is_allocated(&self, id: u64) -> PmemResult<bool>;
-
-    /// Contention and occupancy counters since creation or the last
-    /// [`ResourceProvider::reset_stats`].
-    fn stats(&self) -> AllocStatsSnapshot;
-
-    /// Zero the contention counters (occupancy is preserved).
-    fn reset_stats(&self);
-
-    // ---- per-tenant quota surface ------------------------------------
-    //
-    // The default implementations make every provider tenant-*oblivious*
-    // at zero cost: `alloc_extent_for` is a plain `alloc_extent` and the
-    // accounting queries return "nothing tracked". Only the
-    // [`QuotaProvider`] wrapper overrides them, so a kernel built without
-    // quotas pays for none of this (the pay-for-what-you-use rule the CI
-    // differential leg pins).
-
-    /// Allocate up to `n` identifiers charged to `tenant`. A quota-aware
-    /// provider may return *fewer* than `n` (but at least one) when the
-    /// tenant's remaining quota is smaller than the request — grant
-    /// batching degrades gracefully as a tenant approaches its cap — and
-    /// fails with [`ProviderError::Quota`] only when the remaining quota
-    /// is zero.
-    fn alloc_extent_for(&self, _tenant: u64, n: usize) -> Result<Vec<u64>, ProviderError> {
-        self.alloc_extent(n).map_err(ProviderError::Pmem)
-    }
-
-    /// Return identifiers to circulation, uncharging the tenant that was
-    /// charged for them (`tenant` is the fallback when the grant is not
-    /// tracked, e.g. after a charge-table reseed).
-    fn free_extent_for(&self, _tenant: u64, ids: &[u64]) -> Result<(), ProviderError> {
-        self.free_extent(ids).map_err(ProviderError::Pmem)
-    }
-
-    /// Identifiers currently charged to `tenant` (0 when untracked).
-    fn charged(&self, _tenant: u64) -> u64 {
-        0
-    }
-
-    /// The per-tenant limit enforced for `tenant`, when quotas are on.
-    fn quota_limit(&self, _tenant: u64) -> Option<u64> {
-        None
-    }
-
-    /// Override the limit for one tenant. Returns false when the provider
-    /// does not enforce quotas (the default).
-    fn set_quota_limit(&self, _tenant: u64, _limit: u64) -> bool {
-        false
-    }
-
-    /// Every `(tenant, charged)` pair currently tracked, tenant-sorted.
-    /// Empty when quotas are off — the structural proof that no wrapper
-    /// is installed.
-    fn charged_tenants(&self) -> Vec<(u64, u64)> {
-        Vec::new()
-    }
-
-    /// Allocations rejected because a tenant's quota was exhausted.
-    fn quota_rejections(&self) -> u64 {
-        0
-    }
-}
-
-/// Failure of a tenant-aware provider operation.
-#[derive(Debug)]
-pub enum ProviderError {
-    /// The underlying allocator failed (exhaustion, bounds, poisoning).
-    Pmem(PmemError),
-    /// The tenant's quota is exhausted. Says nothing about the device —
-    /// other tenants can still allocate.
-    Quota {
-        /// The tenant whose quota ran out.
-        tenant: u64,
-        /// Which resource class.
-        kind: QuotaKind,
-    },
-}
-
-/// Map a tenant-aware provider failure to the matching [`vfs::FsError`].
-pub fn tenant_err(e: ProviderError) -> vfs::FsError {
-    match e {
-        ProviderError::Pmem(p) => provider_err(p),
-        ProviderError::Quota { tenant, kind } => vfs::FsError::QuotaExceeded { tenant, kind },
-    }
-}
-
-/// Volatile per-tenant charge table of a [`QuotaProvider`].
-#[derive(Debug, Default)]
-struct QuotaTable {
-    /// tenant → identifiers currently charged.
-    charged: HashMap<u64, u64>,
-    /// tenant → limit override (tenants absent here use the default).
-    limits: HashMap<u64, u64>,
-    /// id → tenant charged for it, so a free always uncharges the tenant
-    /// that was granted the id, no matter who returns it.
-    owner: HashMap<u64, u64>,
-}
-
-/// Per-tenant quota enforcement wrapped around any [`ResourceProvider`].
-///
-/// Charges are *volatile* bookkeeping over grants: a tenant is charged at
-/// grant time (before any durable link exists) and uncharged at free. The
-/// durable truth is narrower — exactly the identifiers referenced by
-/// committed inodes, attributable to tenants through the inode `uid`
-/// field — and recovery re-derives the charge table from those commit
-/// markers via [`crate::fsck::derive_tenant_usage`] and
-/// [`QuotaProvider::seed`]. The gap between the volatile charge and the
-/// durable charge is the tenant's grant residue, which the per-tenant
-/// fsck leak attribution pass ([`crate::fsck::attribute_tenant_leaks`])
-/// reports.
-///
-/// Enforcement never serializes allocations: the charge is reserved under
-/// the table lock, the underlying (sharded, concurrent) allocation runs
-/// outside it, and a failed allocation rolls the reservation back.
-#[derive(Debug)]
-pub struct QuotaProvider {
-    inner: Box<dyn ResourceProvider>,
-    kind: QuotaKind,
-    /// Uniform per-tenant limit for tenants without an override.
-    default_limit: u64,
-    table: Mutex<QuotaTable>,
-    rejections: std::sync::atomic::AtomicU64,
-}
-
-impl QuotaProvider {
-    /// Wrap `inner`, enforcing `default_limit` identifiers per tenant.
-    pub fn new(inner: Box<dyn ResourceProvider>, kind: QuotaKind, default_limit: u64) -> Self {
-        QuotaProvider {
-            inner,
-            kind,
-            default_limit,
-            table: Mutex::new(QuotaTable::default()),
-            rejections: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Replace the charge table with recovery-derived state: `charged` is
-    /// tenant → durable charge, `owner` is id → tenant. Limit overrides
-    /// are preserved.
-    pub fn seed(&self, charged: HashMap<u64, u64>, owner: HashMap<u64, u64>) {
-        let mut t = self.table.lock();
-        t.charged = charged;
-        t.owner = owner;
-    }
-
-    fn limit_of(&self, t: &QuotaTable, tenant: u64) -> u64 {
-        t.limits.get(&tenant).copied().unwrap_or(self.default_limit)
-    }
-}
-
-impl ResourceProvider for QuotaProvider {
-    fn alloc_extent(&self, n: usize) -> PmemResult<Vec<u64>> {
-        // Untracked escape hatch: charges no tenant. The kernel always
-        // goes through `alloc_extent_for`.
-        self.inner.alloc_extent(n)
-    }
-
-    fn alloc_extent_hinted(&self, hint: usize, n: usize) -> PmemResult<Vec<u64>> {
-        self.inner.alloc_extent_hinted(hint, n)
-    }
-
-    fn free_extent(&self, ids: &[u64]) -> PmemResult<()> {
-        self.inner.free_extent(ids)?;
-        // Uncharge any tracked owners even on the untracked path, so no
-        // free can strand a charge.
-        let mut t = self.table.lock();
-        for id in ids {
-            if let Some(owner) = t.owner.remove(id) {
-                if let Some(c) = t.charged.get_mut(&owner) {
-                    *c = c.saturating_sub(1);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn free_count(&self) -> u64 {
-        self.inner.free_count()
-    }
-
-    fn allocated_count(&self) -> u64 {
-        self.inner.allocated_count()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.inner.capacity()
-    }
-
-    fn shard_ranges(&self) -> Vec<(u64, u64)> {
-        self.inner.shard_ranges()
-    }
-
-    fn is_allocated(&self, id: u64) -> PmemResult<bool> {
-        self.inner.is_allocated(id)
-    }
-
-    fn stats(&self) -> AllocStatsSnapshot {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
-
-    fn alloc_extent_for(&self, tenant: u64, n: usize) -> Result<Vec<u64>, ProviderError> {
-        debug_assert!(n > 0);
-        // Reserve under the table lock, allocate outside it.
-        let take = {
-            let mut t = self.table.lock();
-            let limit = self.limit_of(&t, tenant);
-            let cur = t.charged.get(&tenant).copied().unwrap_or(0);
-            let remaining = limit.saturating_sub(cur);
-            if remaining == 0 {
-                drop(t);
-                self.rejections
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return Err(ProviderError::Quota {
-                    tenant,
-                    kind: self.kind,
-                });
-            }
-            let take = n.min(remaining as usize);
-            *t.charged.entry(tenant).or_insert(0) += take as u64;
-            take
-        };
-        // Tenant-keyed home shard: a tenant's grants come from "its"
-        // shard, which is what makes per-shard steal counters readable as
-        // cross-tenant pressure.
-        match self.inner.alloc_extent_hinted(tenant as usize, take) {
-            Ok(ids) => {
-                let mut t = self.table.lock();
-                for &id in &ids {
-                    t.owner.insert(id, tenant);
-                }
-                Ok(ids)
-            }
-            Err(e) => {
-                let mut t = self.table.lock();
-                if let Some(c) = t.charged.get_mut(&tenant) {
-                    *c = c.saturating_sub(take as u64);
-                }
-                Err(ProviderError::Pmem(e))
-            }
-        }
-    }
-
-    fn free_extent_for(&self, tenant: u64, ids: &[u64]) -> Result<(), ProviderError> {
-        self.inner.free_extent(ids).map_err(ProviderError::Pmem)?;
-        let mut t = self.table.lock();
-        for id in ids {
-            let owner = t.owner.remove(id).unwrap_or(tenant);
-            if let Some(c) = t.charged.get_mut(&owner) {
-                *c = c.saturating_sub(1);
-            }
-        }
-        Ok(())
-    }
-
-    fn charged(&self, tenant: u64) -> u64 {
-        self.table.lock().charged.get(&tenant).copied().unwrap_or(0)
-    }
-
-    fn quota_limit(&self, tenant: u64) -> Option<u64> {
-        Some(self.limit_of(&self.table.lock(), tenant))
-    }
-
-    fn set_quota_limit(&self, tenant: u64, limit: u64) -> bool {
-        self.table.lock().limits.insert(tenant, limit);
-        true
-    }
-
-    fn charged_tenants(&self) -> Vec<(u64, u64)> {
-        let t = self.table.lock();
-        let mut out: Vec<(u64, u64)> = t
-            .charged
-            .iter()
-            .filter(|(_, &c)| c > 0)
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    fn quota_rejections(&self) -> u64 {
-        self.rejections.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-impl ResourceProvider for ShardedPageAllocator {
-    fn alloc_extent(&self, n: usize) -> PmemResult<Vec<u64>> {
-        ShardedPageAllocator::alloc_extent(self, n)
-    }
-
-    fn alloc_extent_hinted(&self, hint: usize, n: usize) -> PmemResult<Vec<u64>> {
-        ShardedPageAllocator::alloc_extent_hinted(self, hint, n)
-    }
-
-    fn free_extent(&self, ids: &[u64]) -> PmemResult<()> {
-        ShardedPageAllocator::free_extent(self, ids)
-    }
-
-    fn free_count(&self) -> u64 {
-        ShardedPageAllocator::free_count(self)
-    }
-
-    fn allocated_count(&self) -> u64 {
-        ShardedPageAllocator::allocated_count(self)
-    }
-
-    fn capacity(&self) -> u64 {
-        self.page_count()
-    }
-
-    fn shard_ranges(&self) -> Vec<(u64, u64)> {
-        ShardedPageAllocator::shard_ranges(self)
-    }
-
-    fn is_allocated(&self, id: u64) -> PmemResult<bool> {
-        ShardedPageAllocator::is_allocated(self, id)
-    }
-
-    fn stats(&self) -> AllocStatsSnapshot {
-        ShardedPageAllocator::stats(self)
-    }
-
-    fn reset_stats(&self) {
-        ShardedPageAllocator::reset_stats(self)
-    }
-}
+use pmem::{PmemDevice, PmemError, PmemResult, ShardedPageAllocator};
 
 /// Length (bytes) of the scratch device backing a volatile pool over
 /// `count` identifiers: the bitmap rounded up to whole words so the
@@ -444,22 +73,22 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_round_trip() {
-        let provider: Box<dyn ResourceProvider> = Box::new(data_allocator(4));
-        assert_eq!(provider.capacity(), 32);
-        assert_eq!(provider.free_count(), 32);
-        let got = provider.alloc_extent(5).unwrap();
+    fn allocator_round_trip() {
+        let alloc = data_allocator(4);
+        assert_eq!(alloc.page_count(), 32);
+        assert_eq!(alloc.free_count(), 32);
+        let got = alloc.alloc_extent(5).unwrap();
         assert_eq!(got.len(), 5);
-        assert_eq!(provider.allocated_count(), 5);
+        assert_eq!(alloc.allocated_count(), 5);
         for &p in &got {
-            assert!(provider.is_allocated(p).unwrap());
+            assert!(alloc.is_allocated(p).unwrap());
         }
-        provider.free_extent(&got).unwrap();
-        assert_eq!(provider.free_count(), 32);
-        assert_eq!(provider.shard_ranges().len(), 4);
-        assert!(provider.stats().lock_acqs() > 0);
-        provider.reset_stats();
-        assert_eq!(provider.stats().lock_acqs(), 0);
+        alloc.free_extent(&got).unwrap();
+        assert_eq!(alloc.free_count(), 32);
+        assert_eq!(alloc.shard_ranges().len(), 4);
+        assert!(alloc.stats().lock_acqs() > 0);
+        alloc.reset_stats();
+        assert_eq!(alloc.stats().lock_acqs(), 0);
     }
 
     #[test]
@@ -467,11 +96,11 @@ mod tests {
         let pool = volatile_pool(2, 10, 2);
         let mut all = Vec::new();
         for _ in 0..10 {
-            all.push(ResourceProvider::alloc_extent(&pool, 1).unwrap()[0]);
+            all.push(pool.alloc_extent(1).unwrap()[0]);
         }
         all.sort_unstable();
         assert_eq!(all, (2..12).collect::<Vec<u64>>());
-        match ResourceProvider::alloc_extent(&pool, 1) {
+        match pool.alloc_extent(1) {
             Err(PmemError::NoSpace { requested, free }) => {
                 assert_eq!((requested, free), (1, 0));
             }
@@ -485,112 +114,14 @@ mod tests {
         // 3, 6, 9 used out of 2..=11.
         assert_eq!(pool.allocated_count(), 3);
         for id in 2..12u64 {
-            assert_eq!(ResourceProvider::is_allocated(&pool, id).unwrap(), id % 3 == 0);
+            assert_eq!(pool.is_allocated(id).unwrap(), id % 3 == 0);
         }
         // Every remaining id is allocatable exactly once.
-        let got = ResourceProvider::alloc_extent(&pool, 7).unwrap();
+        let got = pool.alloc_extent(7).unwrap();
         let mut got: Vec<u64> = got;
         got.sort_unstable();
         assert_eq!(got, vec![2, 4, 5, 7, 8, 10, 11]);
-        assert!(ResourceProvider::alloc_extent(&pool, 1).is_err());
-    }
-
-    #[test]
-    fn quota_enforced_per_tenant() {
-        let q = QuotaProvider::new(Box::new(data_allocator(2)), QuotaKind::Pages, 8);
-        // Tenant 1 can take exactly its quota, in shrinking batches.
-        let a = q.alloc_extent_for(1, 6).unwrap();
-        assert_eq!(a.len(), 6);
-        let b = q.alloc_extent_for(1, 6).unwrap();
-        assert_eq!(b.len(), 2, "grant clamps to the remaining quota");
-        assert_eq!(q.charged(1), 8);
-        match q.alloc_extent_for(1, 1) {
-            Err(ProviderError::Quota { tenant, kind }) => {
-                assert_eq!((tenant, kind), (1, QuotaKind::Pages));
-            }
-            other => panic!("expected Quota, got {other:?}"),
-        }
-        assert_eq!(q.quota_rejections(), 1);
-        // Tenant 2 is unaffected by tenant 1's exhaustion.
-        let c = q.alloc_extent_for(2, 4).unwrap();
-        assert_eq!(c.len(), 4);
-        assert_eq!(q.charged_tenants(), vec![(1, 8), (2, 4)]);
-        // Uncharge follows the *granting* tenant, whoever frees.
-        q.free_extent_for(2, &a).unwrap();
-        assert_eq!(q.charged(1), 2);
-        assert_eq!(q.charged(2), 4);
-        // Freed quota is allocatable again.
-        assert_eq!(q.alloc_extent_for(1, 6).unwrap().len(), 6);
-    }
-
-    #[test]
-    fn quota_limit_overrides_and_seeding() {
-        let q = QuotaProvider::new(Box::new(data_allocator(1)), QuotaKind::Inodes, 100);
-        assert_eq!(q.quota_limit(7), Some(100));
-        assert!(q.set_quota_limit(7, 2));
-        assert_eq!(q.quota_limit(7), Some(2));
-        let got = q.alloc_extent_for(7, 10).unwrap();
-        assert_eq!(got.len(), 2);
-        assert!(q.alloc_extent_for(7, 1).is_err());
-        // Recovery reseed replaces charges and owners wholesale.
-        let mut charged = HashMap::new();
-        charged.insert(9u64, 1u64);
-        let mut owner = HashMap::new();
-        owner.insert(got[0], 9u64);
-        q.seed(charged, owner);
-        assert_eq!(q.charged(7), 0);
-        assert_eq!(q.charged(9), 1);
-        q.free_extent_for(7, &got[..1]).unwrap();
-        assert_eq!(q.charged(9), 0, "seeded owner wins over the caller");
-    }
-
-    #[test]
-    fn quota_rolls_back_reservation_on_exhaustion() {
-        // Device holds 32 pages; quota is larger, so device exhaustion
-        // (not quota) fires — and must not leave a stranded charge.
-        let q = QuotaProvider::new(Box::new(data_allocator(2)), QuotaKind::Pages, 1000);
-        let held = q.alloc_extent_for(1, 30).unwrap();
-        assert_eq!(held.len(), 30);
-        match q.alloc_extent_for(1, 5) {
-            Err(ProviderError::Pmem(PmemError::NoSpace { .. })) => {}
-            other => panic!("expected NoSpace, got {other:?}"),
-        }
-        assert_eq!(q.charged(1), 30, "failed alloc must not stay charged");
-    }
-
-    #[test]
-    fn bare_provider_is_quota_oblivious() {
-        // The trait defaults: no charges, no limits, no rejections — the
-        // pay-for-what-you-use contract for kernels built without quotas.
-        let p: Box<dyn ResourceProvider> = Box::new(data_allocator(2));
-        let got = p.alloc_extent_for(5, 4).unwrap();
-        assert_eq!(got.len(), 4);
-        assert_eq!(p.charged(5), 0);
-        assert_eq!(p.quota_limit(5), None);
-        assert!(!p.set_quota_limit(5, 1));
-        assert!(p.charged_tenants().is_empty());
-        assert_eq!(p.quota_rejections(), 0);
-        p.free_extent_for(5, &got).unwrap();
-    }
-
-    #[test]
-    fn tenant_err_maps_quota_and_pmem() {
-        match tenant_err(ProviderError::Quota {
-            tenant: 3,
-            kind: QuotaKind::Pages,
-        }) {
-            vfs::FsError::QuotaExceeded { tenant, kind } => {
-                assert_eq!((tenant, kind), (3, QuotaKind::Pages));
-            }
-            other => panic!("expected QuotaExceeded, got {other:?}"),
-        }
-        assert!(matches!(
-            tenant_err(ProviderError::Pmem(PmemError::NoSpace {
-                requested: 1,
-                free: 0
-            })),
-            vfs::FsError::NoSpace
-        ));
+        assert!(pool.alloc_extent(1).is_err());
     }
 
     #[test]

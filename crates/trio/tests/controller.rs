@@ -279,65 +279,29 @@ fn lease_is_exclusive_between_libfses() {
 }
 
 #[test]
-fn page_quota_isolates_tenants_and_frees_restore_budget() {
-    let k = kernel(KernelConfig::arckfs_plus().with_page_quota(Some(4)));
-    let (a, _ma) = k.register_libfs(100);
-    let (b, _mb) = k.register_libfs(200);
-
-    // Oversized ask clamps to the remaining budget instead of failing.
-    let pa = k.grant_pages(a, 16).unwrap();
-    assert_eq!(pa.len(), 4, "grant clamps to the tenant's quota");
-    let err = k.grant_pages(a, 1).unwrap_err();
-    assert_eq!(
-        err,
-        FsError::QuotaExceeded {
-            tenant: 100,
-            kind: vfs::QuotaKind::Pages
-        }
-    );
-    assert!(err.is_quota());
-
-    // Tenant 200 is unperturbed by 100 sitting at its limit.
-    let pb = k.grant_pages(b, 2).unwrap();
-    assert_eq!(pb.len(), 2);
-    assert_eq!(k.allocator().charged(100), 4);
-    assert_eq!(k.allocator().charged(200), 2);
-    assert_eq!(k.allocator().charged_tenants(), vec![(100, 4), (200, 2)]);
-    assert!(k.allocator().quota_rejections() >= 1);
-
-    // Returning pages restores the budget.
-    k.return_pages(a, &pa[..2]).unwrap();
-    assert_eq!(k.allocator().charged(100), 2);
-    assert_eq!(k.grant_pages(a, 2).unwrap().len(), 2);
-}
-
-#[test]
-fn ino_quota_enforced_per_tenant() {
-    let k = kernel(KernelConfig::arckfs_plus().with_ino_quota(Some(3)));
-    let (a, _ma) = k.register_libfs(100);
-    let inos = k.grant_inodes(a, 8).unwrap();
-    assert_eq!(inos.len(), 3, "clamped to the inode quota");
-    assert_eq!(
-        k.grant_inodes(a, 1).unwrap_err(),
-        FsError::QuotaExceeded {
-            tenant: 100,
-            kind: vfs::QuotaKind::Inodes
-        }
-    );
-    k.return_inodes(a, inos[..1].to_vec());
-    assert_eq!(k.grant_inodes(a, 1).unwrap().len(), 1);
-}
-
-#[test]
-fn quotas_off_pays_nothing_for_tenancy() {
+fn unregistered_libfs_can_neither_take_nor_return_resources() {
     let k = kernel(KernelConfig::arckfs_plus());
-    let (a, _m) = k.register_libfs(100);
-    let pages = k.grant_pages(a, 8).unwrap();
-    assert_eq!(pages.len(), 8);
-    // Structural proof no quota wrapper is installed: the trait defaults
-    // report no charge tracking at all.
-    assert_eq!(k.allocator().charged(100), 0);
-    assert!(k.allocator().charged_tenants().is_empty());
-    assert_eq!(k.allocator().quota_limit(100), None);
+    let (a, _ma) = k.register_libfs(0);
+    let stranger = LibFsId(9999);
+    assert!(k.grant_pages(stranger, 1).is_err());
+    assert!(k.grant_inodes(stranger, 1).is_err());
+
+    let pages = k.grant_pages(a, 4).unwrap();
+    assert!(matches!(
+        k.return_pages(stranger, &pages),
+        Err(FsError::Internal(_))
+    ));
+    for &p in &pages {
+        assert!(k.allocator().is_allocated(p).unwrap());
+    }
+    let inos = k.grant_inodes(a, 4).unwrap();
+    k.return_inodes(stranger, inos.clone());
+    for &i in &inos {
+        assert!(k.ino_provider().is_allocated(i).unwrap());
+    }
+    // The holder's own returns still go through.
     k.return_pages(a, &pages).unwrap();
+    k.return_inodes(a, inos.clone());
+    assert!(!k.allocator().is_allocated(pages[0]).unwrap());
+    assert!(!k.ino_provider().is_allocated(inos[0]).unwrap());
 }

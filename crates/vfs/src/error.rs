@@ -62,24 +62,6 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// The resource class a per-tenant quota governs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QuotaKind {
-    /// Durable data pages granted from the kernel's page allocator.
-    Pages,
-    /// Inode numbers granted from the kernel's inode pool.
-    Inodes,
-}
-
-impl fmt::Display for QuotaKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QuotaKind::Pages => write!(f, "page"),
-            QuotaKind::Inodes => write!(f, "inode"),
-        }
-    }
-}
-
 /// Errors returned by [`crate::FileSystem`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsError {
@@ -153,15 +135,6 @@ pub enum FsError {
     },
     /// Too many open files (`EMFILE`).
     TooManyOpenFiles,
-    /// The tenant's per-tenant resource quota is exhausted (`EDQUOT`).
-    /// Unlike [`FsError::NoSpace`] this says nothing about the device:
-    /// other tenants can still allocate. `tenant` is the owning uid.
-    QuotaExceeded {
-        /// Tenant (LibFS uid) whose quota is exhausted.
-        tenant: u64,
-        /// Which resource class ran out.
-        kind: QuotaKind,
-    },
     /// The file system does not implement this optional operation
     /// (`ENOTSUP`); carries the operation name. Generic callers (e.g. the
     /// [`crate::FsExt`] helpers, the KV store) treat this as "fall back to
@@ -202,9 +175,6 @@ impl fmt::Display for FsError {
                 write!(f, "file too big: block {block} beyond the maximum file size")
             }
             FsError::TooManyOpenFiles => write!(f, "too many open files"),
-            FsError::QuotaExceeded { tenant, kind } => {
-                write!(f, "tenant {tenant} exceeded its {kind} quota")
-            }
             FsError::Unsupported(op) => write!(f, "operation not supported: {op}"),
             FsError::Internal(m) => write!(f, "internal error: {m}"),
         }
@@ -223,11 +193,6 @@ impl FsError {
     /// True when the error is a TRIO verification failure.
     pub fn is_verification_failure(&self) -> bool {
         matches!(self, FsError::VerificationFailed { .. })
-    }
-
-    /// True when the error is a per-tenant quota rejection.
-    pub fn is_quota(&self) -> bool {
-        matches!(self, FsError::QuotaExceeded { .. })
     }
 }
 
@@ -260,22 +225,5 @@ mod tests {
             detail: "freed dentry".into(),
         });
         assert!(u.to_string().contains("use-after-free"));
-    }
-
-    #[test]
-    fn quota_classification() {
-        let q = FsError::QuotaExceeded {
-            tenant: 42,
-            kind: QuotaKind::Pages,
-        };
-        assert!(q.is_quota());
-        assert!(!q.is_fault());
-        assert_eq!(q.to_string(), "tenant 42 exceeded its page quota");
-        let i = FsError::QuotaExceeded {
-            tenant: 7,
-            kind: QuotaKind::Inodes,
-        };
-        assert!(i.to_string().contains("inode quota"));
-        assert!(!FsError::NoSpace.is_quota());
     }
 }

@@ -28,7 +28,7 @@ pub mod path;
 
 use std::fmt;
 
-pub use error::{FaultKind, FsError, FsResult, QuotaKind};
+pub use error::{FaultKind, FsError, FsResult};
 
 /// A file descriptor handle returned by [`FileSystem::open`] and
 /// [`FileSystem::create`].

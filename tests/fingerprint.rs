@@ -80,36 +80,53 @@ fn equal_states_hash_equal() {
 
 #[test]
 fn fingerprint_stable_across_shard_counts() {
-    // Crash at ARCKFS_ALLOC_SHARDS=2, recover at 8: the recovered
-    // allocator re-partitions the bitmap into different shard ranges and
-    // reclaims leaked grants, but the logical namespace — and therefore
-    // the fingerprint — must not move.
-    let device = PmemDevice::new_tracked(DEV);
-    let geom = Geometry::for_device(DEV);
-    let kernel = Kernel::format(
-        device.clone(),
-        geom,
-        KernelConfig::arckfs_plus().with_alloc_shards(2),
-    )
-    .unwrap();
-    let fs = LibFs::mount(kernel, Config::arckfs_plus(), 0).unwrap();
-    fs.mkdir("/d").unwrap();
-    fs.write_file("/d/f0", &vec![0x11u8; 9000]).unwrap();
-    fs.write_file("/d/f1", b"short").unwrap();
-    fs.sync().unwrap();
-    device.persist_all();
+    // Crash at one ARCKFS_ALLOC_SHARDS value, recover at another — the
+    // single-shard configuration included: the recovered allocator
+    // re-partitions the bitmap into different shard ranges and reclaims
+    // leaked grants, but the logical namespace — and therefore the
+    // fingerprint — must not move, and the image must stay fsck-clean.
+    const SHARDS: [usize; 3] = [1, 2, 8];
+    for format_shards in SHARDS {
+        let device = PmemDevice::new_tracked(DEV);
+        let geom = Geometry::for_device(DEV);
+        let kernel = Kernel::format(
+            device.clone(),
+            geom,
+            KernelConfig::arckfs_plus().with_alloc_shards(format_shards),
+        )
+        .unwrap();
+        let fs = LibFs::mount(kernel, Config::arckfs_plus(), 0).unwrap();
+        fs.mkdir("/d").unwrap();
+        fs.write_file("/d/f0", &vec![0x11u8; 9000]).unwrap();
+        fs.write_file("/d/f1", b"short").unwrap();
+        fs.sync().unwrap();
+        device.persist_all();
 
-    let before = crashmc::fingerprint(&device).unwrap();
+        let before = crashmc::fingerprint(&device).unwrap();
 
-    // Crash and recover the image under a different shard count.
-    let recovered = crashmc::recover_one(&device, 17).unwrap();
-    let _k = Kernel::recover(
-        recovered.clone(),
-        KernelConfig::arckfs_plus().with_alloc_shards(8),
-    )
-    .unwrap();
-    let after = crashmc::fingerprint(&recovered).unwrap();
-    assert_eq!(before, after, "shard count leaked into the fingerprint");
+        for recover_shards in SHARDS {
+            if recover_shards == format_shards {
+                continue;
+            }
+            let recovered = crashmc::recover_one(&device, 17).unwrap();
+            let _k = Kernel::recover(
+                recovered.clone(),
+                KernelConfig::arckfs_plus().with_alloc_shards(recover_shards),
+            )
+            .unwrap();
+            let after = crashmc::fingerprint(&recovered).unwrap();
+            assert_eq!(
+                before, after,
+                "shard count leaked into the fingerprint ({format_shards} -> {recover_shards})"
+            );
+            let report = trio::fsck::fsck(&recovered).unwrap();
+            assert!(
+                report.issues.is_empty(),
+                "{format_shards} -> {recover_shards}: {:?}",
+                report.issues
+            );
+        }
+    }
 }
 
 #[test]

@@ -179,7 +179,7 @@ fn report_json_exposes_attribution() {
         .get("latency_ns")
         .and_then(|l| l.get("p50"))
         .is_some());
-    // The service harness consumes the p999 tail; it must be exported.
+    // The p999 tail must be exported alongside the median.
     assert!(create
         .get("latency_ns")
         .and_then(|l| l.get("p999"))
