@@ -171,6 +171,12 @@ pub struct MemInode {
     pub mapping: RwLock<Mapping>,
     /// Released flag (see [`InodeState`]).
     released: AtomicBool,
+    /// The content generation the kernel reported when this LibFS last
+    /// released the inode successfully; 0 = none (kernel generations start
+    /// at 1). Consumed by the next revival: a grant carrying the same value
+    /// means the core state is byte-identical to what was released, so a
+    /// directory's retained [`DirState`] is still exact (DESIGN.md §14).
+    released_generation: AtomicU64,
     /// Cached metadata — the §4.3 patch's "relevant inode state in the
     /// in-memory inode" that read operations use instead of the mapping.
     pub cached_size: AtomicU64,
@@ -236,6 +242,7 @@ impl MemInode {
             parent: AtomicU64::new(parent),
             mapping: RwLock::new(mapping),
             released: AtomicBool::new(false),
+            released_generation: AtomicU64::new(0),
             cached_size: AtomicU64::new(size),
             cached_nlink: AtomicU64::new(nlink),
             seq: AtomicU64::new(seq),
@@ -279,6 +286,18 @@ impl MemInode {
     /// Mark released (§4.3: called with every lock held in the fixed mode).
     pub fn mark_released(&self) {
         self.released.store(true, Ordering::SeqCst);
+    }
+
+    /// Remember the generation a successful kernel release reported (§4.3
+    /// patch only: called with every lock of the inode held).
+    pub fn remember_generation(&self, generation: u64) {
+        self.released_generation.store(generation, Ordering::SeqCst);
+    }
+
+    /// The remembered release generation, forgetting it: whatever a revival
+    /// decides, the next one starts from a fresh release.
+    pub fn take_generation(&self) -> u64 {
+        self.released_generation.swap(0, Ordering::SeqCst)
     }
 
     /// Mark re-acquired with a fresh mapping. The extent mirror is dropped:

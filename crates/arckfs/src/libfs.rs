@@ -2,6 +2,7 @@
 //! the inode release protocol (§4.3), and the multi-inode rename
 //! orchestration (§3.2's Rules (1)–(3), §4.1, §4.6).
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -306,7 +307,13 @@ impl LibFs {
             return self.revive_inode(&mi);
         }
         let grant = self.kernel.acquire(self.id, ino)?;
-        let mi = self.build_mem_inode(ino, parent_hint, grant.mapping)?;
+        let mi = match self.build_mem_inode(ino, parent_hint, grant.mapping) {
+            Ok(mi) => mi,
+            Err(e) => {
+                self.drop_grant(ino);
+                return Err(e);
+            }
+        };
         map.insert(ino, mi.clone());
         Ok(mi)
     }
@@ -351,6 +358,53 @@ impl LibFs {
         inject::point("libfs.revive.rebuild");
 
         let grant = self.kernel.acquire(self.id, mi.ino)?;
+        // The kernel reports the generation this LibFS was told at its own
+        // last release only if the inode record and every log page are
+        // byte-identical to what that release verified. The whole retained
+        // DirState — buckets, arena, free slots, tails, the batch cell's
+        // staged `reclaim` list — is then still exact, and nothing is read.
+        // Files always take the rebuild: their extent mirror is dropped on
+        // revival whatever the generation says.
+        let kept = mi.take_generation();
+        if mi.dir_state().is_none() || grant.generation != kept {
+            let rebuilt =
+                self.rebuild_revived(mi, &grant.mapping, table.as_deref_mut(), &mut tails);
+            if let Err(e) = rebuilt {
+                self.drop_grant(mi.ino);
+                return Err(e);
+            }
+        }
+        // The revived index supersedes anything cached before (or during)
+        // the release; bump before publishing so no pre-revival
+        // translation can validate against the revived directory.
+        self.dcache_invalidate(mi);
+        // Publish last: once the state flips, waiters bail out of their
+        // Released retries and enter critical sections against the new
+        // mapping installed here.
+        mi.mark_acquired(grant.mapping);
+        Ok(mi.clone())
+    }
+
+    /// Hand back a grant this LibFS cannot use (the inode was freed or is
+    /// corrupt): without this the kernel would go on recording an owner
+    /// whose [`MemInode`] says `Released` — or does not exist — and that
+    /// `unmount` therefore never releases.
+    fn drop_grant(&self, ino: u64) {
+        let _ = self.kernel.release(self.id, ino);
+    }
+
+    /// The rebuild half of [`LibFs::revive_inode`]: refresh the cached
+    /// metadata from the core state and, for a directory, rebuild the index
+    /// (Figure 1 step ③ — another LibFS may have changed the directory
+    /// while it was released), splicing into the *existing* DirState under
+    /// the exclusive guards the caller holds.
+    fn rebuild_revived(
+        &self,
+        mi: &MemInode,
+        mapping: &Mapping,
+        table: Option<&mut crate::inode::BucketArray>,
+        tails: &mut [crate::sync::MutexGuard<'_, crate::inode::Tail>],
+    ) -> FsResult<()> {
         let raw = format::read_inode(self.kernel.device(), &self.geom, mi.ino)
             .map_err(|e| FsError::Internal(e.to_string()))?;
         if !raw.is_committed(mi.ino) {
@@ -368,30 +422,34 @@ impl LibFs {
 
         let mut max_seq = 0;
         if let Some(ds) = mi.dir_state() {
-            // Rebuild the index from the core state (Figure 1 step ③ —
-            // another LibFS may have changed the directory while it was
-            // released), splicing into the *existing* DirState under the
-            // exclusive guards taken above.
             let scan = self.scan_dir_log(&raw)?;
             max_seq = scan.max_seq;
             if raw.batch_seq != 0 {
                 // Defensive: a released directory's batch was closed by the
                 // release quiesce, so residue here means another LibFS (or
                 // a crash) left an open batch behind. Same repair as mount.
-                self.erase_batch_residue(&grant.mapping, mi.ino, &scan.gated)?;
+                self.erase_batch_residue(mapping, mi.ino, &scan.gated)?;
             }
             for off in &scan.stale {
-                self.tombstone_dentry_core(&grant.mapping, *off)?;
+                self.tombstone_dentry_core(mapping, *off)?;
             }
-            let table = table.as_mut().expect("directory has a bucket table");
-            for bucket in table.iter_mut() {
-                for (_, r) in bucket.get_mut().drain(..) {
-                    if self.config.fix_dir_bucket_rcu {
-                        ds.arena.free_deferred(r, &self.rcu);
-                    } else {
-                        let _ = ds.arena.free(r);
-                    }
+            let table = table.expect("directory has a bucket table");
+            let old: Vec<_> = table
+                .iter_mut()
+                .flat_map(|bucket| bucket.get_mut().drain(..).map(|(_, r)| r))
+                .collect();
+            let arena = ds.arena.clone();
+            let free_old = move || {
+                for r in old {
+                    let _ = arena.free(r);
                 }
+            };
+            if self.config.fix_dir_bucket_rcu {
+                // One deferred destructor for the whole index, not one per
+                // entry: same grace period, a thousandth of the bookkeeping.
+                self.rcu.defer(free_old);
+            } else {
+                free_old();
             }
             let nbuckets = table.len();
             let mut live = 0u64;
@@ -423,16 +481,11 @@ impl LibFs {
         }
         mi.cached_size.store(raw.size, Ordering::SeqCst);
         mi.cached_nlink.store(raw.nlink, Ordering::SeqCst);
-        mi.seq.store(raw.seq.max(max_seq).max(mi.seq.load(Ordering::SeqCst)), Ordering::SeqCst);
-        // The rebuilt index supersedes anything cached before (or during)
-        // the release; bump before publishing so no pre-revival
-        // translation can validate against the revived directory.
-        self.dcache_invalidate(mi);
-        // Publish last: once the state flips, waiters bail out of their
-        // Released retries and enter critical sections against the new
-        // mapping installed here.
-        mi.mark_acquired(grant.mapping);
-        Ok(mi.clone())
+        mi.seq.store(
+            raw.seq.max(max_seq).max(mi.seq.load(Ordering::SeqCst)),
+            Ordering::SeqCst,
+        );
+        Ok(())
     }
 
     /// Build the auxiliary state of `ino` from its core state ("③ the
@@ -530,7 +583,10 @@ impl LibFs {
         // entry may not have reached PM before a crash, so "live record"
         // alone cannot be trusted — the highest sequence number per name
         // decides, and a deleted winner means the name is dead.
-        let mut best: HashMap<String, (u64, u64, u64, bool)> = HashMap::new();
+        // Sized from the directory's live count — a field another LibFS
+        // wrote, so bounded: a forged count must not size an allocation.
+        let mut best: HashMap<String, (u64, u64, u64, bool)> =
+            HashMap::with_capacity(raw.size.min(1 << 16) as usize);
         let mut scan = DirScan {
             live: Vec::new(),
             stale: Vec::new(),
@@ -540,7 +596,7 @@ impl LibFs {
             max_seq: 0,
         };
         let wm = raw.batch_seq;
-        format::walk_dir_log(device, &self.geom, raw, |d| {
+        let mut resolve = |d: format::RawDentry| {
             if d.marker == 0 {
                 return;
             }
@@ -551,9 +607,10 @@ impl LibFs {
                 scan.gated.push(d.offset);
                 return;
             }
-            let name = match d.name_str() {
-                Some(n) => n.to_string(),
-                None => {
+            let record = (d.seq, d.ino, d.offset, d.deleted);
+            let name = match String::from_utf8(d.name) {
+                Ok(name) => name,
+                Err(_) => {
                     // Corrupt residue: recovery skips live records, and a
                     // deleted record's slot is plainly reusable.
                     if d.deleted {
@@ -564,23 +621,35 @@ impl LibFs {
             };
             // The loser of a resolution keeps needing a repair tombstone
             // if it is live; a deleted loser's slot is simply reusable.
-            let mut retire = |off: u64, deleted: bool| {
+            let mut retire = |(_, _, off, deleted): (u64, u64, u64, bool)| {
                 if deleted {
                     scan.reusable.push(off);
                 } else {
                     scan.stale.push(off);
                 }
             };
-            match best.get(&name) {
-                Some(&(seq, _, off, del)) if d.seq > seq => {
-                    retire(off, del);
-                    best.insert(name, (d.seq, d.ino, d.offset, d.deleted));
+            match best.entry(name) {
+                Entry::Occupied(mut winner) if d.seq > winner.get().0 => {
+                    retire(winner.insert(record));
                 }
-                Some(_) => retire(d.offset, d.deleted),
-                None => {
-                    best.insert(name, (d.seq, d.ino, d.offset, d.deleted));
+                Entry::Occupied(_) => retire(record),
+                Entry::Vacant(first) => {
+                    first.insert(record);
                 }
             }
+        };
+        // One pass: each page is read once, and its position in its chain
+        // yields the tail's append state — the last page visited per tail
+        // is the one being appended to, after its last committed record.
+        format::walk_dir_pages(device, &self.geom, raw, |p| {
+            let tail = &mut scan.tails[p.tail];
+            if tail.head_page == 0 {
+                tail.head_page = p.page;
+            }
+            tail.cur_page = p.page;
+            tail.next_slot = p.next_slot();
+            p.dentries(&mut resolve);
+            Ok(())
         })
         .map_err(FsError::Corrupted)?;
         for (name, (_, child, off, deleted)) in best {
@@ -588,36 +657,6 @@ impl LibFs {
                 scan.reusable.push(off);
             } else {
                 scan.live.push((name, child, off));
-            }
-        }
-
-        // Tail append positions: last page of each chain and the slot
-        // index one past the last committed record.
-        for (t, tail) in scan.tails.iter_mut().enumerate() {
-            let mut page = raw.direct[t];
-            tail.head_page = page;
-            while page != 0 {
-                let next = device
-                    .read_u64(page * pmem::PAGE_SIZE as u64)
-                    .map_err(|e| FsError::Internal(e.to_string()))?;
-                if next == 0 {
-                    tail.cur_page = page;
-                    // One page read, then scan markers from the buffer.
-                    let mut buf = [0u8; pmem::PAGE_SIZE];
-                    device
-                        .read(page * pmem::PAGE_SIZE as u64, &mut buf)
-                        .map_err(|e| FsError::Internal(e.to_string()))?;
-                    let mut last_used = 0;
-                    for slot in 0..format::DENTRIES_PER_PAGE {
-                        let off =
-                            (format::DIRPAGE_FIRST_DENTRY + slot * format::DENTRY_SIZE) as usize;
-                        if u16::from_le_bytes([buf[off], buf[off + 1]]) != 0 {
-                            last_used = slot + 1;
-                        }
-                    }
-                    tail.next_slot = last_used;
-                }
-                page = next;
             }
         }
         Ok(scan)
@@ -913,7 +952,9 @@ impl LibFs {
             // validating: another LibFS may mutate it while released, and
             // the rebuilt post-revival index is the only authority.
             self.dcache_invalidate(&mi);
-            self.kernel.release(self.id, ino)?;
+            // What the kernel just verified is what the retained auxiliary
+            // state describes; a failed release leaves nothing remembered.
+            mi.remember_generation(self.kernel.release(self.id, ino)?);
             // Locks drop here; auxiliary state is retained (readers use the
             // cached metadata; the next write re-acquires).
             Ok(())

@@ -388,7 +388,7 @@ impl FuzzOpts {
             crash_period: 6,
             crash_exhaustive_limit: 32,
             crash_samples: 6,
-            grace: Duration::from_millis(env_u64("ARCKFS_SCHEDMC_GRACE_MS", 10)),
+            grace: Duration::from_millis(env_u64("ARCKFS_SCHEDMC_GRACE_MS", 50)),
             max_steps: 4096,
             promote_after: 4,
             corpus_seeds: 4,

@@ -110,6 +110,12 @@ pub enum Op {
     /// `fallocate(fd, 1024, 2048)` on `/d/f0` — preallocation racing the
     /// data ops; a no-op when the file system reports it unsupported.
     Fallocate,
+    /// Hand `/d` to another application and take it back: release `/d`
+    /// and `/`, let a second LibFS on the same kernel create and unlink
+    /// `/d/hx` (live set unchanged, slots and tails moved) and unmount,
+    /// then `create("/d/hb")` — the re-acquire that must not trust the
+    /// index it released with (DESIGN.md §14).
+    Handoff,
     /// `flush_batch()` — the explicit group-durability close (ISSUE 4).
     /// A no-op unless the config under test enables batching.
     FlushBatch,
@@ -121,7 +127,7 @@ pub enum Op {
 impl Op {
     /// The whole vocabulary, in a fixed order. The batch ops come last
     /// so budget truncation of a sweep sheds the newest pairs first.
-    pub const ALL: [Op; 12] = [
+    pub const ALL: [Op; 13] = [
         Op::Create,
         Op::Unlink,
         Op::Rename,
@@ -132,6 +138,7 @@ impl Op {
         Op::WriteDelegated,
         Op::WriteRanged,
         Op::Fallocate,
+        Op::Handoff,
         Op::FlushBatch,
         Op::CreateBatched,
     ];
@@ -157,6 +164,7 @@ impl Op {
             Op::WriteDelegated => "write_delegated",
             Op::WriteRanged => "write_ranged",
             Op::Fallocate => "fallocate",
+            Op::Handoff => "handoff",
             Op::FlushBatch => "flush_batch",
             Op::CreateBatched => "create_batched",
         }
@@ -235,6 +243,15 @@ impl Op {
                 let c = fs.close(fd);
                 r.and(c)
             }
+            Op::Handoff => {
+                fs.release_path("/d")?;
+                fs.release_path("/")?;
+                arckfs::inject::point(HANDOFF_RELEASED);
+                foreign_turn(fs)?;
+                arckfs::inject::point(HANDOFF_RETURNED);
+                let fd = fs.create("/d/hb")?;
+                fs.close(fd)
+            }
             Op::FlushBatch => {
                 fs.flush_batch();
                 Ok(())
@@ -245,6 +262,41 @@ impl Op {
             }
         }
     }
+}
+
+/// Schedule point of [`Op::Handoff`] after its releases, before the other
+/// application's turn: a racing op granted here takes `/d` back first.
+const HANDOFF_RELEASED: &str = "schedmc.handoff.released";
+/// Schedule point of [`Op::Handoff`] after the other application's turn,
+/// before its own re-acquiring create.
+const HANDOFF_RETURNED: &str = "schedmc.handoff.returned";
+
+/// The other application's turn in [`Op::Handoff`]: a second LibFS on the
+/// same kernel creates and unlinks `/d/hx`, then unmounts. It runs on a
+/// thread of its own — not a controller participant — so the whole turn
+/// falls between two schedule points of the explored LibFS: no op of that
+/// LibFS ever observes the directory held by somebody else (the explored
+/// LibFS does not wait for other applications; `NotOwner` is final). If a
+/// racing op took `/` or `/d` back first, the turn is simply lost.
+fn foreign_turn(fs: &LibFs) -> FsResult<()> {
+    let hint = pmem::thread_shard_override();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            pmem::set_thread_shard_hint(hint);
+            let other = LibFs::mount(fs.kernel().clone(), fs.config().clone(), 0)?;
+            let turn = other.create("/d/hx").and_then(|fd| {
+                other.close(fd)?;
+                other.unlink("/d/hx")
+            });
+            let left = other.unmount();
+            match turn {
+                Ok(()) | Err(FsError::NotOwner { .. }) => left,
+                Err(e) => Err(e),
+            }
+        })
+        .join()
+        .expect("the other application's turn does not panic")
+    })
 }
 
 /// Build the fixed pre-run namespace every op targets: `/d` with `f0`
@@ -306,7 +358,7 @@ impl ExploreOpts {
             preemption_bound: env_u64("ARCKFS_SCHEDMC_BOUND", 2) as usize,
             max_schedules: env_u64("ARCKFS_SCHEDMC_MAX_SCHEDULES", 256) as usize,
             max_steps: 64,
-            grace: Duration::from_millis(env_u64("ARCKFS_SCHEDMC_GRACE_MS", 10)),
+            grace: Duration::from_millis(env_u64("ARCKFS_SCHEDMC_GRACE_MS", 50)),
             crash_oracle: true,
             crash_exhaustive_limit: 32,
             crash_samples: env_u64("ARCKFS_SCHEDMC_SAMPLES", 8) as usize,
@@ -625,7 +677,7 @@ fn coherence_probe(fs: &LibFs) -> Result<(), String> {
         .into_iter()
         .map(|e| e.name)
         .collect();
-    for name in ["n", "u0", "old", "new", "rv", "f0", "nb"] {
+    for name in ["n", "u0", "old", "new", "rv", "f0", "nb", "hb", "hx"] {
         let path = format!("/d/{name}");
         let via_stat = match fs.stat(&path) {
             Ok(_) => true,
@@ -1097,22 +1149,7 @@ pub fn explore_vocabulary_triples(opts: &ExploreOpts) -> ExploreReport {
 pub fn explore_batch_pairs(opts: &ExploreOpts) -> ExploreReport {
     let mut opts = opts.clone();
     opts.config.batch = true;
-    let deadline = opts.budget.map(|b| Instant::now() + b);
-    let mut report = ExploreReport::default();
-    let first_batch = Op::ALL.len() - Op::BATCH.len();
-    for i in 0..Op::ALL.len() {
-        for j in i..Op::ALL.len() {
-            if i < first_batch && j < first_batch {
-                continue;
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                report.truncated = true;
-                return report;
-            }
-            report.merge(explore_inner(&[Op::ALL[i], Op::ALL[j]], &opts, deadline));
-        }
-    }
-    report
+    explore_pairs_with(&opts, &Op::BATCH)
 }
 
 /// Explore every unordered pair involving [`Op::WriteDelegated`] under a
@@ -1126,25 +1163,7 @@ pub fn explore_delegate_pairs(opts: &ExploreOpts) -> ExploreReport {
     opts.config.delegation_threads = 2;
     opts.config.delegation_min = 4096;
     opts.config.deleg_batch = 2;
-    let deadline = opts.budget.map(|b| Instant::now() + b);
-    let mut report = ExploreReport::default();
-    let deleg = Op::ALL
-        .iter()
-        .position(|o| *o == Op::WriteDelegated)
-        .expect("WriteDelegated in the vocabulary");
-    for i in 0..Op::ALL.len() {
-        for j in i..Op::ALL.len() {
-            if i != deleg && j != deleg {
-                continue;
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                report.truncated = true;
-                return report;
-            }
-            report.merge(explore_inner(&[Op::ALL[i], Op::ALL[j]], &opts, deadline));
-        }
-    }
-    report
+    explore_pairs_with(&opts, &[Op::WriteDelegated])
 }
 
 /// Explore every unordered pair involving a ranged-data op
@@ -1153,18 +1172,32 @@ pub fn explore_delegate_pairs(opts: &ExploreOpts) -> ExploreReport {
 /// against every other op. Same preemption bound and budget semantics as
 /// [`explore_vocabulary`].
 pub fn explore_range_pairs(opts: &ExploreOpts) -> ExploreReport {
+    explore_pairs_with(opts, &Op::RANGED)
+}
+
+/// Explore every unordered pair involving [`Op::Handoff`] on its own
+/// budget: release → foreign create/unlink → re-acquire against every other
+/// op, so the revival's keep-or-rebuild decision arbitrates even when the
+/// vocabulary sweep is truncated before it gets there.
+pub fn explore_handoff_pairs(opts: &ExploreOpts) -> ExploreReport {
+    explore_pairs_with(opts, &[Op::Handoff])
+}
+
+/// Every unordered pair from [`Op::ALL`] with at least one member in
+/// `focus`, under one budget for the whole sweep.
+fn explore_pairs_with(opts: &ExploreOpts, focus: &[Op]) -> ExploreReport {
     let deadline = opts.budget.map(|b| Instant::now() + b);
     let mut report = ExploreReport::default();
-    for i in 0..Op::ALL.len() {
-        for j in i..Op::ALL.len() {
-            if !Op::RANGED.contains(&Op::ALL[i]) && !Op::RANGED.contains(&Op::ALL[j]) {
+    for (i, a) in Op::ALL.iter().enumerate() {
+        for b in &Op::ALL[i..] {
+            if !focus.contains(a) && !focus.contains(b) {
                 continue;
             }
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 report.truncated = true;
                 return report;
             }
-            report.merge(explore_inner(&[Op::ALL[i], Op::ALL[j]], opts, deadline));
+            report.merge(explore_inner(&[*a, *b], opts, deadline));
         }
     }
     report
@@ -1212,7 +1245,7 @@ mod tests {
             preemption_bound: 2,
             max_schedules: 64,
             max_steps: 64,
-            grace: Duration::from_millis(10),
+            grace: Duration::from_millis(50),
             crash_oracle: false,
             crash_exhaustive_limit: 16,
             crash_samples: 4,
@@ -1258,6 +1291,18 @@ mod tests {
             report.schedules
         );
         assert!(report.is_clean(), "{:?}", report.failures);
+    }
+
+    #[test]
+    fn handoff_races_explore_clean() {
+        // Release → foreign create/unlink → re-acquire against a create, a
+        // revival and itself: whichever side gets to `/d` first, every
+        // interleaving ends in a serial state.
+        for other in [Op::Create, Op::Revive, Op::Handoff] {
+            let report = explore(&[Op::Handoff, other], &test_opts());
+            assert!(report.schedules > 1, "{other:?}: {}", report.schedules);
+            assert!(report.is_clean(), "{other:?}: {:?}", report.failures);
+        }
     }
 
     #[test]

@@ -52,6 +52,9 @@ fn main() {
     // preallocator) on its own budget, so the `file.write.*` windows
     // arbitrate even when the sweep above is truncated before them.
     report.merge(schedmc::explore_range_pairs(&opts));
+    // Every pair involving the two-application hand-off, on its own budget
+    // for the same reason.
+    report.merge(schedmc::explore_handoff_pairs(&opts));
 
     eprintln!(
         "schedmc: {} schedules, {} distinct points hit, {} crash states checked (max space {}){}",

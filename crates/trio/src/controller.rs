@@ -11,7 +11,7 @@
 //! Every public method is a modelled syscall: it bumps the syscall counter
 //! and, when configured, charges a fixed kernel-crossing cost.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,7 +26,7 @@ use crate::format::{self, Geometry, InodeType};
 use crate::lease::{LeaseGrant, RenameLease};
 use crate::provider;
 use crate::shadow::{ShadowEntry, ShadowTable};
-use crate::verifier::{self, Snapshot};
+use crate::verifier::{self, Snapshot, Verified};
 use crate::ROOT_INO;
 
 /// Identifier of a registered LibFS (one per application).
@@ -166,6 +166,62 @@ pub struct InodeGrant {
     /// Mapping for direct userspace access to the inode's core state. The
     /// kernel invalidates it on (voluntary or involuntary) release.
     pub mapping: Mapping,
+    /// The inode's content generation at the grant (DESIGN.md §14). It
+    /// equals the value a [`Kernel::release`] of this inode returned only
+    /// if the inode record and every directory log page are byte-identical
+    /// to what that release verified, so a LibFS that kept the auxiliary
+    /// state it released with may go on using it.
+    pub generation: u64,
+}
+
+/// Byte budget (inode records + log pages) of the verified directory
+/// images kept for unowned inodes; the oldest image goes first.
+const RETAINED_IMAGE_BUDGET: usize = 4 << 20;
+
+/// Verified images of directories nobody owns (DESIGN.md §14): what the
+/// last release's verification read, kept in DRAM so the next acquire's
+/// rollback snapshot costs no PM read. An image exists only while its inode
+/// has no owner and is handed to — or dropped at — the next acquire.
+#[derive(Default)]
+pub(crate) struct RetainedImages {
+    /// ino → (insertion stamp, image).
+    images: HashMap<u64, (u64, Snapshot)>,
+    /// Insertion stamp → ino, oldest first.
+    order: BTreeMap<u64, u64>,
+    next_stamp: u64,
+    bytes: usize,
+}
+
+impl RetainedImages {
+    fn cost(image: &Snapshot) -> usize {
+        image.inode_bytes.len() + image.pages.len() * pmem::PAGE_SIZE
+    }
+
+    fn insert(&mut self, image: Snapshot) {
+        // (A number freed unacquired and granted afresh through the pool
+        // gets here with its past life's image still in place.)
+        self.take(image.ino);
+        let cost = Self::cost(&image);
+        if cost > RETAINED_IMAGE_BUDGET {
+            return;
+        }
+        self.bytes += cost;
+        self.order.insert(self.next_stamp, image.ino);
+        self.images.insert(image.ino, (self.next_stamp, image));
+        self.next_stamp += 1;
+        while self.bytes > RETAINED_IMAGE_BUDGET {
+            let (_, oldest) = self.order.pop_first().expect("over budget, so not empty");
+            let (_, evicted) = self.images.remove(&oldest).expect("ordered image");
+            self.bytes -= Self::cost(&evicted);
+        }
+    }
+
+    fn take(&mut self, ino: u64) -> Option<Snapshot> {
+        let (stamp, image) = self.images.remove(&ino)?;
+        self.order.remove(&stamp);
+        self.bytes -= Self::cost(&image);
+        Some(image)
+    }
 }
 
 pub(crate) struct LibFsInfo {
@@ -193,6 +249,57 @@ pub(crate) struct KState {
     /// ino → (group id, snapshot for the eventual boundary verification).
     pub dirty_in_group: HashMap<u64, (u64, Snapshot)>,
     next_group: u64,
+    retained: RetainedImages,
+    /// Content generation per inode number (0 = none drawn yet). Volatile:
+    /// a LibFS can only compare values from this kernel instance.
+    generations: Vec<u64>,
+    /// The kernel-global monotone source of generations: a value is never
+    /// drawn twice, so a recycled inode number cannot match its past life.
+    next_generation: u64,
+}
+
+impl KState {
+    fn new(shadow: ShadowTable, geom: &Geometry) -> KState {
+        KState {
+            shadow,
+            owners: HashMap::new(),
+            snapshots: HashMap::new(),
+            registries: HashMap::new(),
+            libfs: HashMap::new(),
+            dirty_in_group: HashMap::new(),
+            next_group: 1,
+            retained: RetainedImages::default(),
+            generations: vec![0; geom.max_inodes as usize + 1],
+            next_generation: 1,
+        }
+    }
+
+    /// Give `ino` a generation no grant or release has reported before. (A
+    /// number outside the table — only a misbehaving LibFS names one — gets
+    /// a fresh value every time it is asked about, so it never matches.)
+    pub(crate) fn advance_generation(&mut self, ino: u64) -> u64 {
+        let fresh = self.next_generation;
+        self.next_generation += 1;
+        if let Some(slot) = self.generations.get_mut(ino as usize) {
+            *slot = fresh;
+        }
+        fresh
+    }
+
+    /// The content generation of `ino`, drawing one on first use.
+    fn generation(&mut self, ino: u64) -> u64 {
+        match self.generations.get(ino as usize) {
+            Some(&drawn) if drawn != 0 => drawn,
+            _ => self.advance_generation(ino),
+        }
+    }
+
+    /// `ino` was freed, or is about to be initialised afresh: whatever was
+    /// known about its content is void.
+    pub(crate) fn forget_inode(&mut self, ino: u64) {
+        self.retained.take(ino);
+        self.advance_generation(ino);
+    }
 }
 
 /// The TRIO kernel: access controller + verifier + allocator + lease.
@@ -290,15 +397,7 @@ impl Kernel {
             allocator,
             inos,
             lease,
-            state: Mutex::new(KState {
-                shadow,
-                owners: HashMap::new(),
-                snapshots: HashMap::new(),
-                registries: HashMap::new(),
-                libfs: HashMap::new(),
-                dirty_in_group: HashMap::new(),
-                next_group: 1,
-            }),
+            state: Mutex::new(KState::new(shadow, &geom)),
             stats: KernelStats::default(),
             next_libfs: AtomicU64::new(1),
         }))
@@ -432,7 +531,7 @@ impl Kernel {
                     queue.push(child);
                 }
             }
-            shadow.set_children(dir, children);
+            shadow.set_children(dir, Arc::new(children));
         }
         // Rebuild the inode-number pool from the table's commit markers —
         // the durable truth for inode occupancy.
@@ -454,15 +553,7 @@ impl Kernel {
             allocator,
             inos,
             lease,
-            state: Mutex::new(KState {
-                shadow,
-                owners: HashMap::new(),
-                snapshots: HashMap::new(),
-                registries: HashMap::new(),
-                libfs: HashMap::new(),
-                dirty_in_group: HashMap::new(),
-                next_group: 1,
-            }),
+            state: Mutex::new(KState::new(shadow, &geom)),
             stats: KernelStats::default(),
             next_libfs: AtomicU64::new(1),
         }))
@@ -654,6 +745,10 @@ impl Kernel {
     pub fn fresh_mapping(&self, libfs: LibFsId, ino: u64) -> Mapping {
         self.syscall();
         let mut st = self.state.lock();
+        // A recycled number starts a new life here; the kernel may still
+        // hold its past one (freed by the owner of its parent, parent not
+        // verified since).
+        st.forget_inode(ino);
         let registry = Arc::new(MappingRegistry::new());
         st.registries.insert((ino, libfs.0), registry.clone());
         Mapping::new(self.device.clone(), registry, 0, self.device.len())
@@ -675,37 +770,24 @@ impl Kernel {
 
         // Deferred trust-group verification: if the inode was last released
         // unverified inside a group the caller is not part of, verify now.
+        let mut boundary_image = None;
         if let Some((dirty_group, _)) = st.dirty_in_group.get(&ino) {
             if group != Some(*dirty_group) {
                 let (_, snap) = st.dirty_in_group.remove(&ino).expect("checked above");
-                self.stats.verifications.fetch_add(1, Ordering::Relaxed);
-                if let Err(e) = verifier::verify_and_apply(
-                    &self.device,
-                    &self.geom,
-                    &self.config,
-                    &self.lease,
-                    &mut st,
-                    libfs,
-                    ino,
-                    &snap,
-                ) {
-                    self.stats.verify_failures.fetch_add(1, Ordering::Relaxed);
-                    self.stats.rollbacks.fetch_add(1, Ordering::Relaxed);
-                    verifier::rollback(&self.device, &self.geom, &snap);
-                    return Err(e);
-                }
+                boundary_image = Some(self.verify_now(&mut st, libfs, ino, snap)?.image);
             }
         }
 
         // Ownership: free, already ours, or co-owned within our group.
-        let owners: Vec<u64> = st
+        let others: Vec<u64> = st
             .owners
             .get(&ino)
-            .map(|s| s.iter().copied().collect())
+            .map(|s| s.iter().copied().filter(|&o| o != libfs.0).collect())
             .unwrap_or_default();
-        if !owners.is_empty() && !owners.contains(&libfs.0) {
+        let ours = st.owners.get(&ino).is_some_and(|s| s.contains(&libfs.0));
+        if !others.is_empty() && !ours {
             let all_in_group = group.is_some()
-                && owners
+                && others
                     .iter()
                     .all(|o| st.libfs.get(o).and_then(|i| i.group) == group);
             if !all_in_group {
@@ -713,19 +795,30 @@ impl Kernel {
             }
             self.stats.trust_skips.fetch_add(1, Ordering::Relaxed);
         }
-        st.owners.entry(ino).or_default().insert(libfs.0);
 
+        // The rollback snapshot comes before any ownership state changes: a
+        // directory whose log cannot be walked (cycle, out-of-device page)
+        // fails the acquire and must leave the caller owning nothing.
+        let snap = match boundary_image {
+            Some(image) => image,
+            None => self.acquire_snapshot(&mut st, ino)?,
+        };
+        // A co-owner may be writing right now: no value reported before
+        // this grant may match, and this grant's value matches no release.
+        if !others.is_empty() {
+            st.advance_generation(ino);
+        }
+        let generation = st.generation(ino);
+
+        st.owners.entry(ino).or_default().insert(libfs.0);
         let registry = Arc::new(MappingRegistry::new());
         st.registries.insert((ino, libfs.0), registry.clone());
-        let snap = verifier::take_snapshot(&self.device, &self.geom, &st.shadow, ino)
-            .map_err(FsError::Corrupted)?;
         // Charge the mapping-setup cost: installing page-table entries for
         // the inode's data is proportional to its size (this is what makes
         // sharing a large file expensive in Table 4).
-        let size = format::read_inode(&self.device, &self.geom, ino)
-            .map(|i| i.size)
-            .unwrap_or(0);
         if entry.itype == InodeType::Regular && !self.config.syscall_cost.is_zero() {
+            let at = format::I_SIZE as usize;
+            let size = u64::from_le_bytes(snap.inode_bytes[at..at + 8].try_into().expect("8"));
             let pages = size.div_ceil(pmem::PAGE_SIZE as u64);
             LatencyModel::spin(Duration::from_nanos(10).saturating_mul(pages as u32));
         }
@@ -733,12 +826,40 @@ impl Kernel {
 
         self.stats.acquires.fetch_add(1, Ordering::Relaxed);
         let mapping = Mapping::new(self.device.clone(), registry, 0, self.device.len());
-        Ok(InodeGrant { ino, mapping })
+        Ok(InodeGrant {
+            ino,
+            mapping,
+            generation,
+        })
+    }
+
+    /// The rollback snapshot for a new grant of `ino`: the image retained
+    /// by the release that left it unowned, or — first acquire, evicted
+    /// image — a read of the core state.
+    fn acquire_snapshot(&self, st: &mut KState, ino: u64) -> FsResult<Snapshot> {
+        if let Some(image) = st.retained.take(ino) {
+            // Nobody maps an unowned inode's log, but the owner of its
+            // parent may free it (clear the commit marker, even reuse the
+            // number) without acquiring it: the record is re-read, and an
+            // image it no longer matches is dropped.
+            let mut rec = [0u8; format::INODE_SIZE as usize];
+            self.device
+                .read(self.geom.inode_offset(ino), &mut rec)
+                .map_err(fs_err)?;
+            if rec[..] == image.inode_bytes[..] {
+                return Ok(image);
+            }
+            st.advance_generation(ino);
+        }
+        verifier::take_snapshot(&self.device, &self.geom, &st.shadow, ino)
+            .map_err(FsError::Corrupted)
     }
 
     /// Voluntarily release `ino` (Figure 1 ⑤–⑧): unmap, verify, and on
-    /// failure roll the inode back to its acquire-time state.
-    pub fn release(&self, libfs: LibFsId, ino: u64) -> FsResult<()> {
+    /// failure roll the inode back to its acquire-time state. Returns the
+    /// inode's content generation after the verification (see
+    /// [`InodeGrant::generation`]).
+    pub fn release(&self, libfs: LibFsId, ino: u64) -> FsResult<u64> {
         let _span = obs::span(obs::OpKind::Release, self.device.stats());
         self.syscall();
         self.release_inner(libfs, ino, false)
@@ -747,13 +868,13 @@ impl Kernel {
     /// Involuntary release: the kernel revokes the grant (lease timeout,
     /// unregister, or a misbehaving LibFS). The LibFS may crash afterwards
     /// (§4.3 explicitly tolerates that); the kernel side stays consistent.
-    pub fn force_release(&self, libfs: LibFsId, ino: u64) -> FsResult<()> {
+    pub fn force_release(&self, libfs: LibFsId, ino: u64) -> FsResult<u64> {
         self.syscall();
         self.stats.forced_releases.fetch_add(1, Ordering::Relaxed);
         self.release_inner(libfs, ino, true)
     }
 
-    fn release_inner(&self, libfs: LibFsId, ino: u64, _forced: bool) -> FsResult<()> {
+    fn release_inner(&self, libfs: LibFsId, ino: u64, _forced: bool) -> FsResult<u64> {
         let mut st = self.state.lock();
         let owners = st.owners.get(&ino).cloned().unwrap_or_default();
         if !owners.contains(&libfs.0) {
@@ -778,39 +899,47 @@ impl Kernel {
             .remove(&libfs.0);
 
         let group = Self::group_of(&st, libfs);
-        let others_in_group = !st.owners.get(&ino).map(|s| s.is_empty()).unwrap_or(true);
+        let unowned = st.owners.get(&ino).is_none_or(|s| s.is_empty());
         if let Some(g) = group {
-            if others_in_group {
+            if !unowned {
                 // Intra-group release: defer verification to the group
                 // boundary (§5.4 trust groups): record the earliest
-                // snapshot.
+                // snapshot. Nobody compared the bytes, so the content
+                // counts as changed.
                 self.stats.trust_skips.fetch_add(1, Ordering::Relaxed);
                 st.dirty_in_group.entry(ino).or_insert((g, snap));
                 self.stats.releases.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
+                return Ok(st.advance_generation(ino));
             }
         }
-        if group.is_some() {
-            // Last member out: verify against the earliest group snapshot
-            // if one exists, else this snapshot.
-            let snap = match st.dirty_in_group.remove(&ino) {
-                Some((_, s)) => s,
-                None => snap,
-            };
-            return self.verify_now(&mut st, libfs, ino, snap);
+        // Last member out of a group: verify against the earliest group
+        // snapshot if one exists, else this snapshot.
+        let earliest = group
+            .and_then(|_| st.dirty_in_group.remove(&ino))
+            .map(|(_, snap)| snap);
+        let verified = self.verify_now(&mut st, libfs, ino, earliest.unwrap_or(snap))?;
+        if group.is_none() {
+            self.stats.releases.fetch_add(1, Ordering::Relaxed);
         }
-        self.verify_now(&mut st, libfs, ino, snap)?;
-        self.stats.releases.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        // Nobody maps the inode any more, so the pages just verified stay
+        // what PM holds until the next grant: keep them for its snapshot.
+        if unowned && !verified.image.pages.is_empty() {
+            st.retained.insert(verified.image);
+        }
+        Ok(st.generation(ino))
     }
 
+    /// Run the verifier against `snap`. A difference from the snapshot
+    /// advances the content generation; a violation rolls the inode back
+    /// to the snapshot (and advances it too — the rejected bytes were in
+    /// PM, whoever looked).
     fn verify_now(
         &self,
         st: &mut KState,
         libfs: LibFsId,
         ino: u64,
         snap: Snapshot,
-    ) -> FsResult<()> {
+    ) -> FsResult<Verified> {
         self.stats.verifications.fetch_add(1, Ordering::Relaxed);
         match verifier::verify_and_apply(
             &self.device,
@@ -822,19 +951,26 @@ impl Kernel {
             ino,
             &snap,
         ) {
-            Ok(()) => Ok(()),
+            Ok(verified) => {
+                if verified.changed {
+                    st.advance_generation(ino);
+                }
+                Ok(verified)
+            }
             Err(e) => {
                 self.stats.verify_failures.fetch_add(1, Ordering::Relaxed);
                 self.stats.rollbacks.fetch_add(1, Ordering::Relaxed);
                 verifier::rollback(&self.device, &self.geom, &snap);
+                st.advance_generation(ino);
                 Err(e)
             }
         }
     }
 
     /// Commit `ino` (TRIO §4.3): verify while **retaining** ownership and
-    /// the mapping. On success the acquire-time snapshot is refreshed; on
-    /// failure the inode is rolled back (ownership retained).
+    /// the mapping. On success the verified image becomes the baseline of
+    /// the next verification; on failure the inode is rolled back
+    /// (ownership retained).
     pub fn commit(&self, libfs: LibFsId, ino: u64) -> FsResult<()> {
         let _span = obs::span(obs::OpKind::Commit, self.device.stats());
         self.syscall();
@@ -853,11 +989,8 @@ impl Kernel {
             .cloned()
             .unwrap_or_else(|| Snapshot::empty(ino));
         self.stats.commits.fetch_add(1, Ordering::Relaxed);
-        self.verify_now(&mut st, libfs, ino, snap)?;
-        // Refresh the baseline for the next verification.
-        let fresh = verifier::take_snapshot(&self.device, &self.geom, &st.shadow, ino)
-            .map_err(FsError::Corrupted)?;
-        st.snapshots.insert((ino, libfs.0), fresh);
+        let verified = self.verify_now(&mut st, libfs, ino, snap)?;
+        st.snapshots.insert((ino, libfs.0), verified.image);
         Ok(())
     }
 
@@ -878,7 +1011,7 @@ impl Kernel {
 
     /// The kernel's verified children baseline for directory `ino`.
     pub fn verified_children(&self, ino: u64) -> HashMap<String, u64> {
-        self.state.lock().shadow.children_of(ino)
+        (*self.state.lock().shadow.children_of(ino)).clone()
     }
 
     // ---- trust groups (§5.4) ----------------------------------------------

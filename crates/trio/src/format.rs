@@ -530,53 +530,109 @@ pub fn decode_dentry(rec: &[u8; DENTRY_SIZE as usize], off: u64) -> RawDentry {
     }
 }
 
-/// Walk every dentry record of a directory's multi-tailed log, calling `f`
-/// for each committed record (live or tombstoned). Records with marker 0
-/// terminate a page scan (the log is append-only within a page).
+/// One page of a directory's dentry log, as [`walk_dir_pages`] visits it.
+pub struct DirLogPage<'a> {
+    /// Index of the log tail whose chain holds this page.
+    pub tail: usize,
+    /// Page number.
+    pub page: u64,
+    /// The page image, fetched with one device access.
+    pub bytes: &'a [u8; PAGE_SIZE],
+}
+
+impl DirLogPage<'_> {
+    /// The page header's next-page pointer (0 = last page of its chain).
+    pub fn next(&self) -> u64 {
+        u64::from_le_bytes(self.bytes[0..8].try_into().expect("8"))
+    }
+
+    /// The record in `slot`, if its commit marker is set.
+    fn committed(&self, slot: u64) -> Option<&[u8; DENTRY_SIZE as usize]> {
+        let off = (DIRPAGE_FIRST_DENTRY + slot * DENTRY_SIZE) as usize;
+        let rec: &[u8; DENTRY_SIZE as usize] = self.bytes[off..off + DENTRY_SIZE as usize]
+            .try_into()
+            .expect("record within page");
+        (u16::from_le_bytes([rec[0], rec[1]]) != 0).then_some(rec)
+    }
+
+    /// Call `f` for every committed record (live or tombstoned) in slot
+    /// order. An uncommitted slot (marker 0) is a hole — e.g. a reservation
+    /// that never committed — and later slots may still hold committed
+    /// records, so the whole page is scanned.
+    pub fn dentries(&self, mut f: impl FnMut(RawDentry)) {
+        let base = self.page * PAGE_SIZE as u64 + DIRPAGE_FIRST_DENTRY;
+        for slot in 0..DENTRIES_PER_PAGE {
+            if let Some(rec) = self.committed(slot) {
+                f(decode_dentry(rec, base + slot * DENTRY_SIZE));
+            }
+        }
+    }
+
+    /// Slot index one past the last committed record: where an appender
+    /// that finds this page at the end of its chain continues.
+    pub fn next_slot(&self) -> u64 {
+        (0..DENTRIES_PER_PAGE)
+            .rev()
+            .find(|&slot| self.committed(slot).is_some())
+            .map_or(0, |slot| slot + 1)
+    }
+}
+
+/// Visit every page of a directory's multi-tailed log, tail by tail in
+/// chain order, reading each page from the device exactly once. `f` may
+/// stop the walk by returning an error.
 ///
-/// Returns an error string on structural corruption (bad page pointer,
-/// pointer cycle).
+/// Returns an error string on structural corruption: a page pointer outside
+/// the data region, or a page linked twice (a pointer cycle, or two chains
+/// sharing a page) — detected at the repeated link, before the page is read
+/// again.
+pub fn walk_dir_pages(
+    dev: &Arc<PmemDevice>,
+    geom: &Geometry,
+    inode: &RawInode,
+    mut f: impl FnMut(DirLogPage<'_>) -> Result<(), String>,
+) -> Result<(), String> {
+    let ntails = (inode.ntails as usize).min(NDIRECT);
+    let mut seen = std::collections::HashSet::new();
+    let mut buf = [0u8; PAGE_SIZE];
+    for tail in 0..ntails {
+        let mut page = inode.direct[tail];
+        while page != 0 {
+            if page < geom.data_start_page || page >= geom.total_pages {
+                return Err(format!("dir log page {page} out of data region"));
+            }
+            if !seen.insert(page) {
+                return Err(format!("dir log page cycle (page {page} linked twice)"));
+            }
+            dev.read(geom.page_offset(page), &mut buf)
+                .map_err(|e| e.to_string())?;
+            let visit = DirLogPage {
+                tail,
+                page,
+                bytes: &buf,
+            };
+            page = visit.next();
+            f(visit)?;
+        }
+    }
+    Ok(())
+}
+
+/// Walk every dentry record of a directory's multi-tailed log, calling `f`
+/// for each committed record (live or tombstoned).
+///
+/// Returns an error string on structural corruption (see
+/// [`walk_dir_pages`]).
 pub fn walk_dir_log(
     dev: &Arc<PmemDevice>,
     geom: &Geometry,
     inode: &RawInode,
     mut f: impl FnMut(RawDentry),
 ) -> Result<(), String> {
-    let ntails = (inode.ntails as usize).min(NDIRECT);
-    for tail in 0..ntails {
-        let mut page = inode.direct[tail];
-        let mut hops = 0u64;
-        while page != 0 {
-            if page < geom.data_start_page || page >= geom.total_pages {
-                return Err(format!("dir log page {page} out of data region"));
-            }
-            hops += 1;
-            if hops > geom.total_pages {
-                return Err("dir log page cycle".to_string());
-            }
-            // Fetch the whole page with one device access and decode the
-            // records from the buffer.
-            let base = geom.page_offset(page);
-            let mut buf = [0u8; PAGE_SIZE];
-            dev.read(base, &mut buf).map_err(|e| e.to_string())?;
-            for slot in 0..DENTRIES_PER_PAGE {
-                let rec_off = (DIRPAGE_FIRST_DENTRY + slot * DENTRY_SIZE) as usize;
-                let rec: &[u8; DENTRY_SIZE as usize] = buf[rec_off..rec_off + DENTRY_SIZE as usize]
-                    .try_into()
-                    .expect("record within page");
-                let marker = u16::from_le_bytes([rec[0], rec[1]]);
-                if marker == 0 {
-                    // An uncommitted slot is a hole (e.g. a reservation
-                    // that never committed); later slots may still hold
-                    // committed records, so keep scanning.
-                    continue;
-                }
-                f(decode_dentry(rec, base + rec_off as u64));
-            }
-            page = u64::from_le_bytes(buf[0..8].try_into().expect("8"));
-        }
-    }
-    Ok(())
+    walk_dir_pages(dev, geom, inode, |p| {
+        p.dentries(&mut f);
+        Ok(())
+    })
 }
 
 /// Format the superblock (page 0) and persist it.

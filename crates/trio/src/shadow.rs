@@ -45,15 +45,20 @@ pub struct ShadowEntry {
     pub parent: u64,
 }
 
+/// A directory's verified children, name → child ino. Immutable once
+/// built: a new verification installs a new map.
+pub type Children = Arc<HashMap<String, u64>>;
+
 /// DRAM cache + PM persistence of the shadow table.
 #[derive(Debug)]
 pub struct ShadowTable {
     device: Arc<PmemDevice>,
     geom: Geometry,
     entries: HashMap<u64, ShadowEntry>,
-    /// Verified children per directory: name → child ino. This is the
+    /// Verified children per directory: name → child ino, shared with the
+    /// snapshots taken of that directory rather than copied. This is the
     /// baseline the verifier diffs a released directory against.
-    children: HashMap<u64, HashMap<String, u64>>,
+    children: HashMap<u64, Children>,
 }
 
 impl ShadowTable {
@@ -154,12 +159,12 @@ impl ShadowTable {
 
     /// The verified children of directory `ino` (empty map if never
     /// verified).
-    pub fn children_of(&self, ino: u64) -> HashMap<String, u64> {
+    pub fn children_of(&self, ino: u64) -> Children {
         self.children.get(&ino).cloned().unwrap_or_default()
     }
 
     /// Replace the verified-children baseline for `ino`.
-    pub fn set_children(&mut self, ino: u64, children: HashMap<String, u64>) {
+    pub fn set_children(&mut self, ino: u64, children: Children) {
         self.children.insert(ino, children);
     }
 
@@ -306,7 +311,7 @@ mod tests {
         let mut t = mk();
         let mut c = HashMap::new();
         c.insert("a".to_string(), 2u64);
-        t.set_children(1, c);
+        t.set_children(1, Arc::new(c));
         assert!(t.has_children(1));
         assert_eq!(t.children_of(1).get("a"), Some(&2));
         assert!(!t.has_children(7));

@@ -32,9 +32,9 @@ use pmem::{PmemDevice, PAGE_SIZE};
 use vfs::{FsError, FsResult};
 
 use crate::controller::{KState, KernelConfig, LibFsId};
-use crate::format::{self, mode, Geometry, InodeType, RawDentry, RawInode, NDIRECT};
+use crate::format::{self, mode, Geometry, InodeType, RawDentry, RawInode};
 use crate::lease::RenameLease;
-use crate::shadow::ShadowEntry;
+use crate::shadow::{Children, ShadowEntry};
 
 /// Acquire-time state of one inode, used for verification diffs and
 /// rollback.
@@ -46,8 +46,9 @@ pub struct Snapshot {
     pub inode_bytes: Vec<u8>,
     /// Directory log pages (page number, contents); empty for files.
     pub pages: Vec<(u64, Vec<u8>)>,
-    /// Verified children at acquire time (directories).
-    pub children: HashMap<String, u64>,
+    /// Verified children at acquire time (directories), shared with the
+    /// shadow table's baseline.
+    pub children: Children,
 }
 
 impl Snapshot {
@@ -58,49 +59,46 @@ impl Snapshot {
             ino,
             inode_bytes: vec![0u8; format::INODE_SIZE as usize],
             pages: Vec::new(),
-            children: std::collections::HashMap::new(),
+            children: Children::default(),
         }
     }
 }
 
-/// Capture the acquire-time snapshot of `ino`.
+/// What a successful verification hands back to the controller.
+#[derive(Debug)]
+pub(crate) struct Verified {
+    /// The inode record or a log page differs from the snapshot the
+    /// verification ran against (a freed inode always counts as changed).
+    pub changed: bool,
+    /// The bytes the verifier just read and accepted — the inode record
+    /// and, for a directory, every log page — with the children baseline
+    /// it installed: exactly what [`take_snapshot`] would read back.
+    pub image: Snapshot,
+}
+
+/// Capture the snapshot of `ino` from PM: one read of the inode record,
+/// one of each directory log page.
 pub(crate) fn take_snapshot(
     device: &Arc<PmemDevice>,
     geom: &Geometry,
     shadow: &crate::shadow::ShadowTable,
     ino: u64,
 ) -> Result<Snapshot, String> {
-    let base = geom.inode_offset(ino);
-    let mut inode_bytes = vec![0u8; format::INODE_SIZE as usize];
+    let mut rec = [0u8; format::INODE_SIZE as usize];
     device
-        .read(base, &mut inode_bytes)
+        .read(geom.inode_offset(ino), &mut rec)
         .map_err(|e| e.to_string())?;
-
-    let inode = format::read_inode(device, geom, ino).map_err(|e| e.to_string())?;
+    let inode = format::decode_inode(&rec);
     let mut pages = Vec::new();
     if inode.is_committed(ino) && inode.inode_type() == Some(InodeType::Directory) {
-        let ntails = (inode.ntails as usize).min(NDIRECT);
-        for tail in 0..ntails {
-            let mut page = inode.direct[tail];
-            let mut hops = 0u64;
-            while page != 0 && page < geom.total_pages {
-                let mut buf = vec![0u8; PAGE_SIZE];
-                device
-                    .read(geom.page_offset(page), &mut buf)
-                    .map_err(|e| e.to_string())?;
-                let next = u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes"));
-                pages.push((page, buf));
-                page = next;
-                hops += 1;
-                if hops > geom.total_pages {
-                    return Err("dir log cycle while snapshotting".into());
-                }
-            }
-        }
+        format::walk_dir_pages(device, geom, &inode, |p| {
+            pages.push((p.page, p.bytes.to_vec()));
+            Ok(())
+        })?;
     }
     Ok(Snapshot {
         ino,
-        inode_bytes,
+        inode_bytes: rec.to_vec(),
         pages,
         children: shadow.children_of(ino),
     })
@@ -214,37 +212,22 @@ fn check_file_pages(
     Ok(())
 }
 
-/// Parse and structurally validate a directory's live dentries.
+/// A directory's log as one verification read it: page number and image,
+/// tail by tail in chain order.
+type LogPages = Vec<(u64, Vec<u8>)>;
+
+/// Parse and structurally validate a directory's live dentries. Every log
+/// page is read once; the images are returned with the live set.
 fn parse_dir(
     device: &Arc<PmemDevice>,
     geom: &Geometry,
     ino: u64,
     inode: &RawInode,
-) -> FsResult<HashMap<String, u64>> {
-    // Log pages must be allocated data pages (checked during the walk by
-    // walk_dir_log's range test plus the bitmap test here).
-    let ntails = (inode.ntails as usize).min(NDIRECT);
-    for tail in 0..ntails {
-        let mut page = inode.direct[tail];
-        let mut hops = 0;
-        while page != 0 {
-            if !page_allocated(device, geom, page) {
-                return Err(fail(ino, format!("dir log page {page} not allocated")));
-            }
-            page = device
-                .read_u64(geom.page_offset(page))
-                .map_err(|e| fail(ino, e.to_string()))?;
-            hops += 1;
-            if hops > geom.total_pages {
-                return Err(fail(ino, "dir log cycle"));
-            }
-        }
-    }
-
+) -> FsResult<(HashMap<String, u64>, LogPages)> {
     let mut live: HashMap<String, u64> = HashMap::new();
     let mut dup: Option<String> = None;
     let mut bad: Option<String> = None;
-    format::walk_dir_log(device, geom, inode, |d: RawDentry| {
+    let mut check = |d: RawDentry| {
         if !d.is_live() || bad.is_some() || dup.is_some() {
             return;
         }
@@ -273,6 +256,18 @@ fn parse_dir(
         if live.insert(name.clone(), d.ino).is_some() {
             dup = Some(name);
         }
+    };
+    // Log pages must be allocated data pages: walk_dir_pages range-checks
+    // each pointer before reading through it, the bitmap test is here. A
+    // structural error ends the walk and outranks any record complaint.
+    let mut pages = LogPages::new();
+    format::walk_dir_pages(device, geom, inode, |p| {
+        if !page_allocated(device, geom, p.page) {
+            return Err(format!("dir log page {} not allocated", p.page));
+        }
+        p.dentries(&mut check);
+        pages.push((p.page, p.bytes.to_vec()));
+        Ok(())
     })
     .map_err(|e| fail(ino, e))?;
 
@@ -321,7 +316,7 @@ fn parse_dir(
             ));
         }
     }
-    Ok(live)
+    Ok((live, pages))
 }
 
 /// Recursively reclaim the verified subtree of a freed inode. Fails if any
@@ -335,7 +330,7 @@ fn reclaim_freed_subtree(
     freed: u64,
 ) -> FsResult<()> {
     let children = st.shadow.children_of(freed);
-    for (name, child) in children {
+    for (name, &child) in children.iter() {
         let cbase = geom.inode_offset(child);
         let cmarker = device
             .read_u64(cbase)
@@ -353,6 +348,148 @@ fn reclaim_freed_subtree(
     st.shadow
         .remove(freed)
         .map_err(|e| fail(parent_ino, e.to_string()))?;
+    st.forget_inode(freed);
+    Ok(())
+}
+
+/// Diff a directory's new live set against its verified baseline and apply
+/// the result to the kernel's ground truth: children removed by name must
+/// be deleted (with their verified subtree) or renamed away, children added
+/// by name are connected or — §4.1 — relocated under the three checks.
+#[allow(clippy::too_many_arguments)]
+fn apply_children_diff(
+    device: &Arc<PmemDevice>,
+    geom: &Geometry,
+    config: &KernelConfig,
+    lease: &RenameLease,
+    st: &mut KState,
+    libfs: LibFsId,
+    ino: u64,
+    old: &HashMap<String, u64>,
+    live: &HashMap<String, u64>,
+) -> FsResult<()> {
+    let old_inos: HashSet<u64> = old.values().copied().collect();
+    let new_inos: HashSet<u64> = live.values().copied().collect();
+
+    // Children removed by name.
+    for (name, &child) in old {
+        if live.get(name) == Some(&child) {
+            continue;
+        }
+        if new_inos.contains(&child) {
+            // Same-directory rename: the inode is still here under
+            // another name.
+            continue;
+        }
+        let cmarker = device
+            .read_u64(geom.inode_offset(child))
+            .map_err(|e| fail(ino, e.to_string()))?;
+        if cmarker != child {
+            // Deleted; its verified subtree must be gone too.
+            reclaim_freed_subtree(device, geom, st, ino, child)?;
+            continue;
+        }
+        if config.rename_aware_verifier {
+            // §4.1 patch: consult the shadow parent pointer. If the
+            // child was renamed away and its new parent has been
+            // verified, the pointer no longer names us.
+            let parent_now = st.shadow.get(child).map(|e| e.parent);
+            if parent_now == Some(ino) || parent_now.is_none() {
+                return Err(fail(
+                    ino,
+                    format!(
+                        "child '{name}' ({child}) missing but still allocated; \
+                         commit/release its new parent first (LibFS Rule (2))"
+                    ),
+                ));
+            }
+            // Renamed away: legitimate.
+        } else {
+            // Original ArckFS: the verifier cannot distinguish a
+            // rename from an illegal deletion (§4.1) and must fail.
+            return Err(fail(
+                ino,
+                format!(
+                    "child '{name}' ({child}) missing but still allocated \
+                     (cannot distinguish rename from deletion)"
+                ),
+            ));
+        }
+    }
+
+    // Children added by name.
+    for (name, &child) in live {
+        if old.get(name) == Some(&child) {
+            continue;
+        }
+        if old_inos.contains(&child) {
+            // Same-directory rename; identity unchanged.
+            continue;
+        }
+        let child_inode = format::read_inode(device, geom, child)
+            .map_err(|e| fail(ino, e.to_string()))?;
+        let child_type = child_inode
+            .inode_type()
+            .ok_or_else(|| fail(ino, format!("child {child} malformed type")))?;
+        match st.shadow.get(child).cloned() {
+            None => {
+                // Newly created inode: becomes connected here.
+                st.shadow
+                    .upsert(ShadowEntry {
+                        ino: child,
+                        itype: child_type,
+                        mode: child_inode.mode,
+                        uid: child_inode.uid,
+                        parent: ino,
+                    })
+                    .map_err(|e| fail(ino, e.to_string()))?;
+            }
+            Some(e) if e.parent == ino => {
+                // Already verified under this directory.
+            }
+            Some(e) => {
+                // Relocation from e.parent into this directory.
+                if config.rename_aware_verifier {
+                    let owns_old = st
+                        .owners
+                        .get(&e.parent)
+                        .map(|s| s.contains(&libfs.0))
+                        .unwrap_or(false);
+                    if !owns_old {
+                        return Err(fail(
+                            ino,
+                            format!(
+                                "relocated child '{name}' ({child}): LibFS does not \
+                                 currently own the old parent {} (§4.1 check 1)",
+                                e.parent
+                            ),
+                        ));
+                    }
+                    if e.itype == InodeType::Directory {
+                        if st.shadow.is_descendant_of(ino, child) {
+                            return Err(fail(
+                                ino,
+                                format!(
+                                    "relocating directory {child} under its own \
+                                     descendant {ino} would create a cycle (§4.1 check 2)"
+                                ),
+                            ));
+                        }
+                        if config.require_rename_lease && !lease.held_by(libfs.0) {
+                            return Err(fail(
+                                ino,
+                                "directory relocation without the global rename \
+                                 lease (§4.1 check 3)",
+                            ));
+                        }
+                    }
+                }
+                st.shadow
+                    .set_parent(child, ino)
+                    .map_err(|e2| fail(ino, e2.to_string()))?;
+            }
+        }
+    }
     Ok(())
 }
 
@@ -369,14 +506,29 @@ pub(crate) fn verify_and_apply(
     libfs: LibFsId,
     ino: u64,
     snap: &Snapshot,
-) -> FsResult<()> {
+) -> FsResult<Verified> {
     let uid = st
         .libfs
         .get(&libfs.0)
         .map(|i| i.uid)
         .ok_or_else(|| FsError::Internal(format!("unregistered LibFS {libfs:?}")))?;
 
-    let inode = format::read_inode(device, geom, ino).map_err(|e| fail(ino, e.to_string()))?;
+    // The one read of the inode record: every check below decodes from it,
+    // the change test compares it, and the returned image carries it.
+    let mut rec = [0u8; format::INODE_SIZE as usize];
+    device
+        .read(geom.inode_offset(ino), &mut rec)
+        .map_err(|e| fail(ino, e.to_string()))?;
+    let inode = format::decode_inode(&rec);
+    let verified = |changed, pages, children| Verified {
+        changed,
+        image: Snapshot {
+            ino,
+            inode_bytes: rec.to_vec(),
+            pages,
+            children,
+        },
+    };
 
     // A freed inode: the LibFS deleted it. Legitimate only if a (verified)
     // parent no longer references it — which that parent's own verification
@@ -390,7 +542,7 @@ pub(crate) fn verify_and_apply(
             }
             reclaim_freed_subtree(device, geom, st, ino, ino)?;
         }
-        return Ok(());
+        return Ok(verified(true, Vec::new(), Children::default()));
     }
 
     if !inode.is_committed(ino) {
@@ -437,152 +589,36 @@ pub(crate) fn verify_and_apply(
             // metadata changed since acquire: overwrites of existing
             // blocks leave the inode record byte-identical, and verifying
             // them per transfer would defeat TRIO's amortization.
-            let base = geom.inode_offset(ino);
-            let mut cur = vec![0u8; format::INODE_SIZE as usize];
-            device
-                .read(base, &mut cur)
-                .map_err(|e| fail(ino, e.to_string()))?;
-            if cur != snap.inode_bytes {
+            let changed = rec[..] != snap.inode_bytes[..];
+            if changed {
                 if !mode::can_write(inode.mode, inode.uid, uid) {
                     return Err(fail(ino, "file modified without write permission"));
                 }
                 check_file_pages(device, geom, ino, &inode)?;
             }
-            Ok(())
+            Ok(verified(changed, Vec::new(), Children::default()))
         }
         InodeType::Directory => {
-            let live = parse_dir(device, geom, ino, &inode)?;
-            let old = &snap.children;
+            let (live, pages) = parse_dir(device, geom, ino, &inode)?;
+            let old = &*snap.children;
 
-            if live != *old && !mode::can_write(inode.mode, inode.uid, uid) {
-                return Err(fail(ino, "directory modified without write permission"));
+            // Names that map as before need no second look; only a changed
+            // children set is diffed against the baseline.
+            if live != *old {
+                if !mode::can_write(inode.mode, inode.uid, uid) {
+                    return Err(fail(ino, "directory modified without write permission"));
+                }
+                apply_children_diff(device, geom, config, lease, st, libfs, ino, old, &live)?;
             }
 
-            let old_inos: HashSet<u64> = old.values().copied().collect();
-            let new_inos: HashSet<u64> = live.values().copied().collect();
-
-            // Children removed by name.
-            for (name, &child) in old {
-                if live.get(name) == Some(&child) {
-                    continue;
-                }
-                if new_inos.contains(&child) {
-                    // Same-directory rename: the inode is still here under
-                    // another name.
-                    continue;
-                }
-                let cmarker = device
-                    .read_u64(geom.inode_offset(child))
-                    .map_err(|e| fail(ino, e.to_string()))?;
-                if cmarker != child {
-                    // Deleted; its verified subtree must be gone too.
-                    reclaim_freed_subtree(device, geom, st, ino, child)?;
-                    continue;
-                }
-                if config.rename_aware_verifier {
-                    // §4.1 patch: consult the shadow parent pointer. If the
-                    // child was renamed away and its new parent has been
-                    // verified, the pointer no longer names us.
-                    let parent_now = st.shadow.get(child).map(|e| e.parent);
-                    if parent_now == Some(ino) || parent_now.is_none() {
-                        return Err(fail(
-                            ino,
-                            format!(
-                                "child '{name}' ({child}) missing but still allocated; \
-                                 commit/release its new parent first (LibFS Rule (2))"
-                            ),
-                        ));
-                    }
-                    // Renamed away: legitimate.
-                } else {
-                    // Original ArckFS: the verifier cannot distinguish a
-                    // rename from an illegal deletion (§4.1) and must fail.
-                    return Err(fail(
-                        ino,
-                        format!(
-                            "child '{name}' ({child}) missing but still allocated \
-                             (cannot distinguish rename from deletion)"
-                        ),
-                    ));
-                }
-            }
-
-            // Children added by name.
-            for (name, &child) in &live {
-                if old.get(name) == Some(&child) {
-                    continue;
-                }
-                if old_inos.contains(&child) {
-                    // Same-directory rename; identity unchanged.
-                    continue;
-                }
-                let child_inode = format::read_inode(device, geom, child)
-                    .map_err(|e| fail(ino, e.to_string()))?;
-                let child_type = child_inode
-                    .inode_type()
-                    .ok_or_else(|| fail(ino, format!("child {child} malformed type")))?;
-                match st.shadow.get(child).cloned() {
-                    None => {
-                        // Newly created inode: becomes connected here.
-                        st.shadow
-                            .upsert(ShadowEntry {
-                                ino: child,
-                                itype: child_type,
-                                mode: child_inode.mode,
-                                uid: child_inode.uid,
-                                parent: ino,
-                            })
-                            .map_err(|e| fail(ino, e.to_string()))?;
-                    }
-                    Some(e) if e.parent == ino => {
-                        // Already verified under this directory.
-                    }
-                    Some(e) => {
-                        // Relocation from e.parent into this directory.
-                        if config.rename_aware_verifier {
-                            let owns_old = st
-                                .owners
-                                .get(&e.parent)
-                                .map(|s| s.contains(&libfs.0))
-                                .unwrap_or(false);
-                            if !owns_old {
-                                return Err(fail(
-                                    ino,
-                                    format!(
-                                        "relocated child '{name}' ({child}): LibFS does not \
-                                         currently own the old parent {} (§4.1 check 1)",
-                                        e.parent
-                                    ),
-                                ));
-                            }
-                            if e.itype == InodeType::Directory {
-                                if st.shadow.is_descendant_of(ino, child) {
-                                    return Err(fail(
-                                        ino,
-                                        format!(
-                                            "relocating directory {child} under its own \
-                                             descendant {ino} would create a cycle (§4.1 check 2)"
-                                        ),
-                                    ));
-                                }
-                                if config.require_rename_lease && !lease.held_by(libfs.0) {
-                                    return Err(fail(
-                                        ino,
-                                        "directory relocation without the global rename \
-                                         lease (§4.1 check 3)",
-                                    ));
-                                }
-                            }
-                        }
-                        st.shadow
-                            .set_parent(child, ino)
-                            .map_err(|e2| fail(ino, e2.to_string()))?;
-                    }
-                }
-            }
-
-            st.shadow.set_children(ino, live);
-            Ok(())
+            // Byte-compare what was just read against the snapshot: the
+            // controller advances the inode's content generation on any
+            // difference (a live set that merely *looks* the same — slots
+            // moved, tombstones added — is a difference).
+            let changed = rec[..] != snap.inode_bytes[..] || pages != snap.pages;
+            let live = Children::new(live);
+            st.shadow.set_children(ino, live.clone());
+            Ok(verified(changed, pages, live))
         }
     }
 }

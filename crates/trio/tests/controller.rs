@@ -305,3 +305,193 @@ fn unregistered_libfs_can_neither_take_nor_return_resources() {
     assert!(!k.allocator().is_allocated(pages[0]).unwrap());
     assert!(!k.ino_provider().is_allocated(inos[0]).unwrap());
 }
+
+// ---- hand-off: retained images, content generations (DESIGN.md §14) --------
+
+fn bytes_read(k: &Kernel) -> u64 {
+    k.device().stats().snapshot().bytes_read
+}
+
+/// The satellite-1 bug: `acquire` used to record the caller as owner before
+/// taking the snapshot, so a directory whose log cannot be walked left an
+/// owner with no grant and everyone else saw `NotOwner` forever.
+#[test]
+fn failed_acquire_records_no_owner() {
+    let (k, id, _m, _child, page) = setup_one_child();
+    k.release(id, ROOT_INO).unwrap();
+    // Corrupt the log behind the kernel's back, through a LibFS-wide raw
+    // mapping: the page's `next` pointer names the page itself. A restarted
+    // kernel has nothing retained and must walk PM on the first acquire.
+    let (_evil, raw) = k.register_libfs(0);
+    raw.write_u64(page * pmem::PAGE_SIZE as u64, page).unwrap();
+    raw.clwb(page * pmem::PAGE_SIZE as u64, 8).unwrap();
+    raw.sfence();
+    let k = Kernel::recover(k.device().clone(), KernelConfig::arckfs_plus()).unwrap();
+    let (a, _ma) = k.register_libfs(0);
+    let (b, _mb) = k.register_libfs(0);
+    let err = k.acquire(a, ROOT_INO).unwrap_err();
+    assert!(matches!(err, FsError::Corrupted(_)), "{err:?}");
+    assert!(
+        !k.owns(a, ROOT_INO),
+        "a failed acquire must not leave an owner"
+    );
+    let err = k.acquire(b, ROOT_INO).unwrap_err();
+    assert!(
+        matches!(err, FsError::Corrupted(_)),
+        "the second LibFS sees the corruption, not a phantom owner: {err:?}"
+    );
+}
+
+#[test]
+fn unchanged_release_keeps_the_generation_and_the_image() {
+    let (k, id, _m, _child, _page) = setup_one_child();
+    let g1 = k.release(id, ROOT_INO).unwrap();
+    assert_ne!(g1, 0);
+    // The next acquire takes its snapshot from the retained image: only
+    // the inode record is re-read.
+    let (other, _mo) = k.register_libfs(0);
+    let before = bytes_read(&k);
+    let grant = k.acquire(other, ROOT_INO).unwrap();
+    assert!(bytes_read(&k) - before < pmem::PAGE_SIZE as u64);
+    assert_eq!(grant.generation, g1);
+    // Nothing written: the verification still runs, the generation stays.
+    let v = k.stats().snapshot().verifications;
+    assert_eq!(k.release(other, ROOT_INO).unwrap(), g1);
+    assert_eq!(k.stats().snapshot().verifications, v + 1);
+}
+
+#[test]
+fn every_kind_of_change_advances_the_generation() {
+    let (k, id, m, _child, page) = setup_one_child();
+    let root_base = k.geometry().inode_offset(ROOT_INO);
+    let g1 = k.release(id, ROOT_INO).unwrap();
+
+    // A release whose bytes differ.
+    let grant = k.acquire(id, ROOT_INO).unwrap();
+    assert_eq!(grant.generation, g1);
+    let extra = k.grant_inodes(id, 1).unwrap()[0];
+    write_inode(&grant.mapping, k.geometry(), extra, InodeType::Regular);
+    write_dentry(&grant.mapping, page, 1, "g", extra);
+    grant.mapping.write_u64(root_base + I_SIZE, 2).unwrap();
+    let g2 = k.release(id, ROOT_INO).unwrap();
+    assert!(g2 > g1);
+
+    // A commit whose bytes differ: the release after it compares against
+    // the refreshed snapshot and finds nothing, so the commit must count.
+    let grant = k.acquire(id, ROOT_INO).unwrap();
+    let off = page * pmem::PAGE_SIZE as u64 + DIRPAGE_FIRST_DENTRY + DENTRY_SIZE;
+    grant.mapping.write(off + format::D_DELETED, &[1]).unwrap();
+    grant
+        .mapping
+        .write_u64(k.geometry().inode_offset(extra), 0)
+        .unwrap();
+    grant.mapping.write_u64(root_base + I_SIZE, 1).unwrap();
+    k.commit(id, ROOT_INO).unwrap();
+    let g3 = k.release(id, ROOT_INO).unwrap();
+    assert!(g3 > g2);
+
+    // A rollback: the rejected bytes were in PM while somebody could look.
+    let grant = k.acquire(id, ROOT_INO).unwrap();
+    assert_eq!(grant.generation, g3);
+    grant.mapping.write_u64(root_base + I_SIZE, 9).unwrap();
+    assert!(k.release(id, ROOT_INO).is_err());
+    let grant = k.acquire(id, ROOT_INO).unwrap();
+    assert!(grant.generation > g3);
+    // After the failed verification nothing of the rejected image was kept:
+    // the new snapshot is the rolled-back state, so a clean release passes
+    // and another bad one rolls back to the same bytes.
+    let rolled_back = format::read_inode(k.device(), k.geometry(), ROOT_INO).unwrap();
+    assert_eq!(rolled_back.size, 1);
+    grant.mapping.write_u64(root_base + I_SIZE, 7).unwrap();
+    assert!(k.release(id, ROOT_INO).is_err());
+    assert_eq!(
+        format::read_inode(k.device(), k.geometry(), ROOT_INO).unwrap(),
+        rolled_back
+    );
+    drop(m);
+}
+
+#[test]
+fn freeing_an_unowned_directory_drops_its_image() {
+    // The owner of a parent may free a child it does not hold (rmdir
+    // clears the child's commit marker through the parent's mapping). The
+    // child's retained image is then stale: the next grant must notice.
+    let k = kernel(KernelConfig::arckfs_plus());
+    let geom = *k.geometry();
+    let (id, _base) = k.register_libfs(0);
+    let root = k.acquire(id, ROOT_INO).unwrap().mapping;
+    let dir = k.grant_inodes(id, 1).unwrap()[0];
+    let pages = k.grant_pages(id, 2).unwrap();
+    for &p in &pages {
+        root.write(p * pmem::PAGE_SIZE as u64, &vec![0u8; pmem::PAGE_SIZE])
+            .unwrap();
+    }
+    let file = k.grant_inodes(id, 1).unwrap()[0];
+    write_inode(&root, &geom, file, InodeType::Regular);
+    write_inode(&root, &geom, dir, InodeType::Directory);
+    root.write_u64(geom.inode_offset(dir) + I_DIRECT, pages[1])
+        .unwrap();
+    write_dentry(&root, pages[1], 0, "inner", file);
+    root.write_u64(geom.inode_offset(dir) + I_SIZE, 1).unwrap();
+    root.write_u64(geom.inode_offset(ROOT_INO) + I_DIRECT, pages[0])
+        .unwrap();
+    write_dentry(&root, pages[0], 0, "d", dir);
+    root.write_u64(geom.inode_offset(ROOT_INO) + I_SIZE, 1)
+        .unwrap();
+    k.commit(id, ROOT_INO).unwrap();
+    // The release leaves `d` unowned and its image retained.
+    let g = k.release(id, dir).unwrap();
+    // Through the root mapping (still held): empty `d`, then free it.
+    let off = pages[1] * pmem::PAGE_SIZE as u64 + DIRPAGE_FIRST_DENTRY;
+    root.write(off + format::D_DELETED, &[1]).unwrap();
+    root.write_u64(geom.inode_offset(dir) + I_SIZE, 0).unwrap();
+    root.write_u64(geom.inode_offset(dir) + I_MARKER, 0)
+        .unwrap();
+    // `d` still has a shadow entry (the root was not verified since), so
+    // the acquire is granted — from PM, under a new generation.
+    let before = bytes_read(&k);
+    let grant = k.acquire(id, dir).unwrap();
+    assert_ne!(grant.generation, g);
+    assert!(bytes_read(&k) - before >= 2 * format::INODE_SIZE);
+    let freed = format::read_inode(k.device(), &geom, dir).unwrap();
+    assert_eq!(freed.marker, 0);
+}
+
+#[test]
+fn recover_starts_with_nothing_retained() {
+    let (k, id, _m, _child, _page) = setup_one_child();
+    k.release(id, ROOT_INO).unwrap();
+    let k2 = Kernel::recover(k.device().clone(), KernelConfig::arckfs_plus()).unwrap();
+    let (a, _ma) = k2.register_libfs(0);
+    let before = bytes_read(&k2);
+    let grant = k2.acquire(a, ROOT_INO).unwrap();
+    assert!(
+        bytes_read(&k2) - before >= pmem::PAGE_SIZE as u64,
+        "a restarted kernel snapshots from PM"
+    );
+    // Generations are per kernel instance and start over; a release on the
+    // new kernel reports the grant's value when nothing changed.
+    assert_eq!(k2.release(a, ROOT_INO).unwrap(), grant.generation);
+}
+
+#[test]
+fn trust_group_traffic_never_matches_a_remembered_generation() {
+    let (k, a, _m, _child, _page) = setup_one_child();
+    let (b, _mb) = k.register_libfs(0);
+    k.create_trust_group(&[a, b]).unwrap();
+    k.commit(a, ROOT_INO).unwrap();
+    // B joins while A holds the root: a co-owned grant.
+    let gb = k.acquire(b, ROOT_INO).unwrap().generation;
+    // A leaves unverified (B still holds): whatever it is told, the next
+    // grant to A — co-owned with B, who may be writing — differs.
+    let ga = k.release(a, ROOT_INO).unwrap();
+    assert_ne!(ga, gb);
+    let ga2 = k.acquire(a, ROOT_INO).unwrap().generation;
+    assert_ne!(ga2, ga);
+    // Both leave; the last one out is verified. A sole re-acquire by A,
+    // then a co-owned one by B, again reports a new value to B.
+    k.release(a, ROOT_INO).unwrap();
+    let last = k.release(b, ROOT_INO).unwrap();
+    assert_eq!(k.acquire(a, ROOT_INO).unwrap().generation, last);
+    assert_ne!(k.acquire(b, ROOT_INO).unwrap().generation, last);
+}

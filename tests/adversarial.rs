@@ -234,3 +234,92 @@ fn stealing_the_lease_mid_relocation_fails_check_3() {
         other => panic!("expected check-(3) failure, got {other:?}"),
     }
 }
+
+/// Nobody maps an unowned inode, so nobody may write it (DESIGN.md §14);
+/// this model's LibFS-wide mapping spans the device, so a malicious LibFS
+/// *can* scribble on a directory it has released. The kernel's snapshot for
+/// the next owner is the image the last verification accepted, kept in DRAM
+/// — not a re-read of PM — so the scribble never becomes anybody's baseline:
+/// the next release fails verification and rolls the directory back to the
+/// verified bytes. (At the parent commit the acquire re-read PM, the forged
+/// record entered the snapshot, and the rollback restored the forgery.)
+#[test]
+fn scribbling_on_an_unowned_directory_never_becomes_the_baseline() {
+    let (kernel, attacker) = setup();
+    let pub_ino = attacker.stat("/pub").unwrap().ino;
+    let secret_ino = attacker.stat("/ro/secret").unwrap().ino;
+    let dir_inode = format::read_inode(kernel.device(), kernel.geometry(), pub_ino).unwrap();
+    let mut off = None;
+    format::walk_dir_log(kernel.device(), kernel.geometry(), &dir_inode, |d| {
+        if d.is_live() {
+            off = Some(d.offset);
+        }
+    })
+    .unwrap();
+    let ino_field = off.expect("dentry") + format::D_INO;
+    let honest = kernel.device().read_u64(ino_field).unwrap();
+    // A clean release: the kernel verifies /pub and lets go of it.
+    attacker.release_path("/ro/secret").unwrap();
+    attacker.release_path("/ro").unwrap();
+    attacker.release_path("/pub").unwrap();
+    attacker.release_path("/").unwrap();
+    // Now, owning nothing, rewire /pub's dentry at the read-only secret.
+    kernel.device().write_u64(ino_field, secret_ino).unwrap();
+
+    let bystander = LibFs::mount(kernel.clone(), Config::arckfs_plus(), 3).expect("mount");
+    assert!(bystander.stat("/pub").is_ok());
+    expect_verification_failure(bystander.release_path("/pub"), "forged adoption");
+    assert_eq!(
+        kernel.device().read_u64(ino_field).unwrap(),
+        honest,
+        "the rollback restores the verified record, not the forged one"
+    );
+    bystander.release_path("/").unwrap();
+    let after = LibFs::mount(kernel.clone(), Config::arckfs_plus(), 4).expect("mount");
+    assert_eq!(after.read_file("/pub/file").unwrap(), b"public");
+    assert!(trio::fsck::fsck(kernel.device()).unwrap().is_consistent());
+}
+
+/// A record *before* anything the releasing LibFS appended is tampered with
+/// while the directory is owned, in place and without changing the live
+/// set's size: the byte comparison the generation rests on reads every page
+/// on every release, so there is no "already verified prefix" to hide in.
+#[test]
+fn tampering_with_an_old_record_in_place_is_still_caught() {
+    let (kernel, attacker) = setup();
+    for i in 0..40 {
+        let fd = attacker.create(&format!("/pub/pad{i}")).unwrap();
+        attacker.close(fd).unwrap();
+    }
+    attacker.release_path("/pub").unwrap();
+    let pub_ino = attacker.stat("/pub").unwrap().ino; // re-acquire, index kept
+    let secret_ino = attacker.stat("/ro/secret").unwrap().ino;
+    let dir_inode = format::read_inode(kernel.device(), kernel.geometry(), pub_ino).unwrap();
+    let mut first = None;
+    format::walk_dir_log(kernel.device(), kernel.geometry(), &dir_inode, |d| {
+        if d.is_live() && d.name_str() == Some("file") {
+            first = Some(d.offset);
+        }
+    })
+    .unwrap();
+    let fd = attacker.create("/pub/newest").unwrap();
+    attacker.close(fd).unwrap();
+    kernel
+        .device()
+        .write_u64(first.expect("oldest dentry") + format::D_INO, secret_ino)
+        .unwrap();
+    expect_verification_failure(attacker.release_path("/pub"), "old record rewired");
+    // Rolled back to the last verified state: the pads, without `newest`.
+    let mut names: Vec<String> = attacker
+        .readdir("/pub")
+        .unwrap()
+        .into_iter()
+        .map(|e| e.name)
+        .collect();
+    names.sort();
+    let mut expect: Vec<String> = (0..40).map(|i| format!("pad{i}")).collect();
+    expect.push("file".into());
+    expect.sort();
+    assert_eq!(names, expect);
+    assert!(trio::fsck::fsck(kernel.device()).unwrap().is_consistent());
+}

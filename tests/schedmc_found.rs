@@ -26,7 +26,10 @@ fn opts(config: Config) -> ExploreOpts {
         preemption_bound: 2,
         max_schedules: 128,
         max_steps: 64,
-        grace: Duration::from_millis(10),
+        // The same wall-clock stop-gap as `ExploreOpts::quick` (ci.sh
+        // header): at 10 ms a delegated write that a worker thread had not
+        // finished yet was classified blocked and the schedule "diverged".
+        grace: Duration::from_millis(50),
         crash_oracle: false,
         crash_exhaustive_limit: 32,
         crash_samples: 8,

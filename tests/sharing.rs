@@ -173,3 +173,427 @@ fn unregister_forces_everything_back() {
     let b = LibFs::mount(k, Config::arckfs_plus(), 0).unwrap();
     assert_eq!(b.read_file("/d/f").unwrap(), b"payload");
 }
+
+// ---- hand-off: what a re-acquire may keep (DESIGN.md §14) -------------------
+//
+// The kernel keeps a content generation per inode and the verified image of
+// an unowned directory; a LibFS that is granted the generation it was told at
+// its own last release keeps its whole directory index and reads nothing. The
+// observable is `PmemDevice::stats().bytes_read`: a kept index costs less
+// than one page across the re-acquire, a rebuild reads every log page.
+
+use trio::format;
+
+const PAGE: u64 = pmem::PAGE_SIZE as u64;
+
+fn plus() -> Config {
+    // Exact read counts and slot layouts are pinned below: keep the
+    // environment's batch knob out of it (see the batch variant for that).
+    let mut c = Config::arckfs_plus();
+    c.batch = false;
+    c
+}
+
+fn two_apps(config: Config) -> (Arc<Kernel>, Arc<LibFs>, Arc<LibFs>) {
+    let k = kernel();
+    let a = LibFs::mount(k.clone(), config.clone(), 0).unwrap();
+    let b = LibFs::mount(k.clone(), config, 0).unwrap();
+    (k, a, b)
+}
+
+fn touch(fs: &LibFs, path: &str) {
+    let fd = fs
+        .create(path)
+        .unwrap_or_else(|e| panic!("create {path}: {e}"));
+    fs.close(fd).unwrap();
+}
+
+fn names(fs: &LibFs, dir: &str) -> Vec<String> {
+    fs.readdir(dir)
+        .unwrap()
+        .into_iter()
+        .map(|e| e.name)
+        .collect()
+}
+
+fn sorted(mut v: Vec<String>) -> Vec<String> {
+    v.sort();
+    v
+}
+
+fn hand_over(fs: &LibFs, dir: &str) {
+    fs.release_path(dir).unwrap();
+    fs.release_path("/").unwrap();
+}
+
+fn bytes_read(k: &Kernel) -> u64 {
+    k.device().stats().snapshot().bytes_read
+}
+
+/// Bytes read from PM while `fs` takes `dir` (and `/`) over again.
+fn reacquire_cost(k: &Kernel, fs: &LibFs, dir: &str) -> u64 {
+    let before = bytes_read(k);
+    fs.stat(dir).unwrap();
+    bytes_read(k) - before
+}
+
+/// The directory's core state as the verifier sees it: inode record and
+/// every log page, in chain order.
+fn dir_image(k: &Kernel, ino: u64) -> (Vec<u8>, Vec<(u64, Vec<u8>)>) {
+    let mut rec = vec![0u8; format::INODE_SIZE as usize];
+    k.device()
+        .read(k.geometry().inode_offset(ino), &mut rec)
+        .unwrap();
+    let raw = format::read_inode(k.device(), k.geometry(), ino).unwrap();
+    let mut pages = Vec::new();
+    format::walk_dir_pages(k.device(), k.geometry(), &raw, |p| {
+        pages.push((p.page, p.bytes.to_vec()));
+        Ok(())
+    })
+    .unwrap();
+    (rec, pages)
+}
+
+fn log_pages(k: &Kernel, ino: u64) -> u64 {
+    dir_image(k, ino).1.len() as u64
+}
+
+/// Device offset of the live dentry `name` in directory `ino`.
+fn dentry_offset(k: &Kernel, ino: u64, name: &str) -> u64 {
+    let raw = format::read_inode(k.device(), k.geometry(), ino).unwrap();
+    let mut off = None;
+    format::walk_dir_log(k.device(), k.geometry(), &raw, |d| {
+        if d.is_live() && d.name_str() == Some(name) {
+            off = Some(d.offset);
+        }
+    })
+    .unwrap();
+    off.unwrap_or_else(|| panic!("no live dentry '{name}'"))
+}
+
+fn assert_fsck_clean(k: &Kernel) {
+    let report = trio::fsck::fsck(k.device()).unwrap();
+    assert!(report.is_consistent(), "fsck: {:?}", report.fatal());
+}
+
+/// The benchmark's turn on a 100-resident directory, alternating between two
+/// applications: after warm-up the acquiring create reads each log page of
+/// the changed directory once (plus slack for the records it touches), and
+/// re-acquiring `/` — which the other side only looked names up in — reads
+/// less than a page. At the parent commit both are ~3× the page count.
+#[test]
+fn handoff_reads_each_log_page_at_most_once() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/dir100").unwrap();
+    for i in 0..100 {
+        touch(&a, &format!("/dir100/r{i}"));
+    }
+    let dir = a.stat("/dir100").unwrap().ino;
+    hand_over(&a, "/dir100");
+    let rest_of_turn = |fs: &LibFs, first_done: bool| {
+        for n in usize::from(first_done)..4 {
+            touch(fs, &format!("/dir100/n{n}"));
+        }
+        for n in 0..4 {
+            fs.unlink(&format!("/dir100/n{n}")).unwrap();
+        }
+        hand_over(fs, "/dir100");
+    };
+    let apps = [&b, &a];
+    for turn in 0..6 {
+        rest_of_turn(apps[turn % 2], false);
+    }
+    for turn in 0..6 {
+        let fs = apps[turn % 2];
+        let pages = log_pages(&k, dir);
+        assert!(pages >= 4, "100 residents over four tails: {pages} pages");
+        // `/` first, on its own: the other side only resolved through it.
+        let before = bytes_read(&k);
+        fs.stat("/").unwrap();
+        let root_cost = bytes_read(&k) - before;
+        assert!(
+            root_cost < PAGE,
+            "turn {turn}: re-acquiring / read {root_cost} B"
+        );
+        let before = bytes_read(&k);
+        touch(fs, "/dir100/n0");
+        let cost = bytes_read(&k) - before;
+        assert!(
+            cost <= (pages + 1) * PAGE + PAGE,
+            "turn {turn}: the acquiring create read {cost} B for {pages} log pages"
+        );
+        rest_of_turn(fs, true);
+    }
+    a.unmount().unwrap();
+    let expect: Vec<String> = sorted((0..100).map(|i| format!("r{i}")).collect());
+    assert_eq!(names(&b, "/dir100"), expect);
+    b.unmount().unwrap();
+    assert_fsck_clean(&k);
+}
+
+/// (a) B's release of the shared directory fails verification and is rolled
+/// back. A must not trust its index (the rejected bytes were in PM), and the
+/// kernel's next snapshot is the rolled-back state, not the rejected one.
+#[test]
+fn rollback_of_a_foreign_release_forces_a_rebuild() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/d").unwrap();
+    for n in ["x", "y", "z"] {
+        touch(&a, &format!("/d/{n}"));
+    }
+    let dir = a.stat("/d").unwrap().ino;
+    hand_over(&a, "/d");
+    let good = dir_image(&k, dir);
+
+    b.stat("/d").unwrap();
+    let off = dentry_offset(&k, dir, "x");
+    // Marker says 60 name bytes, one was written: the §4.2 signature.
+    k.device().write_u16(off + format::D_MARKER, 60).unwrap();
+    let err = b.release_path("/d").unwrap_err();
+    assert!(matches!(err, FsError::VerificationFailed { .. }), "{err:?}");
+    assert_eq!(dir_image(&k, dir), good, "rolled back");
+    b.release_path("/").unwrap();
+
+    let pages = log_pages(&k, dir);
+    let cost = reacquire_cost(&k, &a, "/d");
+    assert!(
+        cost >= pages * PAGE,
+        "A kept its index across a rollback ({cost} B)"
+    );
+    assert_eq!(names(&a, "/d"), ["x", "y", "z"]);
+    // A's snapshot is the rolled-back image: a bad release by A itself
+    // restores exactly those bytes.
+    k.device()
+        .write_u64(k.geometry().inode_offset(dir) + format::I_SIZE, 17)
+        .unwrap();
+    assert!(a.release_path("/d").is_err());
+    assert_eq!(dir_image(&k, dir), good);
+    // (e) A's own failed release leaves nothing remembered either.
+    let cost = reacquire_cost(&k, &a, "/d");
+    assert!(
+        cost >= pages * PAGE,
+        "A kept its index across its own rollback"
+    );
+    touch(&a, "/d/w");
+    hand_over(&a, "/d");
+    assert_eq!(names(&b, "/d"), ["w", "x", "y", "z"]);
+    assert_fsck_clean(&k);
+}
+
+/// (b) B creates and unlinks the same names: the live set A left is intact,
+/// but slots, tombstones and tails moved. A must rebuild — then fill the
+/// directory past one page per tail without overwriting or double-granting.
+#[test]
+fn identical_live_set_with_moved_slots_is_not_a_match() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/d").unwrap();
+    for n in ["x", "y", "z"] {
+        touch(&a, &format!("/d/{n}"));
+    }
+    let dir = a.stat("/d").unwrap().ino;
+    hand_over(&a, "/d");
+    for n in 0..6 {
+        touch(&b, &format!("/d/t{n}"));
+    }
+    for n in 0..6 {
+        b.unlink(&format!("/d/t{n}")).unwrap();
+    }
+    assert_eq!(names(&b, "/d"), ["x", "y", "z"]);
+    hand_over(&b, "/d");
+
+    let pages = log_pages(&k, dir);
+    let cost = reacquire_cost(&k, &a, "/d");
+    assert!(
+        cost >= pages * PAGE,
+        "A kept a stale index ({cost} B, {pages} pages)"
+    );
+    let mut expect = vec!["x".to_string(), "y".into(), "z".into()];
+    for n in 0..160 {
+        touch(&a, &format!("/d/fill{n}"));
+        expect.push(format!("fill{n}"));
+    }
+    let expect = sorted(expect);
+    assert_eq!(names(&a, "/d"), expect);
+    assert!(log_pages(&k, dir) > 4, "more than one page per tail");
+    hand_over(&a, "/d");
+    assert_eq!(names(&b, "/d"), expect, "the log holds what A's index says");
+    assert_fsck_clean(&k);
+}
+
+/// (c) B only looks names up. A keeps its index, and a create right after
+/// lands where the kept tails and free slots say.
+#[test]
+fn lookups_by_the_other_side_keep_the_index() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/d").unwrap();
+    for n in 0..40 {
+        touch(&a, &format!("/d/f{n}"));
+    }
+    for n in 0..8 {
+        a.unlink(&format!("/d/f{n}")).unwrap(); // free slots to keep
+    }
+    hand_over(&a, "/d");
+    // (A still holds the files themselves; B resolves names, no more.)
+    assert_eq!(names(&b, "/d").len(), 32);
+    assert_eq!(b.stat("/d/nope").unwrap_err(), FsError::NotFound);
+    hand_over(&b, "/d");
+
+    let cost = reacquire_cost(&k, &a, "/d");
+    assert!(
+        cost < PAGE,
+        "A re-read the log of an unchanged directory ({cost} B)"
+    );
+    let mut expect: Vec<String> = (8..40).map(|n| format!("f{n}")).collect();
+    for n in 0..12 {
+        touch(&a, &format!("/d/g{n}"));
+        expect.push(format!("g{n}"));
+    }
+    let expect = sorted(expect);
+    assert_eq!(names(&a, "/d"), expect);
+    hand_over(&a, "/d");
+    // B rebuilds from the log: every record A wrote through the kept index
+    // is where a fresh scan finds it, and nothing was overwritten.
+    assert_eq!(names(&b, "/d"), expect);
+    assert_fsck_clean(&k);
+}
+
+/// (c, batch on) The release quiesce closes the directory's batch and
+/// stages the post actions' slots in the batch cell's `reclaim` list. A kept
+/// index keeps that list, and the next close hands each slot back once: a
+/// slot handed back twice would be granted twice and the second create
+/// would overwrite the first's record.
+#[test]
+fn kept_index_hands_staged_slots_back_exactly_once() {
+    let mut cfg = Config::arckfs_plus();
+    cfg.batch = true;
+    cfg.batch_ops = 64;
+    let (k, a, b) = two_apps(cfg);
+    a.mkdir("/d").unwrap();
+    for n in 0..24 {
+        touch(&a, &format!("/d/f{n}"));
+    }
+    a.sync().unwrap();
+    for n in 0..12 {
+        a.unlink(&format!("/d/f{n}")).unwrap(); // tombstones deferred to the close
+    }
+    hand_over(&a, "/d"); // quiesce closes the batch, stages 12 slots
+    assert_eq!(names(&b, "/d").len(), 12);
+    hand_over(&b, "/d");
+
+    let cost = reacquire_cost(&k, &a, "/d");
+    assert!(
+        cost < PAGE,
+        "A re-read the log of an unchanged directory ({cost} B)"
+    );
+    let mut expect: Vec<String> = (12..24).map(|n| format!("f{n}")).collect();
+    // Three rounds, each closing a batch: the staged slots re-enter the
+    // allocator at the first close and are consumed by the later creates.
+    for round in 0..3 {
+        for n in 0..10 {
+            touch(&a, &format!("/d/g{round}_{n}"));
+            expect.push(format!("g{round}_{n}"));
+        }
+        a.sync().unwrap();
+    }
+    let expect = sorted(expect);
+    assert_eq!(names(&a, "/d"), expect);
+    hand_over(&a, "/d");
+    assert_eq!(names(&b, "/d"), expect, "a staged slot was granted twice");
+    a.unmount().unwrap();
+    b.unmount().unwrap();
+    assert_fsck_clean(&k);
+}
+
+/// (d) Inside a trust group releases are not verified and owners overlap:
+/// no remembered generation may ever match, whichever side wrote.
+#[test]
+fn trust_group_release_never_keeps_the_index() {
+    let (k, a, b) = two_apps(plus());
+    k.create_trust_group(&[a.id(), b.id()]).unwrap();
+    a.mkdir("/g").unwrap();
+    touch(&a, "/g/from_a");
+    a.commit_path("/").unwrap();
+    a.commit_path("/g").unwrap();
+    // B joins while A holds /g; A leaves unverified; B writes; A returns.
+    assert_eq!(names(&b, "/g"), ["from_a"]);
+    a.release_path("/g").unwrap();
+    touch(&b, "/g/from_b");
+    assert_eq!(
+        names(&a, "/g"),
+        ["from_a", "from_b"],
+        "A kept a stale index"
+    );
+    // B leaves (unverified, A holds), A writes, B returns.
+    b.release_path("/g").unwrap();
+    touch(&a, "/g/again_a");
+    assert_eq!(names(&b, "/g"), ["again_a", "from_a", "from_b"]);
+    // A leaves last-but-one, B last (verified). A returns alone, then B
+    // co-acquires after A wrote once more.
+    a.release_path("/g").unwrap();
+    b.release_path("/g").unwrap();
+    touch(&a, "/g/third");
+    assert_eq!(names(&b, "/g"), ["again_a", "from_a", "from_b", "third"]);
+}
+
+/// (f) A directory is removed, its inode number recycled and a new directory
+/// created under the same number: the cached, released `MemInode` of the old
+/// life never matches the new one.
+#[test]
+fn recycled_inode_number_never_matches() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/old").unwrap();
+    touch(&a, "/old/gone");
+    a.unlink("/old/gone").unwrap();
+    let ino = a.stat("/old").unwrap().ino;
+    hand_over(&a, "/old");
+
+    // B removes the directory and unmounts, which returns the freed number
+    // to the kernel's pool; the next application is granted it again.
+    b.rmdir("/old").unwrap();
+    b.unmount().unwrap();
+    let c = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    let reborn = (0..4096)
+        .map(|i| format!("/new{i}"))
+        .find(|p| {
+            c.mkdir(p).unwrap();
+            c.stat(p).unwrap().ino == ino
+        })
+        .expect("the freed number comes around again");
+    touch(&c, &format!("{reborn}/inside"));
+    c.unmount().unwrap();
+
+    // A still caches the old directory's MemInode under this number.
+    assert_eq!(a.stat(&reborn).unwrap().ino, ino);
+    assert_eq!(names(&a, &reborn), ["inside"]);
+    touch(&a, &format!("{reborn}/more"));
+    a.unmount().unwrap();
+    let d = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    assert_eq!(names(&d, &reborn), ["inside", "more"]);
+    assert_fsck_clean(&k);
+}
+
+/// The satellite-2 bug: a failed revival used to leave the kernel recording
+/// an owner whose `MemInode` still says `Released`, which `unmount` never
+/// releases. B unlinks a file A holds a descriptor on (the owner of the
+/// parent frees a child without acquiring it); A's next access through the
+/// descriptor is granted the inode, finds it freed — and hands it back.
+#[test]
+fn failed_revival_hands_the_grant_back() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/d").unwrap();
+    a.write_file("/d/f", b"data").unwrap();
+    let fd = a.open("/d/f", vfs::OpenFlags::read()).unwrap();
+    let ino = a.fstat(fd).unwrap().ino;
+    a.release_path("/d/f").unwrap();
+    hand_over(&a, "/d");
+
+    b.unlink("/d/f").unwrap(); // B keeps /d: the kernel still lists `f`
+    assert!(k.shadow_entry(ino).is_some());
+    let mut buf = [0u8; 4];
+    assert_eq!(a.read_at(fd, &mut buf, 0).unwrap_err(), FsError::NotFound);
+    assert!(!k.owns(a.id(), ino), "the failed revival leaked its grant");
+    hand_over(&b, "/d");
+    a.unmount().unwrap();
+    b.unmount().unwrap();
+    assert_fsck_clean(&k);
+}
