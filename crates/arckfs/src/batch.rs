@@ -196,7 +196,7 @@ impl LibFs {
     fn close_batch_locked(&self, dir: &MemInode, b: &mut crate::batch::DirBatch) {
         debug_assert!(b.open_seq != 0, "closing a quiescent batch");
         let mapping = dir.mapping_handle();
-        crate::inject::point("batch.close.pre_fence");
+        self.point("batch.close.pre_fence");
         // Fence #1: every member store (all clwb'd at write time) and the
         // previous close's deferred tombstone flushes drain together.
         mapping.sfence();
@@ -212,7 +212,7 @@ impl LibFs {
             let _ = mapping.clwb(field, 8);
         }
         mapping.sfence();
-        crate::inject::point("batch.close.post_fence");
+        self.point("batch.close.post_fence");
         self.kernel.device().stats().count_batch_close();
         b.open_seq = 0;
         b.ops = 0;

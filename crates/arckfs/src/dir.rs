@@ -26,7 +26,6 @@ use trio::format::{
 };
 use vfs::{FaultKind, FsError, FsResult};
 
-use crate::inject;
 use crate::inode::{DentryMeta, DirState, InodeState, MemInode};
 use crate::libfs::LibFs;
 
@@ -203,7 +202,7 @@ impl LibFs {
         // immediately after updating the commit marker" — i.e. right here,
         // before the final fence. The crash checker samples crash states
         // while a thread is parked at this point.
-        inject::point("dentry.marker_flushed");
+        self.point("dentry.marker_flushed");
         if !batched {
             mapping.sfence();
         }
@@ -279,7 +278,7 @@ impl LibFs {
                 .map(|(_, r)| *r)
                 .collect()
         };
-        inject::point("dir.bucket.traverse");
+        self.point("dir.bucket.traverse");
         for r in refs {
             let hit = ds.arena.read(r, |m| {
                 (m.name == name).then_some(LookupHit {
@@ -366,7 +365,7 @@ impl LibFs {
             let seq = dir.next_seq();
             let off = self.reserve_dentry_slot(dir, &mapping, batched)?;
             init_child(self)?;
-            inject::point("dir.insert.core_write");
+            self.point("dir.insert.core_write");
             self.write_dentry_record(&mapping, off, name, child, seq, false, batched)?;
             let r = ds.arena.insert(DentryMeta {
                 name: name.to_string(),
@@ -418,9 +417,9 @@ impl LibFs {
             }
             // The window: the index names a dentry whose core bytes do not
             // exist yet (the paper inserts its sleep() here).
-            inject::point("dir.insert.between_states");
+            self.point("dir.insert.between_states");
             init_child(self)?;
-            inject::point("dir.insert.core_write");
+            self.point("dir.insert.core_write");
             self.write_dentry_core(&mapping, off, name, child, seq)?;
         }
         self.persist_dir_size(dir, &mapping, 1)?;
@@ -552,7 +551,7 @@ impl LibFs {
                 self.dcache_invalidate(dir);
                 meta
             };
-            inject::point("dir.remove.core_access");
+            self.point("dir.remove.core_access");
             // BUG §4.4 manifestation: the core dentry this index entry
             // points at may not have been written yet by a racing create.
             let marker = mapping
@@ -594,7 +593,7 @@ impl LibFs {
                 refs.extend(b.lock().iter().map(|(_, r)| *r));
             }
         }
-        inject::point("dir.readdir.traverse");
+        self.point("dir.readdir.traverse");
         let mut out = Vec::with_capacity(refs.len());
         for r in refs {
             match ds.arena.read(r, |m| m.clone()) {

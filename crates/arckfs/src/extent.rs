@@ -216,7 +216,7 @@ impl LibFs {
         mapping.sfence();
         // The torn window: payload persisted, marker not. A crash here
         // leaves a benign hole.
-        crate::inject::point("file.write.extent_insert");
+        self.point("file.write.extent_insert");
         mapping.write_u64(off + E_LEN, len).map_err(map_fault)?;
         mapping.clwb(off + E_LEN, 8).map_err(map_fault)?;
         mapping.sfence();
@@ -243,7 +243,7 @@ impl LibFs {
         self.extent_load(&mut cache, file, mapping)?;
         if let Some(last) = cache.recs.last_mut() {
             if last.file_block + last.len == idx && last.page + last.len == page {
-                crate::inject::point("file.write.extent_insert");
+                self.point("file.write.extent_insert");
                 let off = last.slot_off();
                 mapping
                     .write_u64(off + E_LEN, last.len + 1)

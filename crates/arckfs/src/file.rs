@@ -58,7 +58,7 @@ impl LibFs {
 
     /// Acquire `range` exclusively and run the §4.3 release check under it.
     fn write_guard<'a>(&self, file: &'a MemInode, range: Range) -> FsResult<RangeGuard<'a>> {
-        crate::inject::point("file.write.range_lock");
+        self.point("file.write.range_lock");
         let g = file.ranges.acquire(range, true);
         self.count_range_lock();
         self.file_release_check(file)?;
@@ -192,7 +192,7 @@ impl LibFs {
         }
         let _g = self.write_guard(file, Range::of(offset, total))?;
         let mapping = file.mapping_handle();
-        inject::point_file_write();
+        self.point("file.write.core");
         self.file_write_vectored_body(file, &mapping, bufs, offset, total)?;
         Ok(total)
     }
@@ -209,7 +209,7 @@ impl LibFs {
     ) -> FsResult<(RangeGuard<'a>, Mapping, u64)> {
         loop {
             let offset = self.file_size(file, &file.mapping_handle())?;
-            crate::inject::point("file.append.offset_read");
+            self.point("file.append.offset_read");
             let g = self.write_guard(file, Range::of(offset, len))?;
             let mapping = file.mapping_handle();
             if self.file_size(file, &mapping)? == offset {
@@ -225,7 +225,7 @@ impl LibFs {
     /// flushed out — lives in the `FileSystem` entry points.)
     pub(crate) fn file_append(&self, file: &MemInode, data: &[u8]) -> FsResult<u64> {
         let (_g, mapping, offset) = self.append_guard(file, data.len())?;
-        inject::point_file_write();
+        self.point("file.write.core");
         self.file_write_cow(file, &mapping, data, offset)?;
         Ok(offset)
     }
@@ -237,12 +237,12 @@ impl LibFs {
         if !self.config.fix_append_atomic {
             // Buggy baseline: EOF snapshot outside the exclusion.
             let offset = self.file_size(file, &file.mapping_handle())?;
-            crate::inject::point("file.append.offset_read");
+            self.point("file.append.offset_read");
             self.file_write_vectored(file, bufs, offset)?;
             return Ok(offset);
         }
         let (_g, mapping, offset) = self.append_guard(file, total)?;
-        inject::point_file_write();
+        self.point("file.write.core");
         self.file_write_vectored_body(file, &mapping, bufs, offset, total)?;
         Ok(offset)
     }
@@ -342,7 +342,7 @@ impl LibFs {
         mapping.sfence();
         // The commit window: new page fully persisted, mapping not yet
         // switched. A crash here leaves the old tail intact.
-        crate::inject::point("file.write.cow_tail");
+        self.point("file.write.cow_tail");
         if !self.extent_remap_tail(file, mapping, idx, new_page)? {
             // Mid-run block: cannot split with one shrink. In-place write
             // (new bytes only land past the committed prefix, which stays
@@ -404,7 +404,7 @@ impl LibFs {
                 mapping.write(at, chunk).map_err(map_fault)?;
                 mapping.clwb(at, chunk.len()).map_err(map_fault)?;
             }
-            crate::inject::point("file.write.chunk");
+            self.point("file.write.chunk");
             Ok(())
         })
     }
@@ -513,14 +513,5 @@ impl LibFs {
         mapping.sfence();
         file.cached_size.store(size, Ordering::SeqCst);
         Ok(())
-    }
-}
-
-mod inject {
-    /// File-write schedule point (kept in a private shim so the data path
-    /// has a single, cheap call site).
-    #[inline]
-    pub fn point_file_write() {
-        crate::inject::point("file.write.core");
     }
 }

@@ -8,12 +8,18 @@
 //! it, performs the racing operation, and then [`Gate::release`]s the
 //! victim.
 //!
-//! Points are global (the LibFS code cannot thread a handle through every
-//! call path), so tests must use unique point names — the convention is
-//! `"<module>.<operation>.<site>"` with a test-specific suffix where tests
-//! could collide. [`arm`] panics on a name that is already armed, so a
-//! collision fails loudly instead of silently releasing the other test's
-//! victims.
+//! # Scope
+//!
+//! A LibFS fires its points through [`point_on`] with the device it runs
+//! on; points with no file system at hand (delegation workers, the pmem
+//! allocator, the cooperative-wait points) fire through [`point`]. A gate
+//! armed with [`arm_on`] catches only its device's arrivals, so two tests
+//! that each format their own device can arm the same name at once without
+//! parking each other's threads. A gate armed with [`arm`] is process-wide:
+//! it catches every arrival of its name, scoped or not, and takes
+//! precedence over a scoped gate of the same name. Arming a `(name, scope)`
+//! pair that is already armed panics, so a collision fails loudly instead
+//! of silently releasing the other gate's victims.
 //!
 //! # Gate lifecycle (RAII)
 //!
@@ -54,11 +60,24 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
+use pmem::PmemDevice;
 
 /// Number of currently armed gates; lets [`point`] return with a single
 /// relaxed load on the (overwhelmingly common) unarmed fast path, so the
 /// instrumentation costs nothing in benchmarks.
 static ARMED: AtomicUsize = AtomicUsize::new(0);
+
+/// Scope of a process-wide gate and of an arrival with no device.
+const UNSCOPED: usize = 0;
+
+/// A gate's registry key: the point name and the scope it catches — the
+/// device's address, or [`UNSCOPED`]. A scoped [`Gate`] holds its device,
+/// so the address cannot be reused while the gate is armed.
+type GateKey = (String, usize);
+
+fn scope_of(device: &PmemDevice) -> usize {
+    device as *const PmemDevice as usize
+}
 
 #[derive(Default)]
 struct GateState {
@@ -70,7 +89,7 @@ struct GateState {
 }
 
 struct Registry {
-    gates: Mutex<HashMap<String, GateState>>,
+    gates: Mutex<HashMap<GateKey, GateState>>,
     cv: Condvar,
 }
 
@@ -95,13 +114,30 @@ fn registry() -> &'static Registry {
     })
 }
 
-/// A schedule point site. Called by LibFS code at each bug site; returns
-/// immediately unless a test armed this name, in which case the calling
+/// A schedule point site with no device at hand; returns immediately
+/// unless a test armed this name with [`arm`], in which case the calling
 /// thread parks until the test releases it.
+#[inline]
 pub fn point(name: &str) {
-    if ARMED.load(Ordering::Relaxed) == 0 {
-        return;
+    if ARMED.load(Ordering::Relaxed) != 0 {
+        park_at(name, UNSCOPED);
     }
+}
+
+/// A schedule point site of a LibFS running on `device`. Called by LibFS
+/// code at each bug site; returns immediately unless a test armed this
+/// name with [`arm`], or with [`arm_on`] for this device, in which case the
+/// calling thread parks until the test releases it.
+#[inline]
+pub fn point_on(device: &PmemDevice, name: &str) {
+    if ARMED.load(Ordering::Relaxed) != 0 {
+        park_at(name, scope_of(device));
+    }
+}
+
+/// The armed slow path of [`point`] and [`point_on`].
+#[cold]
+fn park_at(name: &str, scope: usize) {
     // Participants of a live controller yield to it instead of the gate
     // registry: the explorer owns their schedule for every point name.
     if ctl_yield(name) {
@@ -109,19 +145,25 @@ pub fn point(name: &str) {
     }
     let reg = registry();
     let mut gates = reg.gates.lock();
-    let Some(g) = gates.get_mut(name) else {
+    let armed = |gates: &HashMap<GateKey, GateState>, key: &GateKey| {
+        gates.get(key).map(|g| g.armed).unwrap_or(false)
+    };
+    let Some(key) = [UNSCOPED, scope]
+        .into_iter()
+        .map(|s| (name.to_string(), s))
+        .find(|key| armed(&gates, key))
+    else {
         return;
     };
-    if !g.armed {
-        return;
+    if let Some(g) = gates.get_mut(&key) {
+        g.reached += 1;
+        g.parked += 1;
     }
-    g.reached += 1;
-    g.parked += 1;
     reg.cv.notify_all();
-    while gates.get(name).map(|g| g.armed).unwrap_or(false) {
+    while armed(&gates, &key) {
         reg.cv.wait(&mut gates);
     }
-    if let Some(g) = gates.get_mut(name) {
+    if let Some(g) = gates.get_mut(&key) {
         g.parked -= 1;
     }
     reg.cv.notify_all();
@@ -131,60 +173,81 @@ pub fn point(name: &str) {
 /// releases every parked thread, so a panicking test cannot wedge others.
 #[must_use = "dropping the gate immediately disarms the point"]
 pub struct Gate {
-    name: String,
+    key: GateKey,
+    /// The device a scoped gate catches, held so its address stays unique.
+    _device: Option<Arc<PmemDevice>>,
 }
 
 /// How long a dropped [`Gate`] waits for parked victims to drain before
 /// giving up (the entry is retained so stragglers still unpark).
 pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Arm the named point: subsequent [`point`] calls with this name park
-/// until released.
+/// Arm the named point process-wide: subsequent [`point`] and
+/// [`point_on`] calls with this name park until released.
 ///
 /// # Panics
 ///
-/// If `name` is already armed — two live gates on one name would let the
-/// first drop silently release the second's victims (and leave `ARMED`
-/// elevated until the zombie gate finally drops), so the collision is
-/// rejected up front.
+/// If `name` is already armed process-wide — two live gates on one key
+/// would let the first drop silently release the second's victims (and
+/// leave `ARMED` elevated until the zombie gate finally drops), so the
+/// collision is rejected up front.
 pub fn arm(name: &str) -> Gate {
+    arm_key((name.to_string(), UNSCOPED), None)
+}
+
+/// Arm the named point for one device: subsequent [`point_on`] calls with
+/// this name from a LibFS on `device` park until released; other devices'
+/// arrivals pass.
+///
+/// # Panics
+///
+/// If `name` is already armed for `device` (see [`arm`]).
+pub fn arm_on(device: &Arc<PmemDevice>, name: &str) -> Gate {
+    arm_key((name.to_string(), scope_of(device)), Some(device.clone()))
+}
+
+fn arm_key(key: GateKey, device: Option<Arc<PmemDevice>>) -> Gate {
     install_pmem_hook();
     let reg = registry();
     let mut gates = reg.gates.lock();
-    let g = gates.entry(name.to_string()).or_default();
+    let g = gates.entry(key.clone()).or_default();
     assert!(
         !g.armed,
-        "schedule point '{name}' is already armed — point names must be \
-         unique per test (see module docs)"
+        "schedule point '{}' is already armed in this scope — arm a test's \
+         points on its own device (see module docs)",
+        key.0
     );
     g.armed = true;
     g.reached = 0;
     ARMED.fetch_add(1, Ordering::SeqCst);
     Gate {
-        name: name.to_string(),
+        key,
+        _device: device,
     }
 }
 
-/// Whether the named point is currently armed (test introspection).
+/// Whether the named point is currently armed in any scope (test
+/// introspection).
 pub fn is_armed(name: &str) -> bool {
     registry()
         .gates
         .lock()
-        .get(name)
-        .map(|g| g.armed)
-        .unwrap_or(false)
+        .iter()
+        .any(|((n, _), g)| n == name && g.armed)
 }
 
-/// Names of every currently armed gate (controller/test introspection).
+/// Names of every currently armed gate, in any scope (controller/test
+/// introspection).
 pub fn armed_points() -> Vec<String> {
     let mut names: Vec<String> = registry()
         .gates
         .lock()
         .iter()
         .filter(|(_, g)| g.armed)
-        .map(|(n, _)| n.clone())
+        .map(|((n, _), _)| n.clone())
         .collect();
     names.sort();
+    names.dedup();
     names
 }
 
@@ -202,7 +265,7 @@ impl Gate {
         let deadline = Instant::now() + timeout;
         let mut gates = reg.gates.lock();
         loop {
-            if gates.get(&self.name).map(|g| g.parked > 0).unwrap_or(false) {
+            if gates.get(&self.key).map(|g| g.parked > 0).unwrap_or(false) {
                 return true;
             }
             let now = Instant::now();
@@ -223,7 +286,7 @@ impl Gate {
         registry()
             .gates
             .lock()
-            .get(&self.name)
+            .get(&self.key)
             .map(|g| g.reached)
             .unwrap_or(0)
     }
@@ -234,7 +297,7 @@ impl Drop for Gate {
         ARMED.fetch_sub(1, Ordering::SeqCst);
         let reg = registry();
         let mut gates = reg.gates.lock();
-        if let Some(g) = gates.get_mut(&self.name) {
+        if let Some(g) = gates.get_mut(&self.key) {
             g.armed = false;
         }
         reg.cv.notify_all();
@@ -243,19 +306,19 @@ impl Drop for Gate {
         // unwind: a victim additionally wedged on some other resource must
         // not turn one failing test into a hung suite.
         let deadline = Instant::now() + DRAIN_TIMEOUT;
-        while gates.get(&self.name).map(|g| g.parked > 0).unwrap_or(false) {
+        while gates.get(&self.key).map(|g| g.parked > 0).unwrap_or(false) {
             let now = Instant::now();
             if now >= deadline {
                 eprintln!(
                     "inject: gate '{}' dropped but victims are still parked \
                      after {DRAIN_TIMEOUT:?}; leaving entry for stragglers",
-                    self.name
+                    self.key.0
                 );
                 return;
             }
             reg.cv.wait_for(&mut gates, deadline - now);
         }
-        gates.remove(&self.name);
+        gates.remove(&self.key);
     }
 }
 
@@ -686,6 +749,30 @@ mod tests {
         assert!(is_armed(NAME));
         assert_eq!(armed_count(), before);
         g1.release();
+        assert!(!is_armed(NAME));
+    }
+
+    /// Two devices arm one name at once; each gate parks only its own
+    /// device's arrival, and neither catches an unscoped one.
+    #[test]
+    fn scoped_gates_catch_only_their_device() {
+        const NAME: &str = "inject.test.scoped";
+        let (dev_a, dev_b) = (PmemDevice::new(4096), PmemDevice::new(4096));
+        let gate_a = arm_on(&dev_a, NAME);
+        let gate_b = arm_on(&dev_b, NAME);
+
+        let t = Instant::now();
+        point(NAME);
+        assert!(t.elapsed() < Duration::from_millis(50));
+
+        let d = dev_a.clone();
+        let victim = std::thread::spawn(move || point_on(&d, NAME));
+        assert!(gate_a.wait_reached(Duration::from_secs(5)));
+        assert!(!gate_b.wait_reached(Duration::from_millis(20)));
+        assert_eq!(gate_b.reached_count(), 0);
+        gate_a.release();
+        victim.join().unwrap();
+        gate_b.release();
         assert!(!is_armed(NAME));
     }
 

@@ -30,7 +30,7 @@ pub struct DentryMeta {
 }
 
 /// Append state of one directory-log tail.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Tail {
     /// First page of this tail's chain (0 = none yet).
     pub head_page: u64,
@@ -175,7 +175,9 @@ pub struct MemInode {
     /// released the inode successfully; 0 = none (kernel generations start
     /// at 1). Consumed by the next revival: a grant carrying the same value
     /// means the core state is byte-identical to what was released, so a
-    /// directory's retained [`DirState`] is still exact (DESIGN.md §14).
+    /// directory's retained [`DirState`] is still exact; a grant whose
+    /// delta starts at it names the slots that changed since (DESIGN.md
+    /// §14).
     released_generation: AtomicU64,
     /// Cached metadata — the §4.3 patch's "relevant inode state in the
     /// in-memory inode" that read operations use instead of the mapping.

@@ -7,7 +7,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::sync::{Mutex, RwLock};
+use crate::sync::{Mutex, MutexGuard, RwLock};
 
 use pmem::Mapping;
 use rcu::Rcu;
@@ -24,7 +24,7 @@ use vfs::{
 use crate::config::Config;
 use crate::dir::map_fault;
 use crate::inject;
-use crate::inode::{DirState, InodeState, MemInode};
+use crate::inode::{BucketArray, DirState, InodeState, MemInode, Tail};
 
 /// An open-descriptor table entry.
 #[derive(Debug, Clone)]
@@ -163,6 +163,13 @@ impl LibFs {
         &self.kernel
     }
 
+    /// Fire the named schedule point in this LibFS's device scope
+    /// ([`inject::point_on`]).
+    #[inline]
+    pub(crate) fn point(&self, name: &str) {
+        inject::point_on(self.kernel.device(), name);
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &Config {
         &self.config
@@ -230,8 +237,13 @@ impl LibFs {
         };
         match popped {
             (ino, Some(m)) if m.is_live() => Ok((ino, m)),
-            // Recycled after a kernel release (or mapping lost): remap.
-            (ino, _) => Ok((ino, self.kernel.fresh_mapping(self.id, ino))),
+            // Recycled after a kernel release (or mapping lost): remap. A
+            // number another LibFS still holds — this one unlinked a file
+            // that LibFS had open — is not this one's to reuse: drop it.
+            (ino, _) => match self.kernel.fresh_mapping(self.id, ino) {
+                Err(FsError::NotOwner { .. }) => self.alloc_ino(),
+                mapped => Ok((ino, mapped?)),
+            },
         }
     }
 
@@ -355,7 +367,7 @@ impl LibFs {
         // Schedule point inside the full §4.3 revival lock order, before the
         // kernel re-acquire: schedmc explores what racing ops observe while
         // the inode is held Released with every lock pinned.
-        inject::point("libfs.revive.rebuild");
+        self.point("libfs.revive.rebuild");
 
         let grant = self.kernel.acquire(self.id, mi.ino)?;
         // The kernel reports the generation this LibFS was told at its own
@@ -363,13 +375,13 @@ impl LibFs {
         // byte-identical to what that release verified. The whole retained
         // DirState — buckets, arena, free slots, tails, the batch cell's
         // staged `reclaim` list — is then still exact, and nothing is read.
-        // Files always take the rebuild: their extent mirror is dropped on
+        // Files always take the refresh: their extent mirror is dropped on
         // revival whatever the generation says.
         let kept = mi.take_generation();
         if mi.dir_state().is_none() || grant.generation != kept {
-            let rebuilt =
-                self.rebuild_revived(mi, &grant.mapping, table.as_deref_mut(), &mut tails);
-            if let Err(e) = rebuilt {
+            let refreshed =
+                self.refresh_revived(mi, &grant, kept, table.as_deref_mut(), &mut tails);
+            if let Err(e) = refreshed {
                 self.drop_grant(mi.ino);
                 return Err(e);
             }
@@ -393,17 +405,20 @@ impl LibFs {
         let _ = self.kernel.release(self.id, ino);
     }
 
-    /// The rebuild half of [`LibFs::revive_inode`]: refresh the cached
-    /// metadata from the core state and, for a directory, rebuild the index
-    /// (Figure 1 step ③ — another LibFS may have changed the directory
-    /// while it was released), splicing into the *existing* DirState under
-    /// the exclusive guards the caller holds.
-    fn rebuild_revived(
+    /// The refresh half of [`LibFs::revive_inode`]: reload the cached
+    /// metadata from the core state and, for a directory, bring the index
+    /// up to date (Figure 1 step ③ — another LibFS may have changed the
+    /// directory while it was released) in the *existing* DirState, under
+    /// the exclusive guards the caller holds. When the grant carries the
+    /// delta from the generation this LibFS released at (`kept`), only the
+    /// changed slots are replayed; otherwise the whole log is rescanned.
+    fn refresh_revived(
         &self,
         mi: &MemInode,
-        mapping: &Mapping,
-        table: Option<&mut crate::inode::BucketArray>,
-        tails: &mut [crate::sync::MutexGuard<'_, crate::inode::Tail>],
+        grant: &trio::InodeGrant,
+        kept: u64,
+        table: Option<&mut BucketArray>,
+        tails: &mut [MutexGuard<'_, Tail>],
     ) -> FsResult<()> {
         let raw = format::read_inode(self.kernel.device(), &self.geom, mi.ino)
             .map_err(|e| FsError::Internal(e.to_string()))?;
@@ -419,65 +434,20 @@ impl LibFs {
                 ))
             });
         }
-
         let mut max_seq = 0;
-        if let Some(ds) = mi.dir_state() {
-            let scan = self.scan_dir_log(&raw)?;
-            max_seq = scan.max_seq;
-            if raw.batch_seq != 0 {
-                // Defensive: a released directory's batch was closed by the
-                // release quiesce, so residue here means another LibFS (or
-                // a crash) left an open batch behind. Same repair as mount.
-                self.erase_batch_residue(mapping, mi.ino, &scan.gated)?;
-            }
-            for off in &scan.stale {
-                self.tombstone_dentry_core(mapping, *off)?;
-            }
-            let table = table.expect("directory has a bucket table");
-            let old: Vec<_> = table
-                .iter_mut()
-                .flat_map(|bucket| bucket.get_mut().drain(..).map(|(_, r)| r))
-                .collect();
-            let arena = ds.arena.clone();
-            let free_old = move || {
-                for r in old {
-                    let _ = arena.free(r);
-                }
+        if let Some(table) = table {
+            let delta = grant
+                .delta
+                .as_deref()
+                .filter(|d| kept != 0 && d.from == kept);
+            let replayed = match delta {
+                Some(d) => self.replay_revived(mi, &raw, &grant.mapping, d, table, tails)?,
+                None => None,
             };
-            if self.config.fix_dir_bucket_rcu {
-                // One deferred destructor for the whole index, not one per
-                // entry: same grace period, a thousandth of the bookkeeping.
-                self.rcu.defer(free_old);
-            } else {
-                free_old();
-            }
-            let nbuckets = table.len();
-            let mut live = 0u64;
-            for (name, child, off) in scan.live {
-                let h = DirState::name_hash(&name);
-                let r = ds.arena.insert(crate::inode::DentryMeta {
-                    name,
-                    ino: child,
-                    log_off: off,
-                });
-                table[(h as usize) % nbuckets].get_mut().push((h, r));
-                live += 1;
-            }
-            ds.live.store(live, Ordering::SeqCst);
-            let mut reusable = scan.reusable;
-            reusable.extend(&scan.gated);
-            *ds.free_slots.lock() = reusable;
-            // The close run by the release quiesce staged its post-action
-            // slots in the retained batch cell for the *next* close to hand
-            // back. The scan above re-derives those same slots from the log
-            // (their tombstones are durable-ordered core state by now), so
-            // the staged list must be dropped: letting the next close append
-            // it to `free_slots` would grant the same slot twice, and the
-            // second reuse overwrites a live dentry written in between.
-            ds.batch.state.lock().reclaim.clear();
-            for (guard, rebuilt) in tails.iter_mut().zip(scan.tails) {
-                **guard = rebuilt;
-            }
+            max_seq = match replayed {
+                Some(seq) => seq,
+                None => self.rebuild_revived(mi, &raw, &grant.mapping, table, tails)?,
+            };
         }
         mi.cached_size.store(raw.size, Ordering::SeqCst);
         mi.cached_nlink.store(raw.nlink, Ordering::SeqCst);
@@ -486,6 +456,245 @@ impl LibFs {
             Ordering::SeqCst,
         );
         Ok(())
+    }
+
+    /// Rebuild a revived directory's index from a scan of its whole log,
+    /// splicing into the existing DirState. Returns the highest dentry
+    /// sequence number in the log.
+    fn rebuild_revived(
+        &self,
+        mi: &MemInode,
+        raw: &format::RawInode,
+        mapping: &Mapping,
+        table: &mut BucketArray,
+        tails: &mut [MutexGuard<'_, Tail>],
+    ) -> FsResult<u64> {
+        let ds = mi.dir_state().expect("a directory");
+        let scan = self.scan_dir_log(raw)?;
+        if raw.batch_seq != 0 {
+            // Defensive: a released directory's batch was closed by the
+            // release quiesce, so residue here means another LibFS (or a
+            // crash) left an open batch behind. Same repair as mount.
+            self.erase_batch_residue(mapping, mi.ino, &scan.gated)?;
+        }
+        for off in &scan.stale {
+            self.tombstone_dentry_core(mapping, *off)?;
+        }
+        let old: Vec<_> = table
+            .iter_mut()
+            .flat_map(|bucket| bucket.get_mut().drain(..).map(|(_, r)| r))
+            .collect();
+        let arena = ds.arena.clone();
+        let free_old = move || {
+            for r in old {
+                let _ = arena.free(r);
+            }
+        };
+        if self.config.fix_dir_bucket_rcu {
+            // One deferred destructor for the whole index, not one per
+            // entry: same grace period, a thousandth of the bookkeeping.
+            self.rcu.defer(free_old);
+        } else {
+            free_old();
+        }
+        let live = scan.live.len() as u64;
+        for (name, child, off) in scan.live {
+            self.index_insert(ds, table, name, child, off);
+        }
+        ds.live.store(live, Ordering::SeqCst);
+        let mut reusable = scan.reusable;
+        reusable.extend(scan.gated.iter().chain(&scan.stale));
+        *ds.free_slots.lock() = reusable;
+        // The close run by the release quiesce staged its post-action slots
+        // in the retained batch cell for the *next* close to hand back. The
+        // scan above re-derives those same slots from the log (their
+        // tombstones are durable-ordered core state by now), so the staged
+        // list must be dropped: letting the next close append it to
+        // `free_slots` would grant the same slot twice, and the second
+        // reuse overwrites a live dentry written in between.
+        ds.batch.state.lock().reclaim.clear();
+        for (guard, rebuilt) in tails.iter_mut().zip(scan.tails) {
+            **guard = rebuilt;
+        }
+        Ok(scan.max_seq)
+    }
+
+    /// Add `name → child` at log offset `off` to an index held exclusively.
+    fn index_insert(
+        &self,
+        ds: &DirState,
+        table: &mut BucketArray,
+        name: String,
+        child: u64,
+        off: u64,
+    ) {
+        let h = DirState::name_hash(&name);
+        let r = ds.arena.insert(crate::inode::DentryMeta {
+            name,
+            ino: child,
+            log_off: off,
+        });
+        let nbuckets = table.len();
+        table[(h as usize) % nbuckets].get_mut().push((h, r));
+    }
+
+    /// The entry of `name` in an index held exclusively: its bucket, its
+    /// position there, and its target and log offset.
+    fn index_find(
+        &self,
+        ds: &DirState,
+        table: &mut BucketArray,
+        name: &str,
+    ) -> Option<(usize, usize, crate::dir::LookupHit)> {
+        let h = DirState::name_hash(name);
+        let b = (h as usize) % table.len();
+        let bucket = table[b].get_mut();
+        let mut same_hash = bucket
+            .iter()
+            .enumerate()
+            .filter(|(_, (hash, _))| *hash == h);
+        same_hash.find_map(|(i, &(_, r))| {
+            let hit = ds.arena.read(r, |m| {
+                (m.name == name).then_some(crate::dir::LookupHit {
+                    ino: m.ino,
+                    log_off: m.log_off,
+                })
+            });
+            Some((b, i, hit.ok()??))
+        })
+    }
+
+    /// Patch a revived directory's index with the kernel's [`trio::Delta`]
+    /// instead of rescanning its log (DESIGN.md §14). The index is exact
+    /// for the delta's `from` image — this LibFS released it at that
+    /// generation — so replaying each changed slot's transition, its bytes
+    /// then (`before`) to its bytes now (read once through `mapping`),
+    /// leaves it exactly what [`LibFs::rebuild_revived`] would build.
+    ///
+    /// Returns the highest sequence number the changed slots hold, or
+    /// `None`, having changed nothing, for anything outside the plain
+    /// transitions, which the caller then rebuilds: an open or staged
+    /// batch; a slot that is uncommitted now; a slot that was a hole
+    /// anywhere but past its tail's append position; a `before` entry the
+    /// index does not hold at that offset; a name that is not UTF-8; a new
+    /// name already held elsewhere, or new twice; a record the rebuild's
+    /// name resolution might rank differently — a new live record not
+    /// numbered above every record this LibFS released with, or a new
+    /// tombstone not outranked by the new live record of its name.
+    fn replay_revived(
+        &self,
+        mi: &MemInode,
+        raw: &format::RawInode,
+        mapping: &Mapping,
+        delta: &trio::Delta,
+        table: &mut BucketArray,
+        tails: &mut [MutexGuard<'_, Tail>],
+    ) -> FsResult<Option<u64>> {
+        let ds = mi.dir_state().expect("a directory");
+        if raw.batch_seq != 0 || !ds.batch.state.lock().reclaim.is_empty() {
+            return Ok(None);
+        }
+        // Every record of the released log is numbered at most this.
+        let floor = mi.seq.load(Ordering::SeqCst);
+        let mut max_seq = 0;
+        let mut removed = Vec::new(); // (bucket, arena ref)
+        let mut added: Vec<(String, u64, u64, u64)> = Vec::new(); // (name, ino, off, seq)
+        let mut tombs: Vec<(u64, Option<String>, u64)> = Vec::new(); // (off, name, seq)
+        let mut appended: Vec<(usize, u64)> = Vec::new(); // (tail, next slot)
+        for (off, before) in &delta.slots {
+            let off = *off;
+            let mut now = [0u8; format::DENTRY_SIZE as usize];
+            mapping.read(off, &mut now).map_err(map_fault)?;
+            let (before, now) = (
+                format::decode_dentry(before, off),
+                format::decode_dentry(&now, off),
+            );
+            if now.marker == 0 {
+                return Ok(None);
+            }
+            if before.marker == 0 {
+                let page = off / pmem::PAGE_SIZE as u64;
+                let slot = (off % pmem::PAGE_SIZE as u64 - format::DIRPAGE_FIRST_DENTRY)
+                    / format::DENTRY_SIZE;
+                let Some(t) = tails
+                    .iter()
+                    .position(|t| t.cur_page == page && slot >= t.next_slot)
+                else {
+                    return Ok(None);
+                };
+                appended.push((t, slot + 1));
+            } else if before.is_live() {
+                let Some(name) = before.name_str() else {
+                    return Ok(None);
+                };
+                match self.index_find(ds, table, name) {
+                    Some((b, i, hit)) if hit.log_off == off => {
+                        removed.push((b, table[b].get_mut()[i].1));
+                    }
+                    _ => return Ok(None),
+                }
+            }
+            max_seq = max_seq.max(now.seq);
+            if now.deleted {
+                tombs.push((off, String::from_utf8(now.name).ok(), now.seq));
+                continue;
+            }
+            let Ok(name) = String::from_utf8(now.name) else {
+                return Ok(None);
+            };
+            if now.seq <= floor || added.iter().any(|(n, ..)| *n == name) {
+                return Ok(None);
+            }
+            added.push((name, now.ino, off, now.seq));
+        }
+        // Names the index keeps: a new one may only replace a removed one.
+        let still_held = |name: &str, table: &mut BucketArray| {
+            self.index_find(ds, table, name)
+                .is_some_and(|(b, i, _)| !removed.contains(&(b, table[b].get_mut()[i].1)))
+        };
+        for (name, ..) in &added {
+            if still_held(name, table) {
+                return Ok(None);
+            }
+        }
+        for (_, name, seq) in &tombs {
+            let Some(name) = name else { continue };
+            if still_held(name, table) || added.iter().any(|(n, _, _, s)| n == name && s <= seq) {
+                return Ok(None);
+            }
+        }
+
+        for (b, r) in &removed {
+            let bucket = table[*b].get_mut();
+            let i = bucket
+                .iter()
+                .position(|(_, x)| x == r)
+                .expect("found above");
+            let (_, r) = bucket.remove(i);
+            if self.config.fix_dir_bucket_rcu {
+                ds.arena.free_deferred(r, &self.rcu);
+            } else {
+                let _ = ds.arena.free(r);
+            }
+        }
+        let mut free = ds.free_slots.lock();
+        free.retain(|off| !added.iter().any(|(_, _, o, _)| o == off));
+        for (off, ..) in &tombs {
+            if !free.contains(off) {
+                free.push(*off);
+            }
+        }
+        drop(free);
+        let live = (ds.live.load(Ordering::SeqCst) + added.len() as u64)
+            .saturating_sub(removed.len() as u64);
+        for (name, child, off, _) in added {
+            self.index_insert(ds, table, name, child, off);
+        }
+        ds.live.store(live, Ordering::SeqCst);
+        for (t, next) in appended {
+            tails[t].next_slot = tails[t].next_slot.max(next);
+        }
+        Ok(Some(max_seq))
     }
 
     /// Build the auxiliary state of `ino` from its core state ("③ the
@@ -514,10 +723,11 @@ impl LibFs {
         let itype = raw
             .inode_type()
             .ok_or_else(|| FsError::Corrupted(format!("inode {ino} has malformed type")))?;
-        let dir = if itype == InodeType::Directory {
-            Some(self.rebuild_dir_state(&raw)?)
+        let (dir, max_seq) = if itype == InodeType::Directory {
+            let (ds, max_seq) = self.rebuild_dir_state(&raw)?;
+            (Some(ds), max_seq)
         } else {
-            None
+            (None, 0)
         };
         Ok(MemInode::new(
             ino,
@@ -526,7 +736,7 @@ impl LibFs {
             mapping,
             raw.size,
             raw.nlink,
-            raw.seq,
+            raw.seq.max(max_seq),
             dir,
         ))
     }
@@ -534,8 +744,10 @@ impl LibFs {
     /// Scan the directory's dentry log and rebuild the hash index and the
     /// per-tail append state. Duplicate names (possible only in crash
     /// images) are resolved by sequence number, repairing the loser with a
-    /// tombstone.
-    fn rebuild_dir_state(&self, raw: &format::RawInode) -> FsResult<DirState> {
+    /// tombstone. Returns the index with the highest sequence number in the
+    /// log: this LibFS numbers its own records above it, or a name it
+    /// creates would rank below an older tombstone of the same name.
+    fn rebuild_dir_state(&self, raw: &format::RawInode) -> FsResult<(DirState, u64)> {
         let ds = DirState::new(self.config.dir_buckets, raw.ntails.max(1) as usize);
         let scan = self.scan_dir_log(raw)?;
 
@@ -549,7 +761,10 @@ impl LibFs {
         for off in &scan.stale {
             self.tombstone_dentry_core(mapping, *off)?;
         }
-        ds.free_slots.lock().extend(scan.reusable);
+        // A repaired loser is a tombstone like any other.
+        ds.free_slots
+            .lock()
+            .extend(scan.reusable.iter().chain(&scan.stale));
         for (name, child, off) in scan.live {
             let h = DirState::name_hash(&name);
             let r = ds.arena.insert(crate::inode::DentryMeta {
@@ -565,7 +780,7 @@ impl LibFs {
         for (tail, rebuilt) in ds.tails.iter().zip(scan.tails) {
             *tail.lock() = rebuilt;
         }
-        Ok(ds)
+        Ok((ds, scan.max_seq))
     }
 
     /// Read-only pass over a directory's core state: the live entries
@@ -662,6 +877,102 @@ impl LibFs {
         Ok(scan)
     }
 
+    /// Test support — the differential oracle of the hand-off paths
+    /// (DESIGN.md §14): compare the live index of the directory at `path`
+    /// with what a rebuild from a scan of its log would hold. Names map to
+    /// the same `(ino, log offset)`, the reusable slots are the same set
+    /// (counting those a closed batch staged), tails, live count and cached
+    /// size are equal, and the sequence counter is at least every number in
+    /// the log (a rebuild keeps the larger of the two). Closes the
+    /// directory's open batch first; reads the whole log.
+    #[doc(hidden)]
+    pub fn check_dir_index(&self, path: &str) -> Result<(), String> {
+        let mi = self
+            .resolve(path)
+            .map_err(|e| format!("resolve {path}: {e}"))?;
+        let ds = mi
+            .dir_state()
+            .ok_or_else(|| format!("{path} is not a directory"))?;
+        self.close_batch_if_open(&mi);
+        let table = ds.buckets.write();
+        let tails: Vec<Tail> = ds.tails.iter().map(|t| t.lock().clone()).collect();
+        let _m = mi.meta.lock();
+        let raw = format::read_inode(self.kernel.device(), &self.geom, mi.ino)
+            .map_err(|e| e.to_string())?;
+        let scan = self.scan_dir_log(&raw).map_err(|e| e.to_string())?;
+        let mut names = HashMap::new();
+        for bucket in table.iter() {
+            for (_, r) in bucket.lock().iter() {
+                ds.arena
+                    .read(*r, |m| names.insert(m.name.clone(), (m.ino, m.log_off)))
+                    .map_err(|e| format!("{path}: dangling index entry: {e:?}"))?;
+            }
+        }
+        let rebuilt: HashMap<String, (u64, u64)> = scan
+            .live
+            .into_iter()
+            .map(|(n, ino, off)| (n, (ino, off)))
+            .collect();
+        let mut problems = Vec::new();
+        if names != rebuilt {
+            let mut diff: Vec<String> = names
+                .iter()
+                .filter(|(n, e)| rebuilt.get(*n) != Some(e))
+                .map(|(n, e)| format!("index {n}={e:?}"))
+                .chain(
+                    rebuilt
+                        .iter()
+                        .filter(|(n, e)| names.get(*n) != Some(e))
+                        .map(|(n, e)| format!("log {n}={e:?}")),
+                )
+                .collect();
+            diff.sort();
+            problems.push(format!("names differ: {}", diff.join(", ")));
+        }
+        if !scan.stale.is_empty() {
+            problems.push(format!("live duplicates in the log at {:?}", scan.stale));
+        }
+        let mut free: HashSet<u64> = ds.free_slots.lock().iter().copied().collect();
+        free.extend(ds.batch.state.lock().reclaim.iter().copied());
+        let reusable: HashSet<u64> = scan.reusable.into_iter().chain(scan.gated).collect();
+        if free != reusable {
+            let mut only_index: Vec<_> = free.difference(&reusable).collect();
+            let mut only_log: Vec<_> = reusable.difference(&free).collect();
+            only_index.sort();
+            only_log.sort();
+            problems.push(format!(
+                "free slots differ: index only {only_index:?}, log only {only_log:?}"
+            ));
+        }
+        if tails != scan.tails {
+            problems.push(format!("tails: index {tails:?}, log {:?}", scan.tails));
+        }
+        let live = ds.live.load(Ordering::SeqCst);
+        if live != names.len() as u64 || live != rebuilt.len() as u64 {
+            problems.push(format!(
+                "live count {live}: index holds {}, log {}",
+                names.len(),
+                rebuilt.len()
+            ));
+        }
+        let size = mi.cached_size.load(Ordering::SeqCst);
+        if size != raw.size {
+            problems.push(format!("cached size {size}, log {}", raw.size));
+        }
+        let seq = mi.seq.load(Ordering::SeqCst);
+        if seq < raw.seq.max(scan.max_seq) {
+            problems.push(format!(
+                "sequence {seq} below the log's {}",
+                raw.seq.max(scan.max_seq)
+            ));
+        }
+        if problems.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("{path}: {}", problems.join("; ")))
+        }
+    }
+
     /// Erase the crash residue of an open group-durability batch
     /// (DESIGN.md §8): zero the commit marker of every gated record, fence,
     /// then clear the directory's watermark and fence again. The order
@@ -710,7 +1021,7 @@ impl LibFs {
                 // snapshot + authoritative lookup above and the slot publish
                 // below. schedmc races a same-name rename through here to
                 // check stale fills can only miss, never lie.
-                inject::point("dcache.fill.publish");
+                self.point("dcache.fill.publish");
                 self.dcache.insert(dir, g0, name, m.ino);
             }
             Ok(meta.map(|m| m.ino))
@@ -1164,7 +1475,7 @@ impl LibFs {
                 self.kernel.commit(self.id, to_parent.ino)?;
             }
 
-            inject::point("rename.crossdir.prepared");
+            self.point("rename.crossdir.prepared");
 
             // The actual relocation in core + auxiliary state: commit the
             // new dentry, then tombstone the old.
@@ -1692,7 +2003,7 @@ impl FileSystem for LibFs {
                 // can read the same size and overlap.
                 let mapping = mi.mapping_handle();
                 let offset = self.file_size(&mi, &mapping)?;
-                inject::point("file.append.offset_read");
+                self.point("file.append.offset_read");
                 return self.file_write_vectored(&mi, &[buf], offset);
             }
             self.file_write_vectored(&mi, &[buf], offset)
@@ -1715,7 +2026,7 @@ impl FileSystem for LibFs {
             // inside the write — the TOCTOU schedmc found.
             let mapping = mi.mapping_handle();
             let offset = self.file_size(&mi, &mapping)?;
-            inject::point("file.append.offset_read");
+            self.point("file.append.offset_read");
             self.file_write_vectored(&mi, &[buf], offset)?;
             Ok(offset)
         })

@@ -140,8 +140,9 @@ fn nova_shared_write(file_size: u64) -> f64 {
 
 /// Alternating creates in a shared directory of `nfiles` files (ArckFS+).
 /// Returns µs per create. Outside a trust group every create transfers
-/// directory ownership (unmap + verify + rebuild the index over `nfiles`
-/// entries); inside one, both applications co-own the directory.
+/// directory ownership (unmap + verify the `nfiles`-entry log + patch the
+/// index with the slot the other application changed); inside one, both
+/// applications co-own the directory.
 fn arck_shared_create(nfiles: usize, trust_group: bool) -> f64 {
     let (a, b, _k) = two_apps(trust_group);
     a.mkdir("/share").expect("mkdir");

@@ -112,9 +112,11 @@ pub enum Op {
     Fallocate,
     /// Hand `/d` to another application and take it back: release `/d`
     /// and `/`, let a second LibFS on the same kernel create and unlink
-    /// `/d/hx` (live set unchanged, slots and tails moved) and unmount,
-    /// then `create("/d/hb")` — the re-acquire that must not trust the
-    /// index it released with (DESIGN.md §14).
+    /// `/d/hx`, rename `/d/u0` to `/d/hy` and back (live set unchanged,
+    /// slots reused under other names, tails moved) and unmount, then
+    /// `create("/d/hb")` — the re-acquire that must not trust the index it
+    /// released with, and replays the other side's changed slots into it
+    /// (DESIGN.md §14).
     Handoff,
     /// `flush_batch()` — the explicit group-durability close (ISSUE 4).
     /// A no-op unless the config under test enables batching.
@@ -272,12 +274,15 @@ const HANDOFF_RELEASED: &str = "schedmc.handoff.released";
 const HANDOFF_RETURNED: &str = "schedmc.handoff.returned";
 
 /// The other application's turn in [`Op::Handoff`]: a second LibFS on the
-/// same kernel creates and unlinks `/d/hx`, then unmounts. It runs on a
-/// thread of its own — not a controller participant — so the whole turn
-/// falls between two schedule points of the explored LibFS: no op of that
-/// LibFS ever observes the directory held by somebody else (the explored
-/// LibFS does not wait for other applications; `NotOwner` is final). If a
-/// racing op took `/` or `/d` back first, the turn is simply lost.
+/// same kernel creates and unlinks `/d/hx`, renames the resident `/d/u0`
+/// into the slot `hx` left and back into its own, then unmounts. The
+/// explored LibFS's revival then removes `u0` by its old record and inserts
+/// it again. The turn runs on a thread of its own — not a controller
+/// participant — so it falls between two schedule points of the explored
+/// LibFS: no op of that LibFS ever observes the directory held by somebody
+/// else (the explored LibFS does not wait for other applications;
+/// `NotOwner` is final). If a racing op took `/` or `/d` back first, the
+/// turn is simply lost; if one unlinked `u0`, there is nothing to rename.
 fn foreign_turn(fs: &LibFs) -> FsResult<()> {
     let hint = pmem::thread_shard_override();
     std::thread::scope(|s| {
@@ -286,7 +291,12 @@ fn foreign_turn(fs: &LibFs) -> FsResult<()> {
             let other = LibFs::mount(fs.kernel().clone(), fs.config().clone(), 0)?;
             let turn = other.create("/d/hx").and_then(|fd| {
                 other.close(fd)?;
-                other.unlink("/d/hx")
+                other.unlink("/d/hx")?;
+                match other.rename("/d/u0", "/d/hy") {
+                    Ok(()) => other.rename("/d/hy", "/d/u0"),
+                    Err(FsError::NotFound) => Ok(()),
+                    Err(e) => Err(e),
+                }
             });
             let left = other.unmount();
             match turn {
@@ -677,7 +687,7 @@ fn coherence_probe(fs: &LibFs) -> Result<(), String> {
         .into_iter()
         .map(|e| e.name)
         .collect();
-    for name in ["n", "u0", "old", "new", "rv", "f0", "nb", "hb", "hx"] {
+    for name in ["n", "u0", "old", "new", "rv", "f0", "nb", "hb", "hx", "hy"] {
         let path = format!("/d/{name}");
         let via_stat = match fs.stat(&path) {
             Ok(_) => true,
@@ -1295,10 +1305,11 @@ mod tests {
 
     #[test]
     fn handoff_races_explore_clean() {
-        // Release → foreign create/unlink → re-acquire against a create, a
-        // revival and itself: whichever side gets to `/d` first, every
-        // interleaving ends in a serial state.
-        for other in [Op::Create, Op::Revive, Op::Handoff] {
+        // Release → foreign create/unlink/rename → re-acquire against a
+        // create, the unlink of the renamed resident, a revival and itself:
+        // whichever side gets to `/d` first, every interleaving ends in a
+        // serial state.
+        for other in [Op::Create, Op::Unlink, Op::Revive, Op::Handoff] {
             let report = explore(&[Op::Handoff, other], &test_opts());
             assert!(report.schedules > 1, "{other:?}: {}", report.schedules);
             assert!(report.is_clean(), "{other:?}: {:?}", report.failures);

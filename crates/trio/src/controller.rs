@@ -172,10 +172,37 @@ pub struct InodeGrant {
     /// to what that release verified, so a LibFS that kept the auxiliary
     /// state it released with may go on using it.
     pub generation: u64,
+    /// What the verification that produced `generation` changed in a
+    /// directory's log, when the kernel still has it (see [`Delta`]). A
+    /// LibFS whose retained index is the image of `delta.from` may patch
+    /// it slot by slot instead of rebuilding it.
+    pub delta: Option<Arc<Delta>>,
 }
 
-/// Byte budget (inode records + log pages) of the verified directory
-/// images kept for unowned inodes; the oldest image goes first.
+/// A directory's change across one verified release or commit, slot by
+/// slot (DESIGN.md §14): the verifier compares the log it just accepted
+/// with the snapshot it ran against, 128 bytes at a time, and — when the
+/// log kept its shape (same pages, chains and page headers) and at most a
+/// quarter of its records changed — hands the kernel every changed dentry
+/// slot with its bytes *before*. The delta travels with the verified image
+/// it ends at — the retained image of an unowned directory, the snapshot
+/// of an owned one — so the kernel keeps at most the latest one per
+/// directory, and a grant carries it only while the directory's generation
+/// is `to`.
+#[derive(Debug)]
+pub struct Delta {
+    /// The generation of the snapshot the verification ran against.
+    pub from: u64,
+    /// The generation the verification produced.
+    pub to: u64,
+    /// Device offset and `from`-time bytes of every changed dentry slot,
+    /// in log order.
+    pub slots: Vec<(u64, verifier::Record)>,
+}
+
+/// Byte budget (inode records, log pages and their deltas) of the
+/// verified directory images kept for unowned inodes; the oldest image
+/// goes first.
 const RETAINED_IMAGE_BUDGET: usize = 4 << 20;
 
 /// Verified images of directories nobody owns (DESIGN.md §14): what the
@@ -194,7 +221,10 @@ pub(crate) struct RetainedImages {
 
 impl RetainedImages {
     fn cost(image: &Snapshot) -> usize {
-        image.inode_bytes.len() + image.pages.len() * pmem::PAGE_SIZE
+        let delta = image.delta.as_ref().map_or(0, |d| {
+            d.slots.len() * std::mem::size_of::<(u64, verifier::Record)>()
+        });
+        image.inode_bytes.len() + image.pages.len() * pmem::PAGE_SIZE + delta
     }
 
     fn insert(&mut self, image: Snapshot) {
@@ -277,6 +307,11 @@ impl KState {
     /// Give `ino` a generation no grant or release has reported before. (A
     /// number outside the table — only a misbehaving LibFS names one — gets
     /// a fresh value every time it is asked about, so it never matches.)
+    ///
+    /// The one place a generation moves, and so the one place a kept
+    /// [`Delta`] is retired: a grant carries a delta only while its `to` is
+    /// the inode's generation (`Kernel::acquire`), so any step but the
+    /// verified one it describes ends it, whoever took the step.
     pub(crate) fn advance_generation(&mut self, ino: u64) -> u64 {
         let fresh = self.next_generation;
         self.next_generation += 1;
@@ -684,25 +719,28 @@ impl Kernel {
         Ok(out)
     }
 
-    /// Return unused inode numbers: ownership is dropped, any grant
-    /// mapping is invalidated, and the numbers re-enter circulation. A
-    /// call from an unregistered LibFS changes nothing.
-    pub fn return_inodes(&self, libfs: LibFsId, inos: Vec<u64>) {
+    /// Return unused inode numbers: the caller's ownership is dropped, its
+    /// grant mapping invalidated, and each number nobody else holds
+    /// re-enters circulation. A number another LibFS holds stays out of
+    /// the pool — the next grant must not hand it out again. A call from
+    /// an unregistered LibFS changes nothing.
+    pub fn return_inodes(&self, libfs: LibFsId, mut inos: Vec<u64>) {
         self.syscall();
         {
             let mut st = self.state.lock();
             if !st.libfs.contains_key(&libfs.0) {
                 return;
             }
-            for &ino in &inos {
-                if let Some(owners) = st.owners.get_mut(&ino) {
-                    owners.remove(&libfs.0);
-                }
+            inos.retain(|&ino| {
                 if let Some(reg) = st.registries.remove(&(ino, libfs.0)) {
                     reg.unmap();
                 }
                 st.snapshots.remove(&(ino, libfs.0));
-            }
+                st.owners.get_mut(&ino).is_none_or(|owners| {
+                    owners.remove(&libfs.0);
+                    owners.is_empty()
+                })
+            });
         }
         // A misbehaving LibFS returning numbers it never held must not
         // poison the pool; the error (double free) is dropped, matching
@@ -739,19 +777,50 @@ impl Kernel {
         &self.inos
     }
 
-    /// Map a freshly granted (not yet committed) inode for `libfs`. The
-    /// LibFS calls this right after initializing an inode it created; the
-    /// mapping is invalidated on release like any acquire-time mapping.
-    pub fn fresh_mapping(&self, libfs: LibFsId, ino: u64) -> Mapping {
+    /// Map a freshly granted (not yet committed) inode for `libfs`: a
+    /// number from its own pool whose grant mapping was invalidated by a
+    /// release. The mapping is invalidated on release like any acquire-time
+    /// mapping.
+    ///
+    /// Refused for an unregistered caller, and with [`FsError::NotOwner`]
+    /// for a number another LibFS holds or — held by nobody — still
+    /// committed: starting a new life wipes what the kernel knows about the
+    /// inode (retained image, generation, delta), which only the end of its
+    /// past life may do.
+    pub fn fresh_mapping(&self, libfs: LibFsId, ino: u64) -> FsResult<Mapping> {
         self.syscall();
         let mut st = self.state.lock();
+        Self::uid_of(&st, libfs)?;
+        if ino == 0 || ino > self.geom.max_inodes {
+            return Err(FsError::InvalidArgument(format!(
+                "inode number {ino} out of range"
+            )));
+        }
+        let owners = st.owners.get(&ino);
+        if owners.is_some_and(|s| s.iter().any(|&o| o != libfs.0)) {
+            return Err(FsError::NotOwner { ino });
+        }
+        if !owners.is_some_and(|s| s.contains(&libfs.0)) {
+            let marker = self
+                .device
+                .read_u64(self.geom.inode_offset(ino))
+                .map_err(fs_err)?;
+            if marker == ino {
+                return Err(FsError::NotOwner { ino });
+            }
+        }
         // A recycled number starts a new life here; the kernel may still
         // hold its past one (freed by the owner of its parent, parent not
         // verified since).
         st.forget_inode(ino);
         let registry = Arc::new(MappingRegistry::new());
         st.registries.insert((ino, libfs.0), registry.clone());
-        Mapping::new(self.device.clone(), registry, 0, self.device.len())
+        Ok(Mapping::new(
+            self.device.clone(),
+            registry,
+            0,
+            self.device.len(),
+        ))
     }
 
     /// Acquire `ino` for `libfs` (Figure 1 ①–②): permission check, ownership
@@ -799,16 +868,19 @@ impl Kernel {
         // The rollback snapshot comes before any ownership state changes: a
         // directory whose log cannot be walked (cycle, out-of-device page)
         // fails the acquire and must leave the caller owning nothing.
-        let snap = match boundary_image {
+        let mut snap = match boundary_image {
             Some(image) => image,
             None => self.acquire_snapshot(&mut st, ino)?,
         };
         // A co-owner may be writing right now: no value reported before
-        // this grant may match, and this grant's value matches no release.
+        // this grant may match, this grant's value matches no release, and
+        // the snapshot is the image of no generation.
         if !others.is_empty() {
             st.advance_generation(ino);
         }
         let generation = st.generation(ino);
+        snap.generation = if others.is_empty() { generation } else { 0 };
+        let delta = snap.delta.clone().filter(|d| d.to == generation);
 
         st.owners.entry(ino).or_default().insert(libfs.0);
         let registry = Arc::new(MappingRegistry::new());
@@ -830,6 +902,7 @@ impl Kernel {
             ino,
             mapping,
             generation,
+            delta,
         })
     }
 
@@ -932,7 +1005,12 @@ impl Kernel {
     /// Run the verifier against `snap`. A difference from the snapshot
     /// advances the content generation; a violation rolls the inode back
     /// to the snapshot (and advances it too — the rejected bytes were in
-    /// PM, whoever looked).
+    /// PM, whoever looked). The returned image is tagged with the
+    /// generation it is the image of, and carries the [`Delta`] that ends
+    /// at it: a change found against the image of the generation that is
+    /// still current — nothing advanced it since the snapshot — is one
+    /// step, and its slot list becomes the delta; no change keeps the
+    /// snapshot's.
     fn verify_now(
         &self,
         st: &mut KState,
@@ -951,10 +1029,21 @@ impl Kernel {
             ino,
             &snap,
         ) {
-            Ok(verified) => {
+            Ok(mut verified) => {
+                verified.image.delta = snap.delta.clone();
                 if verified.changed {
-                    st.advance_generation(ino);
+                    let one_step = snap.generation != 0 && st.generation(ino) == snap.generation;
+                    let to = st.advance_generation(ino);
+                    let slots = verified.slots.take().filter(|_| one_step);
+                    verified.image.delta = slots.map(|slots| {
+                        Arc::new(Delta {
+                            from: snap.generation,
+                            to,
+                            slots,
+                        })
+                    });
                 }
+                verified.image.generation = st.generation(ino);
                 Ok(verified)
             }
             Err(e) => {

@@ -31,7 +31,7 @@ pub mod provider;
 pub mod shadow;
 pub mod verifier;
 
-pub use controller::{InodeGrant, Kernel, KernelConfig, KernelStats, LibFsId};
+pub use controller::{Delta, InodeGrant, Kernel, KernelConfig, KernelStats, LibFsId};
 pub use format::{Geometry, InodeType};
 pub use fsck::{logical_fingerprint, logical_snapshot, FsckIssue, FsckReport, LogicalEntry};
 pub use lease::RenameLease;

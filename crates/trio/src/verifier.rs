@@ -31,8 +31,11 @@ use std::sync::Arc;
 use pmem::{PmemDevice, PAGE_SIZE};
 use vfs::{FsError, FsResult};
 
-use crate::controller::{KState, KernelConfig, LibFsId};
-use crate::format::{self, mode, Geometry, InodeType, RawDentry, RawInode};
+use crate::controller::{Delta, KState, KernelConfig, LibFsId};
+use crate::format::{
+    self, mode, Geometry, InodeType, RawDentry, RawInode, DENTRIES_PER_PAGE, DENTRY_SIZE, I_DIRECT,
+    I_NTAILS, NDIRECT,
+};
 use crate::lease::RenameLease;
 use crate::shadow::{Children, ShadowEntry};
 
@@ -42,6 +45,14 @@ use crate::shadow::{Children, ShadowEntry};
 pub struct Snapshot {
     /// The inode this snapshot belongs to.
     pub ino: u64,
+    /// The content generation these bytes are the image of; 0 when none
+    /// is (a fresh grant, or a grant made while another LibFS could be
+    /// writing). A verification against it may yield a [`Delta`] only
+    /// when it is not 0.
+    pub generation: u64,
+    /// The verified step that ended at these bytes, if the kernel has it
+    /// (DESIGN.md §14).
+    pub delta: Option<Arc<Delta>>,
     /// Raw inode record bytes.
     pub inode_bytes: Vec<u8>,
     /// Directory log pages (page number, contents); empty for files.
@@ -57,12 +68,17 @@ impl Snapshot {
     pub(crate) fn empty(ino: u64) -> Snapshot {
         Snapshot {
             ino,
+            generation: 0,
+            delta: None,
             inode_bytes: vec![0u8; format::INODE_SIZE as usize],
             pages: Vec::new(),
             children: Children::default(),
         }
     }
 }
+
+/// One dentry record's bytes.
+pub type Record = [u8; DENTRY_SIZE as usize];
 
 /// What a successful verification hands back to the controller.
 #[derive(Debug)]
@@ -74,6 +90,11 @@ pub(crate) struct Verified {
     /// and, for a directory, every log page — with the children baseline
     /// it installed: exactly what [`take_snapshot`] would read back.
     pub image: Snapshot,
+    /// For a directory whose log kept its shape (same pages, chains and
+    /// page headers) and changed in at most a quarter of its records:
+    /// every changed dentry slot, by device offset, with its bytes in the
+    /// snapshot, in log order.
+    pub slots: Option<Vec<(u64, Record)>>,
 }
 
 /// Capture the snapshot of `ino` from PM: one read of the inode record,
@@ -98,6 +119,8 @@ pub(crate) fn take_snapshot(
     }
     Ok(Snapshot {
         ino,
+        generation: 0,
+        delta: None,
         inode_bytes: rec.to_vec(),
         pages,
         children: shadow.children_of(ino),
@@ -493,6 +516,47 @@ fn apply_children_diff(
     Ok(())
 }
 
+/// Compare a directory's record and log, as a verification just read them,
+/// with the snapshot it ran against, 128 bytes at a time: the log pages
+/// split evenly into records, the first being the page header. Returns
+/// whether anything differs and, when the log kept its shape and at most a
+/// quarter of its records changed, the changed dentry slots (see
+/// [`Verified::slots`]).
+fn diff_dir(rec: &[u8], snap: &Snapshot, pages: &LogPages) -> (bool, Option<Vec<(u64, Record)>>) {
+    let record_changed = rec[..] != snap.inode_bytes[..];
+    let tails = I_NTAILS as usize..I_NTAILS as usize + 4;
+    let heads = I_DIRECT as usize..I_DIRECT as usize + 8 * NDIRECT;
+    let same_shape = pages.len() == snap.pages.len()
+        && rec[tails.clone()] == snap.inode_bytes[tails]
+        && rec[heads.clone()] == snap.inode_bytes[heads]
+        && pages.iter().zip(&snap.pages).all(|((p, _), (q, _))| p == q);
+    if !same_shape {
+        return (true, None);
+    }
+    let cap = pages.len() * DENTRIES_PER_PAGE as usize / 4;
+    let mut slots = Vec::new();
+    for ((page, now), (_, then)) in pages.iter().zip(&snap.pages) {
+        if now == then {
+            continue;
+        }
+        let records = now
+            .chunks_exact(DENTRY_SIZE as usize)
+            .zip(then.chunks_exact(DENTRY_SIZE as usize));
+        for (i, (now, then)) in records.enumerate() {
+            if now == then {
+                continue;
+            }
+            if i == 0 || slots.len() == cap {
+                // A relinked page, or too much to be worth replaying.
+                return (true, None);
+            }
+            let off = page * PAGE_SIZE as u64 + i as u64 * DENTRY_SIZE;
+            slots.push((off, then.try_into().expect("one record")));
+        }
+    }
+    (record_changed || !slots.is_empty(), Some(slots))
+}
+
 /// The verification engine. On success the kernel's ground truth (shadow
 /// entries, parent pointers, children baselines) is updated; on failure an
 /// error describes the violation and the caller rolls back.
@@ -520,14 +584,17 @@ pub(crate) fn verify_and_apply(
         .read(geom.inode_offset(ino), &mut rec)
         .map_err(|e| fail(ino, e.to_string()))?;
     let inode = format::decode_inode(&rec);
-    let verified = |changed, pages, children| Verified {
+    let verified = |changed, pages, children, slots| Verified {
         changed,
         image: Snapshot {
             ino,
+            generation: 0,
+            delta: None,
             inode_bytes: rec.to_vec(),
             pages,
             children,
         },
+        slots,
     };
 
     // A freed inode: the LibFS deleted it. Legitimate only if a (verified)
@@ -542,7 +609,7 @@ pub(crate) fn verify_and_apply(
             }
             reclaim_freed_subtree(device, geom, st, ino, ino)?;
         }
-        return Ok(verified(true, Vec::new(), Children::default()));
+        return Ok(verified(true, Vec::new(), Children::default(), None));
     }
 
     if !inode.is_committed(ino) {
@@ -596,7 +663,7 @@ pub(crate) fn verify_and_apply(
                 }
                 check_file_pages(device, geom, ino, &inode)?;
             }
-            Ok(verified(changed, Vec::new(), Children::default()))
+            Ok(verified(changed, Vec::new(), Children::default(), None))
         }
         InodeType::Directory => {
             let (live, pages) = parse_dir(device, geom, ino, &inode)?;
@@ -615,10 +682,10 @@ pub(crate) fn verify_and_apply(
             // controller advances the inode's content generation on any
             // difference (a live set that merely *looks* the same — slots
             // moved, tombstones added — is a difference).
-            let changed = rec[..] != snap.inode_bytes[..] || pages != snap.pages;
+            let (changed, slots) = diff_dir(&rec, snap, &pages);
             let live = Children::new(live);
             st.shadow.set_children(ino, live.clone());
-            Ok(verified(changed, pages, live))
+            Ok(verified(changed, pages, live, slots))
         }
     }
 }

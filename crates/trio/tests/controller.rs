@@ -495,3 +495,165 @@ fn trust_group_traffic_never_matches_a_remembered_generation() {
     assert_eq!(k.acquire(a, ROOT_INO).unwrap().generation, last);
     assert_ne!(k.acquire(b, ROOT_INO).unwrap().generation, last);
 }
+
+// ---- inode-number and mapping grants across LibFSes -------------------------
+
+/// `return_inodes` used to free every number it was handed, so a registered
+/// LibFS could put a number another LibFS holds back into circulation and
+/// the next grant handed it out a second time.
+#[test]
+fn returning_a_number_another_libfs_holds_never_frees_it() {
+    let (k, _a, _m, child, _page) = setup_one_child();
+    k.commit(_a, ROOT_INO).unwrap();
+    let (b, _mb) = k.register_libfs(0);
+    k.return_inodes(b, vec![child]);
+    assert!(k.ino_provider().is_allocated(child).unwrap());
+    let mut granted = Vec::new();
+    while let Ok(batch) = k.grant_inodes(b, 256) {
+        granted.extend(batch);
+    }
+    assert!(granted.len() > 1000, "the pool drained: {}", granted.len());
+    assert!(
+        !granted.contains(&child),
+        "inode {child}, held by A, was granted to B"
+    );
+    let report = trio::fsck::fsck(k.device()).unwrap();
+    assert!(report.is_consistent(), "fsck: {:?}", report.issues);
+}
+
+/// `fresh_mapping` used to check neither registration nor ownership, and
+/// it forgets what the kernel knows about the inode: any id could wipe the
+/// generation (and delta) another LibFS's next revival relies on.
+#[test]
+fn fresh_mapping_is_refused_to_strangers_and_for_live_inodes() {
+    let (k, a, _m, _child, _page) = setup_one_child();
+    let (b, _mb) = k.register_libfs(0);
+    let stranger = LibFsId(9999);
+    // A holds the root.
+    assert!(matches!(
+        k.fresh_mapping(stranger, ROOT_INO),
+        Err(FsError::Internal(_))
+    ));
+    assert_eq!(
+        k.fresh_mapping(b, ROOT_INO).unwrap_err(),
+        FsError::NotOwner { ino: ROOT_INO }
+    );
+    let g = k.release(a, ROOT_INO).unwrap();
+    // Nobody holds it now, but it is committed: no new life may start.
+    assert!(k.fresh_mapping(stranger, ROOT_INO).is_err());
+    assert_eq!(
+        k.fresh_mapping(b, ROOT_INO).unwrap_err(),
+        FsError::NotOwner { ino: ROOT_INO }
+    );
+    assert!(k.fresh_mapping(b, 1 << 40).is_err());
+    assert_eq!(
+        k.acquire(a, ROOT_INO).unwrap().generation,
+        g,
+        "A's next revival keeps its index"
+    );
+    // A number from the caller's own grant is mapped as before.
+    let fresh = k.grant_inodes(a, 1).unwrap()[0];
+    assert!(k.fresh_mapping(a, fresh).unwrap().is_live());
+}
+
+// ---- slot deltas (DESIGN.md §14, "delta replay") ----------------------------
+
+/// Offset of dentry `slot` in a log page.
+fn slot_off(page: u64, slot: u64) -> u64 {
+    page * pmem::PAGE_SIZE as u64 + DIRPAGE_FIRST_DENTRY + slot * DENTRY_SIZE
+}
+
+/// A releases the root at `g1`; B acquires it, appends dentry "g" in slot 1
+/// and releases. Returns (kernel, A, B, page, g1, g2).
+fn one_verified_step() -> (Arc<Kernel>, LibFsId, LibFsId, u64, u64, u64) {
+    let (k, a, _m, _child, page) = setup_one_child();
+    let g1 = k.release(a, ROOT_INO).unwrap();
+    let (b, _mb) = k.register_libfs(0);
+    let grant = k.acquire(b, ROOT_INO).unwrap();
+    assert_eq!(grant.generation, g1);
+    let extra = k.grant_inodes(b, 1).unwrap()[0];
+    write_inode(&grant.mapping, k.geometry(), extra, InodeType::Regular);
+    write_dentry(&grant.mapping, page, 1, "g", extra);
+    let size = k.geometry().inode_offset(ROOT_INO) + I_SIZE;
+    grant.mapping.write_u64(size, 2).unwrap();
+    let g2 = k.release(b, ROOT_INO).unwrap();
+    assert!(g2 > g1);
+    (k, a, b, page, g1, g2)
+}
+
+#[test]
+fn a_verified_release_hands_the_next_owner_its_changed_slots() {
+    let (k, a, b, page, g1, g2) = one_verified_step();
+    let grant = k.acquire(a, ROOT_INO).unwrap();
+    assert_eq!(grant.generation, g2);
+    let delta = grant.delta.expect("a delta");
+    assert_eq!((delta.from, delta.to), (g1, g2));
+    assert_eq!(delta.slots.len(), 1, "only slot 1 changed");
+    assert_eq!(delta.slots[0].0, slot_off(page, 1));
+    assert_eq!(
+        delta.slots[0].1, [0u8; DENTRY_SIZE as usize],
+        "a hole before"
+    );
+    // An unchanged release keeps the generation, and with it the delta.
+    assert_eq!(k.release(a, ROOT_INO).unwrap(), g2);
+    let again = k.acquire(b, ROOT_INO).unwrap();
+    assert_eq!(again.delta.expect("kept").to, g2);
+}
+
+#[test]
+fn every_other_generation_step_drops_the_delta() {
+    // A rollback.
+    let (k, a, _b, _page, _g1, _g2) = one_verified_step();
+    let grant = k.acquire(a, ROOT_INO).unwrap();
+    let size = k.geometry().inode_offset(ROOT_INO) + I_SIZE;
+    grant.mapping.write_u64(size, 9).unwrap();
+    assert!(k.release(a, ROOT_INO).is_err());
+    assert!(k.acquire(a, ROOT_INO).unwrap().delta.is_none(), "rollback");
+
+    // A co-owned grant.
+    let (k, a, b, _page, _g1, _g2) = one_verified_step();
+    k.create_trust_group(&[a, b]).unwrap();
+    assert!(k.acquire(a, ROOT_INO).unwrap().delta.is_some());
+    assert!(k.acquire(b, ROOT_INO).unwrap().delta.is_none(), "co-owner");
+
+    // A restarted kernel.
+    let (k, _a, _b, _page, _g1, _g2) = one_verified_step();
+    let k = Kernel::recover(k.device().clone(), KernelConfig::arckfs_plus()).unwrap();
+    let (c, _mc) = k.register_libfs(0);
+    assert!(k.acquire(c, ROOT_INO).unwrap().delta.is_none(), "recover");
+}
+
+#[test]
+fn a_commit_is_one_step_and_a_release_after_it_another() {
+    let (k, a, _m, child, page) = setup_one_child();
+    let g1 = k.release(a, ROOT_INO).unwrap();
+    let (b, _mb) = k.register_libfs(0);
+    let grant = k.acquire(b, ROOT_INO).unwrap();
+    let size = k.geometry().inode_offset(ROOT_INO) + I_SIZE;
+    let extra = k.grant_inodes(b, 1).unwrap()[0];
+    write_inode(&grant.mapping, k.geometry(), extra, InodeType::Regular);
+    write_dentry(&grant.mapping, page, 1, "g", extra);
+    grant.mapping.write_u64(size, 2).unwrap();
+    k.commit(b, ROOT_INO).unwrap();
+    // Released unchanged since the commit: the commit's step is the delta.
+    let g2 = k.release(b, ROOT_INO).unwrap();
+    let grant = k.acquire(b, ROOT_INO).unwrap();
+    let delta = grant.delta.clone().expect("the commit's delta");
+    assert_eq!((delta.from, delta.to), (g1, g2));
+    // Changed after a commit: the release's step starts at the commit.
+    k.commit(b, ROOT_INO).unwrap();
+    grant
+        .mapping
+        .write(slot_off(page, 0) + format::D_DELETED, &[1])
+        .unwrap();
+    grant
+        .mapping
+        .write_u64(k.geometry().inode_offset(child), 0)
+        .unwrap();
+    grant.mapping.write_u64(size, 1).unwrap();
+    let g3 = k.release(b, ROOT_INO).unwrap();
+    let delta = k.acquire(a, ROOT_INO).unwrap().delta.expect("a delta");
+    assert_eq!((delta.from, delta.to), (g2, g3));
+    assert_eq!(delta.slots.len(), 1);
+    assert_eq!(delta.slots[0].0, slot_off(page, 0));
+}

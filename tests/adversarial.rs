@@ -323,3 +323,156 @@ fn tampering_with_an_old_record_in_place_is_still_caught() {
     assert_eq!(names, expect);
     assert!(trio::fsck::fsck(kernel.device()).unwrap().is_consistent());
 }
+
+// ---- delta replay against a hostile previous owner (DESIGN.md §14) ---------
+//
+// The verifier checks live records; tombstones, holes and sequence numbers
+// are the LibFS's business, and the rebuild resolves names by sequence number
+// across every record. A log the other side forged within what verification
+// accepts must therefore never be replayed into an index a rebuild would not
+// build: each case below must fall back, and the index must match a rebuild.
+
+const PAGE: u64 = pmem::PAGE_SIZE as u64;
+
+/// The victim `a` makes `/d` with one resident per log tail plus whatever
+/// `prepare` adds, and hands it over; returns (kernel, a, hostile b, /d).
+fn replay_setup(prepare: impl Fn(&LibFs)) -> (Arc<Kernel>, Arc<LibFs>, Arc<LibFs>, u64) {
+    let device = PmemDevice::new(DEV);
+    let kernel = Kernel::format(
+        device,
+        Geometry::for_device(DEV),
+        KernelConfig::arckfs_plus(),
+    )
+    .expect("format");
+    let mut cfg = Config::arckfs_plus();
+    cfg.batch = false;
+    let a = LibFs::mount(kernel.clone(), cfg.clone(), 0).expect("mount a");
+    let b = LibFs::mount(kernel.clone(), cfg, 0).expect("mount b");
+    a.mkdir("/d").unwrap();
+    for i in 0..4 {
+        touch(&a, &format!("/d/r{i}"));
+    }
+    prepare(&a);
+    let dir = a.stat("/d").unwrap().ino;
+    a.release_path("/d").unwrap();
+    a.release_path("/").unwrap();
+    (kernel, a, b, dir)
+}
+
+fn touch(fs: &LibFs, path: &str) {
+    let fd = fs.create(path).unwrap();
+    fs.close(fd).unwrap();
+}
+
+/// Device offset of the committed record named `name` (live or not).
+fn record_of(kernel: &Kernel, dir: u64, name: &str) -> u64 {
+    let raw = format::read_inode(kernel.device(), kernel.geometry(), dir).unwrap();
+    let mut off = None;
+    format::walk_dir_log(kernel.device(), kernel.geometry(), &raw, |d| {
+        if d.name_str() == Some(name) {
+            off = Some(d.offset);
+        }
+    })
+    .unwrap();
+    off.unwrap_or_else(|| panic!("no record '{name}'"))
+}
+
+/// `b` releases `/d` (verification passes: only non-live bytes were
+/// forged), then `a` takes it back: it must have read the whole log, and
+/// its index must be what a rebuild builds. Returns `a`'s names.
+fn forged_hand_back(kernel: &Kernel, a: &LibFs, b: &LibFs, dir: u64) -> Vec<String> {
+    b.release_path("/d")
+        .expect("the forgery passes verification");
+    b.release_path("/").unwrap();
+    a.stat("/").unwrap();
+    let raw = format::read_inode(kernel.device(), kernel.geometry(), dir).unwrap();
+    let mut pages = 0;
+    format::walk_dir_pages(kernel.device(), kernel.geometry(), &raw, |_| {
+        pages += 1;
+        Ok(())
+    })
+    .unwrap();
+    let before = kernel.device().stats().snapshot().bytes_read;
+    a.stat("/d").unwrap();
+    let cost = kernel.device().stats().snapshot().bytes_read - before;
+    assert!(cost >= pages * PAGE, "replayed a forged log ({cost} B)");
+    a.check_dir_index("/d").unwrap_or_else(|e| panic!("{e}"));
+    let mut names: Vec<String> = a
+        .readdir("/d")
+        .unwrap()
+        .into_iter()
+        .map(|e| e.name)
+        .collect();
+    names.sort();
+    names
+}
+
+/// A tombstone rewritten to carry a live name at a higher sequence number:
+/// the rebuild ranks it above the live record and drops the name.
+#[test]
+fn a_forged_tombstone_outranking_a_live_name_is_not_replayed() {
+    let (kernel, a, b, dir) = replay_setup(|a| {
+        touch(a, "/d/y");
+        touch(a, "/d/t");
+        a.unlink("/d/t").unwrap();
+    });
+    b.stat("/d").unwrap();
+    let off = record_of(&kernel, dir, "t");
+    let dev = kernel.device();
+    dev.write(off + format::D_NAME, b"y").unwrap();
+    dev.write_u16(off + format::D_MARKER, 1).unwrap();
+    dev.write_u64(off + format::D_SEQ, 1000).unwrap();
+    let names = forged_hand_back(&kernel, &a, &b, dir);
+    assert!(!names.contains(&"y".to_string()), "{names:?}");
+}
+
+/// A new live record numbered below an older tombstone of its name: the
+/// rebuild ranks the tombstone first and drops the name.
+#[test]
+fn a_forged_live_record_ranked_below_a_tombstone_is_not_replayed() {
+    let (kernel, a, b, dir) = replay_setup(|a| {
+        // Two tombstones named `t2`; B's create takes the later one's slot
+        // (the top of its free-slot stack) and leaves the earlier one.
+        touch(a, "/d/t2");
+        touch(a, "/d/f");
+        a.unlink("/d/t2").unwrap();
+        a.unlink("/d/f").unwrap();
+        touch(a, "/d/t2");
+        a.unlink("/d/t2").unwrap();
+    });
+    touch(&b, "/d/n");
+    let off = record_of(&kernel, dir, "n");
+    assert_ne!(off, record_of(&kernel, dir, "t2"), "a t2 tombstone is left");
+    let dev = kernel.device();
+    dev.write(off + format::D_NAME, b"t2").unwrap();
+    dev.write_u16(off + format::D_MARKER, 2).unwrap();
+    dev.write_u64(off + format::D_SEQ, 1).unwrap();
+    let names = forged_hand_back(&kernel, &a, &b, dir);
+    assert!(!names.contains(&"t2".to_string()), "{names:?}");
+}
+
+/// A tombstone turned back into a hole: not a free slot any more, and maybe
+/// no longer the end of its page's records.
+#[test]
+fn a_tombstone_turned_into_a_hole_is_not_replayed() {
+    let (kernel, a, b, dir) = replay_setup(|a| {
+        touch(a, "/d/t");
+        a.unlink("/d/t").unwrap();
+    });
+    b.stat("/d").unwrap();
+    let off = record_of(&kernel, dir, "t");
+    kernel
+        .device()
+        .write_u16(off + format::D_MARKER, 0)
+        .unwrap();
+    let names = forged_hand_back(&kernel, &a, &b, dir);
+    assert_eq!(names, ["r0", "r1", "r2", "r3"]);
+    for i in 0..40 {
+        touch(&a, &format!("/d/g{i}"));
+    }
+    a.unmount().unwrap();
+    b.unmount().unwrap();
+    let c = LibFs::mount(kernel.clone(), Config::arckfs_plus(), 0).unwrap();
+    assert_eq!(c.readdir("/d").unwrap().len(), 44);
+    assert!(trio::fsck::fsck(kernel.device()).unwrap().is_consistent());
+}

@@ -6,6 +6,10 @@
 //! points), observe the failure with the fix off, and observe its absence
 //! with the fix on. The C artifact's SIGBUS/SIGSEGV symptoms appear here as
 //! detected `FsError::Fault`s (see DESIGN.md for the mapping).
+//!
+//! Every gate is armed on the test's own device (`inject::arm_on`), so the
+//! fix-off and fix-on twins of one bug share point names yet can run in
+//! parallel without parking each other's threads.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -124,7 +128,7 @@ fn crash_states_during_create(config: Config) -> (usize, usize) {
     let name = format!("/{}", "partially-persisted-dentry-victim-file-0001");
     assert!(name.len() > 41);
 
-    let gate = inject::arm("dentry.marker_flushed");
+    let gate = inject::arm_on(&device, "dentry.marker_flushed");
     let fs2 = fs.clone();
     let name2 = name.clone();
     let h = std::thread::spawn(move || fs2.create(&name2));
@@ -197,7 +201,7 @@ fn bug_43_voluntary_release_races_with_directory_write() {
     // Thread A writes to the directory; the paper inserts a sleep() during
     // the directory write — our schedule point sits right before the core
     // dentry stores.
-    let gate = inject::arm("dir.insert.core_write");
+    let gate = inject::arm_on(fs.kernel().device(), "dir.insert.core_write");
     let fs2 = fs.clone();
     let h = std::thread::spawn(move || fs2.create("/d/racer"));
     assert!(gate.wait_reached(Duration::from_secs(10)));
@@ -219,7 +223,7 @@ fn bug_43_fixed_release_waits_for_inflight_operations() {
     let fs = fresh(Config::arckfs_plus());
     fs.mkdir("/d").unwrap();
 
-    let gate = inject::arm("dir.insert.core_write");
+    let gate = inject::arm_on(fs.kernel().device(), "dir.insert.core_write");
     let fs_a = fs.clone();
     let writer = std::thread::spawn(move || fs_a.create("/d/racer"));
     assert!(gate.wait_reached(Duration::from_secs(10)));
@@ -259,7 +263,7 @@ fn bug_44_unlink_follows_index_into_missing_core_state() {
     // The paper: "we observe such segmentation faults by concurrently
     // invoking creat() and unlink(); we insert a sleep() between the two
     // state updates in creat()".
-    let gate = inject::arm("dir.insert.between_states");
+    let gate = inject::arm_on(fs.kernel().device(), "dir.insert.between_states");
     let fs2 = fs.clone();
     let creator = std::thread::spawn(move || fs2.create("/d/x"));
     assert!(gate.wait_reached(Duration::from_secs(10)));
@@ -282,7 +286,7 @@ fn bug_44_fixed_bucket_lock_covers_core_update() {
 
     // With the patch, the buggy window's schedule point is never executed:
     // the create publishes aux+core atomically under the bucket lock.
-    let gate = inject::arm("dir.insert.between_states");
+    let gate = inject::arm_on(fs.kernel().device(), "dir.insert.between_states");
     let fs2 = fs.clone();
     let creator = std::thread::spawn(move || fs2.create("/d/x"));
     assert!(
@@ -311,7 +315,7 @@ fn bug_45_reader_dereferences_freed_bucket_entry() {
 
     // Reader (directory enumeration) parks mid-traversal, as the paper's
     // sleep() during bucket traversal does.
-    let gate = inject::arm("dir.readdir.traverse");
+    let gate = inject::arm_on(fs.kernel().device(), "dir.readdir.traverse");
     let fs2 = fs.clone();
     let reader = std::thread::spawn(move || fs2.readdir("/d"));
     assert!(gate.wait_reached(Duration::from_secs(10)));
@@ -333,7 +337,7 @@ fn bug_45_rcu_defers_free_past_readers() {
     fs.mkdir("/d").unwrap();
     fs.create("/d/victim").unwrap();
 
-    let gate = inject::arm("dir.readdir.traverse");
+    let gate = inject::arm_on(fs.kernel().device(), "dir.readdir.traverse");
     let fs2 = fs.clone();
     let reader = std::thread::spawn(move || fs2.readdir("/d"));
     assert!(gate.wait_reached(Duration::from_secs(10)));
@@ -370,7 +374,7 @@ fn bug_46_concurrent_cross_directory_renames_create_cycle() {
     setup_46(&fs);
 
     // The paper's case (1): rename(/c, /a/b/c) racing rename(/a, /c/d/a).
-    let gate = inject::arm("rename.crossdir.prepared");
+    let gate = inject::arm_on(kernel.device(), "rename.crossdir.prepared");
     let fs1 = fs.clone();
     let t1 = std::thread::spawn(move || fs1.rename("/c", "/a/b/c"));
     let fs2 = fs.clone();
@@ -400,7 +404,7 @@ fn bug_46_lease_serializes_directory_renames() {
     let (kernel, fs) = arckfs::new_fs(DEV, Config::arckfs_plus()).unwrap();
     setup_46(&fs);
 
-    let gate = inject::arm("rename.crossdir.prepared");
+    let gate = inject::arm_on(kernel.device(), "rename.crossdir.prepared");
     let fs1 = fs.clone();
     let t1 = std::thread::spawn(move || fs1.rename("/c", "/a/b/c"));
     let fs2 = fs.clone();

@@ -597,3 +597,460 @@ fn failed_revival_hands_the_grant_back() {
     b.unmount().unwrap();
     assert_fsck_clean(&k);
 }
+
+// ---- delta replay: a revival patches the index slot by slot ------------------
+//
+// When the other side's release was verified one step after this LibFS's own
+// (DESIGN.md §14, "delta replay"), the grant carries the changed dentry slots
+// with their bytes before; the revival reads each slot once and patches the
+// index instead of rescanning the log. After every revival below the index is
+// compared with a rebuild from PM (`LibFs::check_dir_index`): the replay must
+// leave exactly what the rebuild would, and every fallback must still be exact.
+
+/// Which path a directory's revival took, told from the PM bytes it read: a
+/// kept index reads only the kernel's record check, a replay adds the record
+/// and the changed slots, a rebuild reads every log page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Revival {
+    Kept,
+    Replayed,
+    Rebuilt,
+}
+
+/// Take `dir` (inode `ino`, a child of `/`) back into `fs` — `/` first, on its
+/// own — classify the revival, then check the index against a rebuild.
+fn revive(k: &Kernel, fs: &LibFs, dir: &str, ino: u64) -> Revival {
+    fs.stat("/").unwrap();
+    let pages = log_pages(k, ino);
+    let before = bytes_read(k);
+    fs.stat(dir).unwrap();
+    let cost = bytes_read(k) - before;
+    let how = if cost <= format::INODE_SIZE {
+        Revival::Kept
+    } else if cost < pages * PAGE {
+        Revival::Replayed
+    } else {
+        Revival::Rebuilt
+    };
+    oracle(fs, dir);
+    how
+}
+
+fn oracle(fs: &LibFs, dir: &str) {
+    if let Err(e) = fs.check_dir_index(dir) {
+        panic!("the index differs from a rebuild: {e}");
+    }
+}
+
+fn hand_over_all(fs: &LibFs, dirs: &[&str]) {
+    for d in dirs {
+        fs.release_path(d).unwrap();
+    }
+    fs.release_path("/").unwrap();
+}
+
+/// (a) B unlinks `x` and creates `w` and `v`, which land in the slots of `x`
+/// and of the `z` A had unlinked: the same slots under other names.
+#[test]
+fn replay_reuses_slots_under_other_names() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/d").unwrap();
+    for n in ["x", "y", "z"] {
+        touch(&a, &format!("/d/{n}"));
+    }
+    a.unlink("/d/z").unwrap();
+    let dir = a.stat("/d").unwrap().ino;
+    a.release_path("/d/x").unwrap(); // B frees it: A must not hold it
+    hand_over(&a, "/d");
+    b.unlink("/d/x").unwrap();
+    touch(&b, "/d/w");
+    touch(&b, "/d/v");
+    hand_over(&b, "/d");
+    assert_eq!(revive(&k, &a, "/d", dir), Revival::Replayed);
+    assert_eq!(names(&a, "/d"), ["v", "w", "y"]);
+    // The patched index goes on allocating: every slot it hands out is free.
+    let mut expect = vec!["v".to_string(), "w".into()];
+    for n in 0..40 {
+        touch(&a, &format!("/d/f{n}"));
+        expect.push(format!("f{n}"));
+    }
+    a.unlink("/d/y").unwrap();
+    let expect = sorted(expect);
+    assert_eq!(names(&a, "/d"), expect);
+    hand_over(&a, "/d");
+    assert_ne!(revive(&k, &b, "/d", dir), Revival::Kept);
+    assert_eq!(names(&b, "/d"), expect);
+    a.unmount().unwrap();
+    b.unmount().unwrap();
+    assert_fsck_clean(&k);
+}
+
+/// (b) A rename inside the directory, a file moved in from a sibling, and —
+/// next turn — one moved out (Rule (2) commits the sibling first; the
+/// sibling's delta is then its commit's).
+#[test]
+fn replay_follows_renames_within_and_across_directories() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/d").unwrap();
+    a.mkdir("/e").unwrap();
+    for p in ["/d/x", "/d/y", "/e/u"] {
+        touch(&a, p);
+    }
+    let d = a.stat("/d").unwrap().ino;
+    let e = a.stat("/e").unwrap().ino;
+    // The files go too: a cross-directory rename takes the moved file over.
+    for p in ["/d/y", "/e/u"] {
+        a.release_path(p).unwrap();
+    }
+    hand_over_all(&a, &["/d", "/e"]);
+    b.rename("/d/x", "/d/x2").unwrap();
+    b.rename("/e/u", "/d/u").unwrap();
+    hand_over_all(&b, &["/d", "/e"]);
+    assert_eq!(revive(&k, &a, "/d", d), Revival::Replayed);
+    assert_eq!(revive(&k, &a, "/e", e), Revival::Replayed);
+    assert_eq!(names(&a, "/d"), ["u", "x2", "y"]);
+    assert!(names(&a, "/e").is_empty());
+    hand_over_all(&a, &["/d", "/e"]);
+
+    b.rename("/d/y", "/e/y").unwrap();
+    hand_over_all(&b, &["/d", "/e"]);
+    assert_eq!(revive(&k, &a, "/d", d), Revival::Replayed);
+    assert_eq!(revive(&k, &a, "/e", e), Revival::Replayed);
+    assert_eq!(names(&a, "/d"), ["u", "x2"]);
+    assert_eq!(names(&a, "/e"), ["y"]);
+    touch(&a, "/e/z");
+    a.unmount().unwrap();
+    b.unmount().unwrap();
+    let c = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    assert_eq!(names(&c, "/e"), ["y", "z"]);
+    c.unmount().unwrap();
+    assert_fsck_clean(&k);
+}
+
+/// (c) B's creates link new log pages: the log changed shape, the kernel
+/// records no delta and A rebuilds.
+#[test]
+fn a_create_that_links_a_log_page_falls_back() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/d").unwrap();
+    touch(&a, "/d/first");
+    let dir = a.stat("/d").unwrap().ino;
+    hand_over(&a, "/d");
+    let mut expect = vec!["first".to_string()];
+    for n in 0..130 {
+        touch(&b, &format!("/d/b{n}"));
+        expect.push(format!("b{n}"));
+    }
+    hand_over(&b, "/d");
+    assert_eq!(revive(&k, &a, "/d", dir), Revival::Rebuilt);
+    assert_eq!(names(&a, "/d"), sorted(expect));
+    assert_fsck_clean(&k);
+}
+
+/// (d) After B's failed release the kernel rolled back and recorded no
+/// delta: A, which released at the generation before B's clean turn, must
+/// rebuild even though PM holds exactly what it last replayed.
+#[test]
+fn a_rollback_between_turns_leaves_no_delta() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/d").unwrap();
+    touch(&a, "/d/x");
+    let dir = a.stat("/d").unwrap().ino;
+    hand_over(&a, "/d");
+    touch(&b, "/d/w");
+    hand_over(&b, "/d");
+    assert_eq!(revive(&k, &a, "/d", dir), Revival::Replayed);
+    hand_over(&a, "/d");
+    assert_eq!(revive(&k, &b, "/d", dir), Revival::Kept);
+    touch(&b, "/d/doomed");
+    k.device()
+        .write_u64(k.geometry().inode_offset(dir) + format::I_SIZE, 17)
+        .unwrap();
+    assert!(b.release_path("/d").is_err());
+    b.release_path("/").unwrap();
+    assert_eq!(revive(&k, &a, "/d", dir), Revival::Rebuilt);
+    assert_eq!(names(&a, "/d"), ["w", "x"]);
+    hand_over(&a, "/d");
+    assert_eq!(names(&b, "/d"), ["w", "x"]);
+    oracle(&b, "/d");
+    assert_fsck_clean(&k);
+}
+
+/// (e) Two ways for the delta's `from` to miss: releases inside a trust
+/// group (each advances the generation unverified), and a commit between
+/// the other side's grant and its release — unless nothing changed after
+/// the commit, when the commit's own delta is still the current one.
+#[test]
+fn trust_groups_and_commits_start_deltas_elsewhere() {
+    let (k, a, b) = two_apps(plus());
+    let c = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    k.create_trust_group(&[a.id(), b.id()]).unwrap();
+    c.mkdir("/d").unwrap();
+    touch(&c, "/d/c0");
+    let dir = c.stat("/d").unwrap().ino;
+    hand_over(&c, "/d");
+    touch(&a, "/d/a0");
+    touch(&b, "/d/b0"); // co-owned
+    hand_over(&a, "/d"); // intra-group: unverified
+    hand_over(&b, "/d"); // the boundary: verified, several steps
+    assert_eq!(revive(&k, &c, "/d", dir), Revival::Rebuilt);
+    assert_eq!(names(&c, "/d"), ["a0", "b0", "c0"]);
+    hand_over(&c, "/d");
+
+    // Outside the group: commit, then change, then release. (Four
+    // residents give every tail a page: B's creates append in place.)
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/d").unwrap();
+    for n in ["x", "r1", "r2", "r3"] {
+        touch(&a, &format!("/d/{n}"));
+    }
+    let dir = a.stat("/d").unwrap().ino;
+    hand_over(&a, "/d");
+    touch(&b, "/d/w");
+    b.commit_path("/d").unwrap();
+    touch(&b, "/d/v");
+    hand_over(&b, "/d");
+    assert_eq!(revive(&k, &a, "/d", dir), Revival::Rebuilt);
+    hand_over(&a, "/d");
+    // Commit, then release unchanged: the commit's step is the last one.
+    touch(&b, "/d/u");
+    b.commit_path("/d").unwrap();
+    hand_over(&b, "/d");
+    assert_eq!(revive(&k, &a, "/d", dir), Revival::Replayed);
+    assert_eq!(names(&a, "/d"), ["r1", "r2", "r3", "u", "v", "w", "x"]);
+    assert_fsck_clean(&k);
+}
+
+/// (f) Three applications round-robin: each delta covers only the step of
+/// the application just before, so the next one never finds its own `from`.
+#[test]
+fn a_third_application_falls_back() {
+    let k = kernel();
+    let apps: Vec<Arc<LibFs>> = (0..3)
+        .map(|_| LibFs::mount(k.clone(), plus(), 0).unwrap())
+        .collect();
+    apps[0].mkdir("/d").unwrap();
+    for i in 0..20 {
+        touch(&apps[0], &format!("/d/r{i}"));
+    }
+    let dir = apps[0].stat("/d").unwrap().ino;
+    hand_over(&apps[0], "/d");
+    let mut expect: Vec<String> = (0..20).map(|i| format!("r{i}")).collect();
+    for turn in 1..10 {
+        let fs = &apps[turn % 3];
+        assert_eq!(revive(&k, fs, "/d", dir), Revival::Rebuilt, "turn {turn}");
+        for n in 0..4 {
+            touch(fs, &format!("/d/n{n}"));
+        }
+        for n in 0..4 {
+            fs.unlink(&format!("/d/n{n}")).unwrap();
+        }
+        touch(fs, &format!("/d/t{turn}"));
+        expect.push(format!("t{turn}"));
+        hand_over(fs, "/d");
+    }
+    assert_eq!(names(&apps[1], "/d"), sorted(expect));
+    assert_fsck_clean(&k);
+}
+
+/// (h) Group durability on: the release quiesce's close staged the slots of
+/// A's unlinks in the batch cell, so A's index is not exact for a replay to
+/// patch — it rebuilds. With nothing staged the replay runs, batch or not.
+#[test]
+fn a_staged_reclaim_list_forces_the_rebuild() {
+    let mut cfg = Config::arckfs_plus();
+    cfg.batch = true;
+    cfg.batch_ops = 64;
+    let (k, a, b) = two_apps(cfg);
+    a.mkdir("/d").unwrap();
+    for n in 0..24 {
+        touch(&a, &format!("/d/f{n}"));
+    }
+    a.sync().unwrap();
+    for n in 0..12 {
+        a.unlink(&format!("/d/f{n}")).unwrap();
+    }
+    let dir = a.stat("/d").unwrap().ino;
+    hand_over(&a, "/d"); // stages 12 slots
+    touch(&b, "/d/b0");
+    hand_over(&b, "/d");
+    assert_eq!(revive(&k, &a, "/d", dir), Revival::Rebuilt);
+    for n in 0..5 {
+        touch(&a, &format!("/d/a{n}"));
+    }
+    hand_over(&a, "/d"); // creates only: nothing staged
+    for n in 0..3 {
+        touch(&b, &format!("/d/b{}", n + 1));
+    }
+    b.unlink("/d/b2").unwrap();
+    hand_over(&b, "/d");
+    assert_eq!(revive(&k, &a, "/d", dir), Revival::Replayed);
+    let mut expect: Vec<String> = (12..24).map(|n| format!("f{n}")).collect();
+    expect.extend(["b0", "b1", "b3"].map(String::from));
+    expect.extend((0..5).map(|n| format!("a{n}")));
+    assert_eq!(names(&a, "/d"), sorted(expect));
+    a.unmount().unwrap();
+    b.unmount().unwrap();
+    assert_fsck_clean(&k);
+}
+
+/// (i) A number freed and recycled into a new directory starts from a
+/// generation no release of its past life reported, so a delta of the new
+/// life never has A's `from`.
+#[test]
+fn a_recycled_number_is_never_replayed() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/old").unwrap();
+    touch(&a, "/old/gone");
+    a.unlink("/old/gone").unwrap();
+    let ino = a.stat("/old").unwrap().ino;
+    hand_over(&a, "/old");
+    b.rmdir("/old").unwrap();
+    b.unmount().unwrap();
+    let c = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    let reborn = (0..4096)
+        .map(|i| format!("/new{i}"))
+        .find(|p| {
+            c.mkdir(p).unwrap();
+            c.stat(p).unwrap().ino == ino
+        })
+        .expect("the freed number comes around again");
+    touch(&c, &format!("{reborn}/inside"));
+    c.unmount().unwrap();
+    let d = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    touch(&d, &format!("{reborn}/more")); // one verified step of the new life
+    d.unmount().unwrap();
+    assert_eq!(revive(&k, &a, &reborn, ino), Revival::Rebuilt);
+    assert_eq!(names(&a, &reborn), ["inside", "more"]);
+    a.unmount().unwrap();
+    assert_fsck_clean(&k);
+}
+
+/// Number of 128-byte records that differ between two images of one log.
+fn changed_records(then: &[(u64, Vec<u8>)], now: &[(u64, Vec<u8>)]) -> u64 {
+    assert_eq!(
+        then.iter().map(|p| p.0).collect::<Vec<_>>(),
+        now.iter().map(|p| p.0).collect::<Vec<_>>(),
+        "same pages"
+    );
+    let rec = format::DENTRY_SIZE as usize;
+    then.iter()
+        .zip(now)
+        .flat_map(|((_, t), (_, n))| t.chunks(rec).zip(n.chunks(rec)))
+        .filter(|(t, n)| t != n)
+        .count() as u64
+}
+
+/// The benchmark's turn on a 100-resident directory: after warm-up the
+/// acquiring create reads the inode record, each changed slot once, and at
+/// most a page of slack — not the directory's log pages (at the parent
+/// commit it read all four of them).
+#[test]
+fn handoff_reads_only_changed_slots() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/dir100").unwrap();
+    for i in 0..100 {
+        touch(&a, &format!("/dir100/r{i}"));
+    }
+    let dir = a.stat("/dir100").unwrap().ino;
+    hand_over(&a, "/dir100");
+    let turn = |fs: &LibFs, first_done: bool| {
+        for n in usize::from(first_done)..4 {
+            touch(fs, &format!("/dir100/n{n}"));
+        }
+        for n in 0..4 {
+            fs.unlink(&format!("/dir100/n{n}")).unwrap();
+        }
+        hand_over(fs, "/dir100");
+    };
+    let apps = [&b, &a];
+    let mut released = [dir_image(&k, dir).1, dir_image(&k, dir).1];
+    for t in 0..6 {
+        turn(apps[t % 2], false);
+        released[t % 2] = dir_image(&k, dir).1;
+    }
+    for t in 0..6 {
+        let fs = apps[t % 2];
+        fs.stat("/").unwrap();
+        let changed = changed_records(&released[t % 2], &dir_image(&k, dir).1);
+        assert!(
+            changed > 0 && changed <= 8,
+            "turn {t}: {changed} records changed"
+        );
+        let before = bytes_read(&k);
+        touch(fs, "/dir100/n0");
+        let cost = bytes_read(&k) - before;
+        let bound = format::INODE_SIZE + changed * format::DENTRY_SIZE + PAGE;
+        assert!(
+            cost <= bound,
+            "turn {t}: the acquiring create read {cost} B for {changed} changed slots (bound {bound})"
+        );
+        oracle(fs, "/dir100");
+        turn(fs, true);
+        released[t % 2] = dir_image(&k, dir).1;
+    }
+    a.unmount().unwrap();
+    let expect: Vec<String> = sorted((0..100).map(|i| format!("r{i}")).collect());
+    assert_eq!(names(&b, "/dir100"), expect);
+    b.unmount().unwrap();
+    assert_fsck_clean(&k);
+}
+
+/// A first sight of a directory used to start the LibFS's sequence counter
+/// at the inode's `seq` word — never written, so 0 — instead of above the
+/// log. Its records then ranked below every record already there: a name it
+/// created again after the other application's create-and-unlink lost to
+/// that old tombstone in the next rebuild, which "repaired" the live record
+/// away. (A revival always took the log's highest number; only the first
+/// sight did not.)
+#[test]
+fn a_first_sight_numbers_its_records_above_the_log() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/d").unwrap();
+    for i in 0..8 {
+        touch(&a, &format!("/d/r{i}"));
+    }
+    // Two tombstones named `x`, the later one on top of the free-slot stack.
+    touch(&a, "/d/x");
+    touch(&a, "/d/f");
+    a.unlink("/d/x").unwrap();
+    a.unlink("/d/f").unwrap();
+    touch(&a, "/d/x");
+    a.unlink("/d/x").unwrap();
+    hand_over(&a, "/d");
+    touch(&b, "/d/x"); // B's first sight of /d
+    hand_over(&b, "/d");
+    let c = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    assert!(
+        names(&c, "/d").contains(&"x".to_string()),
+        "B's x ranked below A's tombstone"
+    );
+    oracle(&c, "/d");
+    c.unmount().unwrap();
+    assert_fsck_clean(&k);
+}
+
+/// B unlinks a file A still holds: the name goes through B's directory, A's
+/// grant of the file stays, and the freed number lands in B's inode pool.
+/// B's next create used to remap that number (`Kernel::fresh_mapping`
+/// checked no ownership) and give it to a new file while A still held the
+/// old one. (A's *data pages* go back through B's page pool the same way —
+/// ROADMAP item 3 — so this test does not write through A's descriptor.)
+#[test]
+fn a_number_another_application_holds_is_not_reused() {
+    let (k, a, b) = two_apps(plus());
+    a.mkdir("/d").unwrap();
+    a.write_file("/d/f", b"a's").unwrap();
+    let fd = a.open("/d/f", vfs::OpenFlags::rw()).unwrap();
+    let held = a.fstat(fd).unwrap().ino;
+    hand_over(&a, "/d");
+    b.unlink("/d/f").unwrap();
+    assert!(k.owns(a.id(), held), "A still holds the file");
+    for n in 0..4 {
+        touch(&b, &format!("/d/n{n}"));
+        assert_ne!(b.stat(&format!("/d/n{n}")).unwrap().ino, held);
+    }
+    a.close(fd).unwrap();
+    b.unmount().unwrap();
+    assert_fsck_clean(&k);
+}
