@@ -5,24 +5,19 @@
 # stand-ins under vendor/ (the build environment cannot reach crates.io),
 # so no pre-warmed registry is required. Run from the repository root.
 #
-# The test suite runs four times, each leg a configuration some code
+# The test suite runs three times, each leg a configuration some code
 # path is only reachable in:
-#   * default — dentry cache on, batch off, inline data path (no
-#     delegation rings);
+#   * default — dentry cache on, inline data path (no delegation rings);
 #   * ARCKFS_DCACHE=0 — the plain locked walk under the lock-free
 #     resolution path stays green on its own;
-#   * ARCKFS_BATCH=1 — group durability (fence-coalescing batch commit,
-#     DESIGN.md §8) is exercised by the whole suite, not just its own
-#     tests;
 #   * ARCKFS_DELEG_RINGS=4 — the per-core SQ/CQ ring runtime arbitrates
 #     every large write (DESIGN.md §10).
 # Allocator shard counts (1, 2, 8; DESIGN.md §9) are covered inside the
 # suite by tests/fingerprint.rs, not by a leg of their own.
 #
-# Four bench smokes each assert a deterministic count: batch_sweep pins
-# the fence-coalescing win (>= 4x create-path sfence reduction at batch
-# 8); alloc_scale the sharding win (>= 4x busiest-shard lock-acquisition
-# reduction at 8 shards); delegate_scale the drain-batch amortization
+# Three bench smokes each assert a deterministic count: alloc_scale the
+# sharding win (>= 4x busiest-shard lock-acquisition reduction at 8
+# shards); delegate_scale the drain-batch amortization
 # (fences/op falling as the batch grows); shared_file the data path's
 # lock counts (at least one range-lock acquisition and zero whole-object
 # lock acquisitions per overwrite).
@@ -35,10 +30,10 @@
 # inherited ARCKFS_*/BENCH_* variables, so they are unset for it.
 #
 # The schedmc step exhaustively explores every 2-op interleaving of the
-# explorer vocabulary at preemption bound 2 (seeded; five sweeps, each on
-# a 45 s budget — the whole vocabulary, then the batch, delegation,
-# ranged-data and two-application hand-off pairs under the configuration
-# that reaches them) and fails on any oracle verdict; coverage lands in
+# explorer vocabulary at preemption bound 2 (seeded; four sweeps, each on
+# a 45 s budget — the whole vocabulary, then the delegation, ranged-data
+# and two-application hand-off pairs under the configuration that
+# reaches them) and fails on any oracle verdict; coverage lands in
 # results/obs_schedmc.json. ARCKFS_SCHEDMC_DEEP=1 adds the 3-op sweep at
 # bound 3 (minutes, off by default). See DESIGN.md §7.
 #
@@ -67,9 +62,7 @@ set -eux
 cargo build --release
 cargo test -q --workspace
 ARCKFS_DCACHE=0 cargo test -q --workspace
-ARCKFS_BATCH=1 cargo test -q --workspace
 ARCKFS_DELEG_RINGS=4 cargo test -q --workspace
-BENCH_ITERS=2000 cargo run --release -q -p bench --bin batch_sweep
 BENCH_ITERS=2000 cargo run --release -q -p bench --bin alloc_scale
 BENCH_ITERS=2000 cargo run --release -q -p bench --bin delegate_scale
 BENCH_ITERS=2000 cargo run --release -q -p bench --bin shared_file

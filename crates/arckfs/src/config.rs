@@ -79,22 +79,6 @@ pub struct Config {
     /// preset constructors honor `ARCKFS_DELEG_BATCH`.
     pub deleg_batch: usize,
 
-    /// Group-durability (fence-coalescing) batch commit for metadata
-    /// operations (`crate::batch`). When active, create/unlink/rename/mkdir
-    /// in a directory join an open per-directory commit batch instead of
-    /// fencing inline; the batch closes (one fence pair for all members) on
-    /// the [`Config::batch_ops`]/[`Config::batch_bytes`] thresholds, on any
-    /// externally-observable visibility event (fsync, lookup/open by
-    /// another handle, readdir, delegation submit, unmount), or on an
-    /// explicit `LibFs::flush_batch`. Off by default; the preset
-    /// constructors honor `ARCKFS_BATCH` (`1` enables) so CI can run the
-    /// suite in both modes without code changes. See DESIGN.md §8.
-    pub batch: bool,
-    /// Close an open batch once it holds this many member operations.
-    pub batch_ops: usize,
-    /// Close an open batch once its members have logged this many bytes.
-    pub batch_bytes: usize,
-
     /// Lock-free path-resolution (dentry) cache (`crate::dcache`). On by
     /// default; off leaves resolution byte-for-byte on the authoritative
     /// bucket-index path for A/B comparison. The preset constructors honor
@@ -110,13 +94,9 @@ fn dcache_env_default() -> bool {
     std::env::var("ARCKFS_DCACHE").map_or(true, |v| v != "0")
 }
 
-/// Preset default for [`Config::batch`]: off, unless `ARCKFS_BATCH=1`.
-fn batch_env_default() -> bool {
-    std::env::var("ARCKFS_BATCH").is_ok_and(|v| v == "1")
-}
-
-/// Preset default for a numeric batch knob, from the environment.
-fn batch_usize_env(var: &str, default: usize) -> usize {
+/// Preset default for a numeric pool or delegation knob, from the
+/// environment.
+fn usize_env(var: &str, default: usize) -> usize {
     std::env::var(var)
         .ok()
         .and_then(|v| v.parse().ok())
@@ -139,22 +119,19 @@ impl Config {
             dir_buckets: 128,
             ino_batch: 64,
             page_batch: 256,
-            pool_low: batch_usize_env("ARCKFS_POOL_LOW", 64),
-            pool_high: batch_usize_env("ARCKFS_POOL_HIGH", 1024),
+            pool_low: usize_env("ARCKFS_POOL_LOW", 64),
+            pool_high: usize_env("ARCKFS_POOL_HIGH", 1024),
             ntstore_threshold: 4096,
-            delegation_threads: batch_usize_env("ARCKFS_DELEG_RINGS", 0),
+            delegation_threads: usize_env("ARCKFS_DELEG_RINGS", 0),
             delegation_min: 512 * 1024,
-            deleg_sq_depth: batch_usize_env(
+            deleg_sq_depth: usize_env(
                 "ARCKFS_DELEG_SQ_DEPTH",
                 crate::delegate::DelegationPool::DEFAULT_SQ_DEPTH,
             ),
-            deleg_batch: batch_usize_env(
+            deleg_batch: usize_env(
                 "ARCKFS_DELEG_BATCH",
                 crate::delegate::DelegationPool::DEFAULT_BATCH,
             ),
-            batch: batch_env_default(),
-            batch_ops: batch_usize_env("ARCKFS_BATCH_OPS", 8),
-            batch_bytes: batch_usize_env("ARCKFS_BATCH_BYTES", 16 * 1024),
             dcache: dcache_env_default(),
             dcache_slots: 4096,
         }
@@ -195,21 +172,6 @@ impl Config {
             other => panic!("unknown paper section {other:?}"),
         }
         self
-    }
-
-    /// Whether the group-durability batch layer is actually active.
-    ///
-    /// Batching coalesces the fences the Table-1 patches put in the right
-    /// places; on a config that deliberately *omits* those fences (or one
-    /// that commits to the kernel per op) the whole-prefix argument of
-    /// DESIGN.md §8 does not hold, so the knob is ignored there rather than
-    /// stacking one unsoundness on another.
-    pub fn batch_active(&self) -> bool {
-        self.batch
-            && self.fix_fence
-            && self.fix_state_sync
-            && self.fix_release_sync
-            && !self.verify_every_op
     }
 
     /// Short display name for benchmark tables.
@@ -273,20 +235,5 @@ mod tests {
     #[should_panic(expected = "unknown paper section")]
     fn with_fix_rejects_unknown() {
         let _ = Config::arckfs().with_fix("9.9", true);
-    }
-
-    #[test]
-    fn batch_activation_requires_the_fences_it_coalesces() {
-        let mut c = Config::arckfs_plus();
-        c.batch = true;
-        assert!(c.batch_active());
-        assert!(!c.clone().with_fix("4.2", false).batch_active());
-        assert!(!c.clone().with_fix("4.4", false).batch_active());
-        assert!(!c.clone().with_fix("4.3", false).batch_active());
-        c.verify_every_op = true;
-        assert!(!c.batch_active());
-        let mut off = Config::arckfs_plus();
-        off.batch = false;
-        assert!(!off.batch_active());
     }
 }

@@ -22,7 +22,7 @@ use std::sync::atomic::Ordering;
 use pmem::{MapError, Mapping, PAGE_SIZE};
 use trio::format::{
     DENTRIES_PER_PAGE, DENTRY_NAME_CAP, DENTRY_SIZE, DIRPAGE_FIRST_DENTRY, DP_NEXT, D_DELETED,
-    D_INO, D_MARKER, D_NAME, D_SEQ, INODE_SIZE, I_DIRECT, I_SIZE,
+    D_INO, D_MARKER, D_NAME, D_SEQ, I_DIRECT, I_SIZE,
 };
 use vfs::{FaultKind, FsError, FsResult};
 
@@ -66,25 +66,15 @@ impl LibFs {
     /// tail with a fresh page if needed. Returns the absolute device offset
     /// of the slot. The slot's marker stays 0 (a hole) until
     /// [`LibFs::write_dentry_core`] commits it.
-    pub(crate) fn reserve_dentry_slot(
-        &self,
-        dir: &MemInode,
-        mapping: &Mapping,
-        batched: bool,
-    ) -> FsResult<u64> {
+    pub(crate) fn reserve_dentry_slot(&self, dir: &MemInode, mapping: &Mapping) -> FsResult<u64> {
         let ds = dir.dir_state().ok_or(FsError::NotADirectory)?;
         // Prefer reusing a tombstoned slot: invalidate its commit marker
         // first (persisted), exactly the paper's step (1), then the caller
-        // rewrites it. A batched caller skips the fence: the invalidation
-        // and the new record's stores hit the same cache line in program
-        // order, and the record is watermark-gated until its batch closes
-        // (DESIGN.md §8), so no crash prefix can surface it half-reused.
+        // rewrites it.
         if let Some(off) = ds.free_slots.lock().pop() {
             mapping.write_u16(off + D_MARKER, 0).map_err(map_fault)?;
             mapping.clwb(off, 2).map_err(map_fault)?;
-            if !batched {
-                mapping.sfence();
-            }
+            mapping.sfence();
             return Ok(off);
         }
         let t = ds.pick_tail();
@@ -146,35 +136,10 @@ impl LibFs {
         ino: u64,
         seq: u64,
     ) -> FsResult<()> {
-        self.write_dentry_record(mapping, off, name, ino, seq, false, false)
-    }
-
-    /// Generalized record writer behind [`LibFs::write_dentry_core`].
-    ///
-    /// `deleted` writes a *negative* record (a logged deletion of `name`,
-    /// used by batched unlink/rename; recovery resolves names by highest
-    /// sequence number, deletions included). `batched` elides both fences:
-    /// the record is a group-durability batch member, covered by the batch
-    /// watermark — the commit marker is the last store to the record's
-    /// first cache line, so any crash prefix that surfaces the marker also
-    /// carries the sequence number that gates it, and the close fence pair
-    /// is what makes the record durable (DESIGN.md §8).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn write_dentry_record(
-        &self,
-        mapping: &Mapping,
-        off: u64,
-        name: &str,
-        ino: u64,
-        seq: u64,
-        deleted: bool,
-        batched: bool,
-    ) -> FsResult<()> {
         debug_assert!(name.len() <= DENTRY_NAME_CAP);
-        // Step (1): payload stores.
-        mapping
-            .write(off + D_DELETED, &[deleted as u8])
-            .map_err(map_fault)?;
+        // Step (1): payload stores. A reused slot may still carry its
+        // tombstone, so the deleted byte is rewritten too.
+        mapping.write(off + D_DELETED, &[0]).map_err(map_fault)?;
         mapping.write_u64(off + D_INO, ino).map_err(map_fault)?;
         mapping.write_u64(off + D_SEQ, seq).map_err(map_fault)?;
         mapping
@@ -187,7 +152,7 @@ impl LibFs {
                 .clwb(off + 64, payload_end - 64)
                 .map_err(map_fault)?;
         }
-        if self.config.fix_fence && !batched {
+        if self.config.fix_fence {
             // THE §4.2 PATCH: order every payload flush (including the
             // child inode's, issued by the caller) before the marker store.
             mapping.sfence();
@@ -203,25 +168,15 @@ impl LibFs {
         // before the final fence. The crash checker samples crash states
         // while a thread is parked at this point.
         self.point("dentry.marker_flushed");
-        if !batched {
-            mapping.sfence();
-        }
+        mapping.sfence();
         Ok(())
     }
 
     /// Tombstone the dentry at `off` and persist the tombstone.
     pub(crate) fn tombstone_dentry_core(&self, mapping: &Mapping, off: u64) -> FsResult<()> {
-        self.tombstone_dentry_unfenced(mapping, off)?;
-        mapping.sfence();
-        Ok(())
-    }
-
-    /// Tombstone without the fence: batch-close post actions retire the
-    /// records a batch superseded, and their flushes ride the *next*
-    /// close's fence before the slots are reused.
-    pub(crate) fn tombstone_dentry_unfenced(&self, mapping: &Mapping, off: u64) -> FsResult<()> {
         mapping.write(off + D_DELETED, &[1]).map_err(map_fault)?;
         mapping.clwb(off + D_DELETED, 1).map_err(map_fault)?;
+        mapping.sfence();
         Ok(())
     }
 
@@ -352,21 +307,11 @@ impl LibFs {
             // is (again) acquired.
             let mapping = dir.mapping_handle();
             dup_check(&b)?;
-            // Group durability (DESIGN.md §8): join the directory's commit
-            // batch *before* drawing the sequence number, so this record's
-            // seq is strictly above the watermark the join persisted —
-            // that is what gates it until the batch closes. The member
-            // charge covers the dentry record plus the child inode the
-            // §4.2 window would have fenced.
-            let batched = self.config.batch_active();
-            if batched {
-                self.batch_join(dir, &mapping, (DENTRY_SIZE + INODE_SIZE) as usize, None)?;
-            }
             let seq = dir.next_seq();
-            let off = self.reserve_dentry_slot(dir, &mapping, batched)?;
+            let off = self.reserve_dentry_slot(dir, &mapping)?;
             init_child(self)?;
             self.point("dir.insert.core_write");
-            self.write_dentry_record(&mapping, off, name, child, seq, false, batched)?;
+            self.write_dentry_core(&mapping, off, name, child, seq)?;
             let r = ds.arena.insert(DentryMeta {
                 name: name.to_string(),
                 ino: child,
@@ -385,14 +330,10 @@ impl LibFs {
             if grow {
                 ds.resize();
             }
-            if batched {
-                self.maybe_close_batch(dir);
-            }
             return Ok(());
         } else {
             // BUG §4.4: auxiliary state first, core state second, and the
             // core write happens outside the bucket critical section.
-            // (Never batched: `batch_active` requires the §4.4 patch.)
             let seq = dir.next_seq();
             let off;
             let grow;
@@ -402,7 +343,7 @@ impl LibFs {
                 self.count_lock();
                 let mut b = arr[idx].lock();
                 dup_check(&b)?;
-                off = self.reserve_dentry_slot(dir, &mapping, false)?;
+                off = self.reserve_dentry_slot(dir, &mapping)?;
                 let r = ds.arena.insert(DentryMeta {
                     name: name.to_string(),
                     ino: child,
@@ -491,32 +432,8 @@ impl LibFs {
             // has been mutated yet, so an error here is a clean abort.
             validate(&meta)?;
             // Core first, still inside the critical section (§4.4 patch).
-            let batched = self.config.batch_active();
-            if batched {
-                // Group durability (DESIGN.md §8): the removal is logged as
-                // a *negative* record — watermark-gated like any member, so
-                // a crash mid-batch rolls the unlink back whole. The
-                // in-place tombstone of the superseded record is deferred
-                // to the batch close (it must not become durable ahead of
-                // the negative), and the slots ride the close after that.
-                self.batch_join(dir, &mapping, DENTRY_SIZE as usize, None)?;
-                let seq = dir.next_seq();
-                let neg_off = self.reserve_dentry_slot(dir, &mapping, true)?;
-                self.write_dentry_record(&mapping, neg_off, name, meta.ino, seq, true, true)?;
-                let old_off = meta.log_off;
-                let pushed = self.batch_push_post(
-                    dir,
-                    Box::new(move |fs: &LibFs, d: &MemInode| {
-                        let m = d.mapping_handle();
-                        let _ = fs.tombstone_dentry_unfenced(&m, old_off);
-                        vec![old_off, neg_off]
-                    }),
-                );
-                debug_assert!(pushed, "batch closed under a member's bucket lock");
-            } else {
-                self.tombstone_dentry_core(&mapping, meta.log_off)?;
-                ds.free_slots.lock().push(meta.log_off);
-            }
+            self.tombstone_dentry_core(&mapping, meta.log_off)?;
+            ds.free_slots.lock().push(meta.log_off);
             let (_, r) = b.remove(idx);
             if self.config.fix_dir_bucket_rcu {
                 // §4.5 PATCH: defer the free past the grace period.
@@ -527,11 +444,6 @@ impl LibFs {
             // As in dir_insert: the size update stays inside the section.
             self.persist_dir_size(dir, &mapping, -1)?;
             self.dcache_invalidate(dir);
-            drop(b);
-            drop(arr);
-            if batched {
-                self.maybe_close_batch(dir);
-            }
             Ok(meta)
         } else {
             // BUGGY path: find and free under the lock, touch core outside.
@@ -628,32 +540,26 @@ impl LibFs {
             let ds = dir.dir_state().ok_or(FsError::NotADirectory)?;
             let h_old = DirState::name_hash(old_name);
             let h_new = DirState::name_hash(new_name);
-            let r = {
-                let arr = ds.buckets.read();
-                let i_old = (h_old as usize) % arr.len();
-                let i_new = (h_new as usize) % arr.len();
-                if i_old == i_new {
-                    self.count_lock();
-                    let mut b = arr[i_old].lock();
-                    self.rename_in_buckets(dir, ds, &mut b, None, (old_name, h_old), (new_name, h_new))
+            let arr = ds.buckets.read();
+            let i_old = (h_old as usize) % arr.len();
+            let i_new = (h_new as usize) % arr.len();
+            if i_old == i_new {
+                self.count_lock();
+                let mut b = arr[i_old].lock();
+                self.rename_in_buckets(dir, ds, &mut b, None, (old_name, h_old), (new_name, h_new))
+            } else {
+                let (lo, hi) = (i_old.min(i_new), i_old.max(i_new));
+                self.count_lock();
+                let mut g_lo = arr[lo].lock();
+                self.count_lock();
+                let mut g_hi = arr[hi].lock();
+                let (b_old, b_new) = if i_old < i_new {
+                    (&mut *g_lo, &mut *g_hi)
                 } else {
-                    let (lo, hi) = (i_old.min(i_new), i_old.max(i_new));
-                    self.count_lock();
-                    let mut g_lo = arr[lo].lock();
-                    self.count_lock();
-                    let mut g_hi = arr[hi].lock();
-                    let (b_old, b_new) = if i_old < i_new {
-                        (&mut *g_lo, &mut *g_hi)
-                    } else {
-                        (&mut *g_hi, &mut *g_lo)
-                    };
-                    self.rename_in_buckets(dir, ds, b_old, Some(b_new), (old_name, h_old), (new_name, h_new))
-                }
-            };
-            if r.is_ok() && self.config.batch_active() {
-                self.maybe_close_batch(dir);
+                    (&mut *g_hi, &mut *g_lo)
+                };
+                self.rename_in_buckets(dir, ds, b_old, Some(b_new), (old_name, h_old), (new_name, h_new))
             }
-            r
         } else {
             // BUGGY compose: two independent critical sections; the window
             // between them is the orphan-entry race described above.
@@ -718,36 +624,11 @@ impl LibFs {
         // names pointing at the inode — the same partially-applied rename
         // a crash inside the unpatched compose admits; recovery keeps
         // both, fsck reports neither as structural damage.
-        //
-        // Batched (DESIGN.md §8), the rename contributes two members — the
-        // new-name record and a negative record retiring the old name, both
-        // watermark-gated so a mid-batch crash rolls the rename back whole
-        // — and defers the old record's in-place tombstone to the close.
-        let batched = self.config.batch_active();
-        if batched {
-            self.batch_join(dir, &mapping, 2 * DENTRY_SIZE as usize, None)?;
-        }
         let seq = dir.next_seq();
-        let off = self.reserve_dentry_slot(dir, &mapping, batched)?;
-        self.write_dentry_record(&mapping, off, new_name, meta.ino, seq, false, batched)?;
-        if batched {
-            let neg_seq = dir.next_seq();
-            let neg_off = self.reserve_dentry_slot(dir, &mapping, true)?;
-            self.write_dentry_record(&mapping, neg_off, old_name, meta.ino, neg_seq, true, true)?;
-            let old_off = meta.log_off;
-            let pushed = self.batch_push_post(
-                dir,
-                Box::new(move |fs: &LibFs, d: &MemInode| {
-                    let m = d.mapping_handle();
-                    let _ = fs.tombstone_dentry_unfenced(&m, old_off);
-                    vec![old_off, neg_off]
-                }),
-            );
-            debug_assert!(pushed, "batch closed under a member's bucket lock");
-        } else {
-            self.tombstone_dentry_core(&mapping, meta.log_off)?;
-            ds.free_slots.lock().push(meta.log_off);
-        }
+        let off = self.reserve_dentry_slot(dir, &mapping)?;
+        self.write_dentry_core(&mapping, off, new_name, meta.ino, seq)?;
+        self.tombstone_dentry_core(&mapping, meta.log_off)?;
+        ds.free_slots.lock().push(meta.log_off);
         // Auxiliary state: append the new entry, then drop the old one.
         // Appending cannot shift `idx_old`, so the index stays valid even
         // when both names share a bucket.

@@ -260,11 +260,7 @@ impl LibFs {
         total: usize,
     ) -> FsResult<()> {
         if total >= self.config.delegation_min && self.delegation.workers() > 0 {
-            // Delegation submit is a visibility event for group durability
-            // (DESIGN.md §8): the worker threads observe and persist state
-            // on this LibFS's behalf, so every open commit batch closes
-            // first. Then one submit batch across every iovec, one join.
-            self.flush_all_batches();
+            // One submit batch across every iovec, one join.
             let mut tickets = Vec::new();
             // No early `?` once tickets exist: an error must still drain
             // every outstanding ticket below, or the workers would keep

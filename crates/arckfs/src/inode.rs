@@ -73,8 +73,6 @@ pub struct DirState {
     pub free_slots: Mutex<Vec<u64>>,
     /// Live entry count (mirrors the PM size field).
     pub live: AtomicU64,
-    /// Group-durability commit batch (`crate::batch`, DESIGN.md §8).
-    pub batch: crate::batch::BatchCell,
 }
 
 impl std::fmt::Debug for DirState {
@@ -103,7 +101,6 @@ impl DirState {
             index_tail_lock: Mutex::new(()),
             free_slots: Mutex::new(Vec::new()),
             live: AtomicU64::new(0),
-            batch: crate::batch::BatchCell::default(),
         }
     }
 

@@ -24,7 +24,6 @@
 //! See `DESIGN.md` at the workspace root for how the C artifact's SIGBUS /
 //! SIGSEGV symptoms map onto detected faults here.
 
-pub mod batch;
 pub mod config;
 pub mod custom;
 pub mod dcache;

@@ -43,10 +43,6 @@ struct DirScan {
     stale: Vec<u64>,
     /// Offsets of tombstoned slots available for reuse.
     reusable: Vec<u64>,
-    /// Offsets of records above a nonzero batch watermark: members of a
-    /// group-durability batch that never fenced (DESIGN.md §8). Recovery
-    /// erases them (and clears the watermark) before the index goes live.
-    gated: Vec<u64>,
     /// Per-tail append positions rebuilt from the page chains.
     tails: Vec<crate::inode::Tail>,
     /// Highest dentry sequence number observed in the log.
@@ -373,8 +369,8 @@ impl LibFs {
         // The kernel reports the generation this LibFS was told at its own
         // last release only if the inode record and every log page are
         // byte-identical to what that release verified. The whole retained
-        // DirState — buckets, arena, free slots, tails, the batch cell's
-        // staged `reclaim` list — is then still exact, and nothing is read.
+        // DirState — buckets, arena, free slots, tails — is then still
+        // exact, and nothing is read.
         // Files always take the refresh: their extent mirror is dropped on
         // revival whatever the generation says.
         let kept = mi.take_generation();
@@ -441,7 +437,7 @@ impl LibFs {
                 .as_deref()
                 .filter(|d| kept != 0 && d.from == kept);
             let replayed = match delta {
-                Some(d) => self.replay_revived(mi, &raw, &grant.mapping, d, table, tails)?,
+                Some(d) => self.replay_revived(mi, &grant.mapping, d, table, tails)?,
                 None => None,
             };
             max_seq = match replayed {
@@ -471,12 +467,6 @@ impl LibFs {
     ) -> FsResult<u64> {
         let ds = mi.dir_state().expect("a directory");
         let scan = self.scan_dir_log(raw)?;
-        if raw.batch_seq != 0 {
-            // Defensive: a released directory's batch was closed by the
-            // release quiesce, so residue here means another LibFS (or a
-            // crash) left an open batch behind. Same repair as mount.
-            self.erase_batch_residue(mapping, mi.ino, &scan.gated)?;
-        }
         for off in &scan.stale {
             self.tombstone_dentry_core(mapping, *off)?;
         }
@@ -503,16 +493,8 @@ impl LibFs {
         }
         ds.live.store(live, Ordering::SeqCst);
         let mut reusable = scan.reusable;
-        reusable.extend(scan.gated.iter().chain(&scan.stale));
+        reusable.extend(&scan.stale);
         *ds.free_slots.lock() = reusable;
-        // The close run by the release quiesce staged its post-action slots
-        // in the retained batch cell for the *next* close to hand back. The
-        // scan above re-derives those same slots from the log (their
-        // tombstones are durable-ordered core state by now), so the staged
-        // list must be dropped: letting the next close append it to
-        // `free_slots` would grant the same slot twice, and the second
-        // reuse overwrites a live dentry written in between.
-        ds.batch.state.lock().reclaim.clear();
         for (guard, rebuilt) in tails.iter_mut().zip(scan.tails) {
             **guard = rebuilt;
         }
@@ -573,27 +555,23 @@ impl LibFs {
     ///
     /// Returns the highest sequence number the changed slots hold, or
     /// `None`, having changed nothing, for anything outside the plain
-    /// transitions, which the caller then rebuilds: an open or staged
-    /// batch; a slot that is uncommitted now; a slot that was a hole
-    /// anywhere but past its tail's append position; a `before` entry the
-    /// index does not hold at that offset; a name that is not UTF-8; a new
-    /// name already held elsewhere, or new twice; a record the rebuild's
+    /// transitions, which the caller then rebuilds: a slot that is
+    /// uncommitted now; a slot that was a hole anywhere but past its tail's
+    /// append position; a `before` entry the index does not hold at that
+    /// offset; a name that is not UTF-8; a new name already held
+    /// elsewhere, or new twice; a record the rebuild's
     /// name resolution might rank differently — a new live record not
     /// numbered above every record this LibFS released with, or a new
     /// tombstone not outranked by the new live record of its name.
     fn replay_revived(
         &self,
         mi: &MemInode,
-        raw: &format::RawInode,
         mapping: &Mapping,
         delta: &trio::Delta,
         table: &mut BucketArray,
         tails: &mut [MutexGuard<'_, Tail>],
     ) -> FsResult<Option<u64>> {
         let ds = mi.dir_state().expect("a directory");
-        if raw.batch_seq != 0 || !ds.batch.state.lock().reclaim.is_empty() {
-            return Ok(None);
-        }
         // Every record of the released log is numbered at most this.
         let floor = mi.seq.load(Ordering::SeqCst);
         let mut max_seq = 0;
@@ -752,12 +730,6 @@ impl LibFs {
         let scan = self.scan_dir_log(raw)?;
 
         let mapping = &self.base_mapping;
-        if raw.batch_seq != 0 {
-            // Open-batch crash residue: erase the gated records and clear
-            // the watermark before this directory's index goes live.
-            self.erase_batch_residue(mapping, raw.marker, &scan.gated)?;
-            ds.free_slots.lock().extend(&scan.gated);
-        }
         for off in &scan.stale {
             self.tombstone_dentry_core(mapping, *off)?;
         }
@@ -793,11 +765,12 @@ impl LibFs {
     fn scan_dir_log(&self, raw: &format::RawInode) -> FsResult<DirScan> {
         let device = self.kernel.device();
         // name -> (seq, ino, off, deleted). Resolution runs over *every*
-        // committed record, deletions included: a batched unlink/rename is
-        // a negative record whose in-place tombstone of the superseded
-        // entry may not have reached PM before a crash, so "live record"
-        // alone cannot be trusted — the highest sequence number per name
-        // decides, and a deleted winner means the name is dead.
+        // committed record, deletions included. Verification accepts a log
+        // in which a tombstone and a live record share a name, so "live
+        // record" alone cannot be trusted: the highest sequence number per
+        // name decides, and a deleted winner means the name is dead. The
+        // kernel's recovery walk and fsck apply the same rule, so every
+        // reader sees one namespace in a forged image.
         // Sized from the directory's live count — a field another LibFS
         // wrote, so bounded: a forged count must not size an allocation.
         let mut best: HashMap<String, (u64, u64, u64, bool)> =
@@ -806,22 +779,14 @@ impl LibFs {
             live: Vec::new(),
             stale: Vec::new(),
             reusable: Vec::new(),
-            gated: Vec::new(),
             tails: vec![crate::inode::Tail::default(); raw.ntails.max(1) as usize],
             max_seq: 0,
         };
-        let wm = raw.batch_seq;
         let mut resolve = |d: format::RawDentry| {
             if d.marker == 0 {
                 return;
             }
             scan.max_seq = scan.max_seq.max(d.seq);
-            if wm != 0 && d.seq > wm {
-                // Unfenced member of an open batch (DESIGN.md §8): crash
-                // residue, whatever its payload says.
-                scan.gated.push(d.offset);
-                return;
-            }
             let record = (d.seq, d.ino, d.offset, d.deleted);
             let name = match String::from_utf8(d.name) {
                 Ok(name) => name,
@@ -880,11 +845,10 @@ impl LibFs {
     /// Test support — the differential oracle of the hand-off paths
     /// (DESIGN.md §14): compare the live index of the directory at `path`
     /// with what a rebuild from a scan of its log would hold. Names map to
-    /// the same `(ino, log offset)`, the reusable slots are the same set
-    /// (counting those a closed batch staged), tails, live count and cached
-    /// size are equal, and the sequence counter is at least every number in
-    /// the log (a rebuild keeps the larger of the two). Closes the
-    /// directory's open batch first; reads the whole log.
+    /// the same `(ino, log offset)`, the reusable slots are the same set,
+    /// tails, live count and cached size are equal, and the sequence
+    /// counter is at least every number in the log (a rebuild keeps the
+    /// larger of the two). Reads the whole log.
     #[doc(hidden)]
     pub fn check_dir_index(&self, path: &str) -> Result<(), String> {
         let mi = self
@@ -893,7 +857,6 @@ impl LibFs {
         let ds = mi
             .dir_state()
             .ok_or_else(|| format!("{path} is not a directory"))?;
-        self.close_batch_if_open(&mi);
         let table = ds.buckets.write();
         let tails: Vec<Tail> = ds.tails.iter().map(|t| t.lock().clone()).collect();
         let _m = mi.meta.lock();
@@ -932,9 +895,8 @@ impl LibFs {
         if !scan.stale.is_empty() {
             problems.push(format!("live duplicates in the log at {:?}", scan.stale));
         }
-        let mut free: HashSet<u64> = ds.free_slots.lock().iter().copied().collect();
-        free.extend(ds.batch.state.lock().reclaim.iter().copied());
-        let reusable: HashSet<u64> = scan.reusable.into_iter().chain(scan.gated).collect();
+        let free: HashSet<u64> = ds.free_slots.lock().iter().copied().collect();
+        let reusable: HashSet<u64> = scan.reusable.into_iter().collect();
         if free != reusable {
             let mut only_index: Vec<_> = free.difference(&reusable).collect();
             let mut only_log: Vec<_> = reusable.difference(&free).collect();
@@ -973,27 +935,6 @@ impl LibFs {
         }
     }
 
-    /// Erase the crash residue of an open group-durability batch
-    /// (DESIGN.md §8): zero the commit marker of every gated record, fence,
-    /// then clear the directory's watermark and fence again. The order
-    /// matters — a crash must never expose a cleared watermark while a
-    /// gated record still looks committed. The erased slots are holes
-    /// afterwards and are returned for reuse by the caller.
-    fn erase_batch_residue(&self, mapping: &Mapping, ino: u64, gated: &[u64]) -> FsResult<()> {
-        for &off in gated {
-            mapping
-                .write_u16(off + format::D_MARKER, 0)
-                .map_err(crate::dir::map_fault)?;
-            mapping.clwb(off, 2).map_err(crate::dir::map_fault)?;
-        }
-        mapping.sfence();
-        let field = self.geom.inode_offset(ino) + format::I_BATCH_SEQ;
-        mapping.write_u64(field, 0).map_err(crate::dir::map_fault)?;
-        mapping.clwb(field, 8).map_err(crate::dir::map_fault)?;
-        mapping.sfence();
-        Ok(())
-    }
-
     // ---- path resolution -----------------------------------------------------
 
     /// Look up one path component under `dir`, consulting the lock-free
@@ -1002,11 +943,6 @@ impl LibFs {
     /// lookup; every other outcome falls back to it and (when still
     /// fresh) publishes the translation for the next walk.
     pub(crate) fn lookup_child(&self, dir: &Arc<MemInode>, name: &str) -> FsResult<Option<u64>> {
-        // Group-durability visibility barrier (DESIGN.md §8): an entry must
-        // not become observable through a lookup while the batch that wrote
-        // it could still roll it back on crash. The lock-free `is_open`
-        // probe inside keeps the quiescent cost at one atomic load.
-        self.close_batch_if_open(dir);
         if self.config.dcache {
             if let Some(child) = self.dcache.lookup(dir, name) {
                 return Ok(Some(child));
@@ -1155,10 +1091,6 @@ impl LibFs {
         // newly registered child so later commits/releases of it work.
         let mut to_commit = cur;
         while let Some(child) = chain.pop() {
-            // The verifier parses the directory's committed log view, so an
-            // open batch (whose deferred tombstones have not run yet) must
-            // close before the kernel looks.
-            self.close_batch_if_open(&to_commit);
             self.kernel.commit(self.id, to_commit.ino)?;
             to_commit = child;
         }
@@ -1182,7 +1114,6 @@ impl LibFs {
                 let mi = self.inodes.read().get(&new_parent).cloned();
                 if let Some(mi) = mi {
                     self.ensure_connected(&mi)?;
-                    self.close_batch_if_open(&mi);
                 }
                 self.kernel.commit(self.id, new_parent)?;
             }
@@ -1222,7 +1153,6 @@ impl LibFs {
                 let parent = self.inodes.read().get(&parent_ino).cloned();
                 if let Some(parent) = parent {
                     self.ensure_connected(&parent)?;
-                    self.close_batch_if_open(&parent);
                     self.kernel.commit(self.id, parent_ino)?;
                 }
             }
@@ -1253,11 +1183,6 @@ impl LibFs {
                 }
             }
             let _m = mi.meta.lock();
-            // Close the directory's commit batch while the mapping is still
-            // valid and every member is quiesced (we hold the bucket table
-            // exclusively). After this, a racing standalone closer finds
-            // the batch already closed and backs off.
-            self.close_batch_quiesced(&mi);
             mi.mark_released();
             // Cached translations under a released directory must stop
             // validating: another LibFS may mutate it while released, and
@@ -1310,7 +1235,6 @@ impl LibFs {
         if self.config.fix_rename {
             self.ensure_connected(&mi)?;
         }
-        self.close_batch_if_open(&mi);
         self.kernel.commit(self.id, mi.ino)
     }
 
@@ -1325,9 +1249,6 @@ impl LibFs {
     /// the kernel does not yet know the children (Rule (1) ordering), then
     /// unregister.
     pub fn unmount(&self) -> FsResult<()> {
-        // Unmount is a global visibility event: every batched metadata
-        // operation becomes durable before any inode is handed back.
-        self.flush_all_batches();
         // Hand unused grants back first so they are not force-released.
         let inos: Vec<u64> = self
             .ino_pool
@@ -1471,7 +1392,6 @@ impl LibFs {
                 // Rule (3): commit the new parent *before* the rename (this
                 // also connects a newly created new parent — Figure 2).
                 self.ensure_connected(&to_parent)?;
-                self.close_batch_if_open(&to_parent);
                 self.kernel.commit(self.id, to_parent.ino)?;
             }
 
@@ -1480,14 +1400,6 @@ impl LibFs {
             // The actual relocation in core + auxiliary state: commit the
             // new dentry, then tombstone the old.
             self.dir_insert(&to_parent, to_name, meta.ino, |_| Ok(()))?;
-            // Cross-directory durability order: the new name must be
-            // committed before the old one is removed. Were the insert
-            // still sitting in an open batch when the removal's batch
-            // closed, a crash could roll back just the insert — losing the
-            // file, a state the inline configuration can never reach.
-            if self.config.batch_active() {
-                self.close_batch_if_open(&to_parent);
-            }
             // Once the insert has landed the operation is past the point of
             // no return: replaying the whole rename would find the new name
             // already present. So a §4.3 release of the old parent is
@@ -1748,36 +1660,6 @@ impl LibFs {
             (meta.ino, itype)
         };
 
-        // Group durability (DESIGN.md §8): a batched removal defers the
-        // teardown to its batch close. Until the negative dentry record is
-        // committed, a crash rolls the removal back — and the revived name
-        // must not point at a freed inode, a dangling state the inline
-        // configuration can never expose.
-        if self.config.batch_active() {
-            if itype == InodeType::Directory {
-                // Drain the removed directory's own batch (post actions
-                // included) before its core state can be torn down. The
-                // map guard must drop before the close: its post actions
-                // take the map lock exclusively.
-                let child = self.inodes.read().get(&child_ino).cloned();
-                if let Some(child) = child {
-                    self.close_batch_if_open(&child);
-                }
-            }
-            let pushed = self.batch_push_post(
-                parent,
-                Box::new(move |fs, d| {
-                    let _ = fs.teardown_removed_inode(d, child_ino, itype);
-                    Vec::new()
-                }),
-            );
-            if pushed {
-                return Ok(());
-            }
-            // No batch open: the removal itself crossed a close threshold,
-            // so the negative record is already durable and the inline
-            // teardown below is safe.
-        }
         self.teardown_removed_inode(parent, child_ino, itype)?;
 
         if self.config.verify_every_op {
@@ -1789,9 +1671,8 @@ impl LibFs {
 
     /// Free an inode whose dentry has been removed: collect and recycle its
     /// pages, clear its commit marker, hand it back to the kernel, and drop
-    /// the auxiliary state. Runs inline after an unbatched removal, or as a
-    /// batch post action once the removal's negative record has committed.
-    pub(crate) fn teardown_removed_inode(
+    /// the auxiliary state.
+    fn teardown_removed_inode(
         &self,
         parent: &MemInode,
         child_ino: u64,
@@ -2071,21 +1952,16 @@ impl FileSystem for LibFs {
 
     fn fsync(&self, _fd: Fd) -> FsResult<()> {
         let _span = obs::span(obs::OpKind::Fsync, self.kernel.device().stats());
-        // §2.2: data writes persist synchronously. With group durability
-        // active (DESIGN.md §8), metadata operations may still sit in open
-        // commit batches — fsync is the explicit durability point that
-        // closes them all; otherwise it returns immediately. Delegated
-        // writes are quiesced too: every waited ticket is already durable,
-        // but open-loop submitters (`Ticket::try_complete`) may still have
+        // §2.2: data and metadata writes persist synchronously. Delegated
+        // writes are quiesced: every waited ticket is already durable, but
+        // open-loop submitters (`Ticket::try_complete`) may still have
         // chunks in the rings.
-        self.flush_all_batches();
         self.delegation.drain();
         Ok(())
     }
 
     fn sync(&self) -> FsResult<()> {
         let _span = obs::span(obs::OpKind::Fsync, self.kernel.device().stats());
-        self.flush_batch();
         self.delegation.drain();
         Ok(())
     }
@@ -2137,9 +2013,6 @@ impl FileSystem for LibFs {
         if mi.itype != InodeType::Directory {
             return Err(FsError::NotADirectory);
         }
-        // Visibility barrier (DESIGN.md §8): enumerating a directory makes
-        // every entry observable, so its open batch must commit first.
-        self.close_batch_if_open(&mi);
         let metas = self.dir_iterate(&mi)?;
         let mut out = Vec::with_capacity(metas.len());
         for m in metas {

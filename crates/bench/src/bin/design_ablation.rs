@@ -56,10 +56,8 @@ fn main() {
                 RunMode::Duration(bench_duration()),
             )
             .expect("run");
-            // Workers are joined inside run_workload; drain any open
-            // commit batch before snapshotting so the delta covers
-            // every op the result counts (end must dominate start).
-            fs.sync().expect("sync");
+            // Workers are joined inside run_workload, so the delta covers
+            // every op the result counts.
             let after = fs.stats();
             cells.push(r.ops_per_sec());
             if threads == 1 {

@@ -51,10 +51,8 @@ fn main() {
                 let before = fs.stats();
                 let r = run_workload(fs.clone(), workload, t, RunMode::Duration(duration))
                     .unwrap_or_else(|e| panic!("{} {workload} t={t}: {e}", kind.label()));
-                // Workers are joined inside run_workload; drain any open
-                // commit batch before snapshotting so the delta covers
-                // every op the result counts (end must dominate start).
-                fs.sync().expect("sync");
+                // Workers are joined inside run_workload, so the delta
+                // covers every op the result counts.
                 let after = fs.stats();
                 print!(" {:>10.0}", r.ops_per_sec());
                 record_json(

@@ -182,23 +182,6 @@ pub fn per_op(stats_after: &FsStats, stats_before: &FsStats, ops: u64) -> OpStat
     }
 }
 
-/// Per-operation stats straight from an obs attribution row. The flush
-/// and fence columns come from the span deltas; kernel crossings and
-/// lock acquisitions are not device counters, so the caller supplies
-/// them (usually from [`per_op`] over the same run).
-pub fn per_op_from_obs(
-    row: &obs::KindReport,
-    syscalls_per_op: f64,
-    lock_acqs_per_op: f64,
-) -> OpStats {
-    OpStats {
-        flushes: row.clwb_per_op(),
-        fences: row.sfences_per_op(),
-        syscalls: syscalls_per_op,
-        lock_acqs: lock_acqs_per_op,
-    }
-}
-
 /// Fraction of an operation's wall-clock spent in inherently serial PM
 /// persistence, derived from the obs latency histogram and attribution:
 /// per-op flush/fence counts priced by the device's latency model over
@@ -211,28 +194,6 @@ pub fn pm_serial_fraction(row: &obs::KindReport, lat: &pmem::LatencyModel) -> f6
     let serial_ns = row.clwb_per_op() * lat.clwb.as_nanos() as f64
         + row.sfences_per_op() * lat.sfence.as_nanos() as f64;
     (serial_ns / mean_ns).clamp(0.0, 1.0)
-}
-
-/// Calibrate a USL profile from an obs attribution row: flush/fence
-/// columns and the serialized fraction both come from span measurements
-/// instead of the structural constants alone.
-pub fn calibrate_measured(
-    kind: FsKind,
-    workload: fxmark::Workload,
-    t1_us: f64,
-    row: &obs::KindReport,
-    syscalls_per_op: f64,
-    lock_acqs_per_op: f64,
-    lat: &pmem::LatencyModel,
-) -> OpProfile {
-    let (sharing, locks) = model_inputs(kind, workload);
-    OpProfile::estimate_measured(
-        t1_us,
-        sharing,
-        locks,
-        per_op_from_obs(row, syscalls_per_op, lock_acqs_per_op),
-        pm_serial_fraction(row, lat),
-    )
 }
 
 /// Structural model inputs for a (file system, FxMark workload) pair.

@@ -81,22 +81,11 @@ pub struct OpStats {
     pub lock_acqs: f64,
 }
 
-impl OpStats {
-    /// Copy of this profile with the fence column replaced. Group
-    /// durability only coalesces ordering points — flushes, kernel
-    /// crossings, and lock traffic stay per-operation — so projecting a
-    /// measured profile onto a batched regime touches this column alone.
-    pub fn with_fences(mut self, fences: f64) -> OpStats {
-        self.fences = fences;
-        self
-    }
-}
-
-/// Predicted store fences per operation under a group-durability commit
-/// batch: `fences_per_batch` ordering points (e.g. watermark open plus
-/// the close pair) amortized over `batch_ops` operations. Fences an
-/// implementation still issues outside the batched path add on top, so
-/// measured columns converge to this plus a constant residual.
+/// Predicted store fences per operation when `batch_ops` operations share
+/// `fences_per_batch` ordering points (a delegation drain batch fences
+/// once for all its jobs). Fences an implementation still issues outside
+/// the batch add on top, so measured columns converge to this plus a
+/// constant residual.
 pub fn amortized_fences(fences_per_batch: f64, batch_ops: usize) -> f64 {
     fences_per_batch / batch_ops.max(1) as f64
 }
@@ -314,10 +303,6 @@ mod tests {
         assert_eq!(amortized_fences(3.0, 8), 0.375);
         // Degenerate batch sizes never divide by zero.
         assert_eq!(amortized_fences(3.0, 0), 3.0);
-        let projected = stats().with_fences(amortized_fences(3.0, 8));
-        assert_eq!(projected.fences, 0.375);
-        assert_eq!(projected.flushes, stats().flushes);
-        assert_eq!(projected.lock_acqs, stats().lock_acqs);
     }
 
     #[test]

@@ -188,8 +188,6 @@ struct KindCell {
     clwb: AtomicU64,
     ntstores: AtomicU64,
     sfences: AtomicU64,
-    batch_closes: AtomicU64,
-    batched_ops: AtomicU64,
     dcache_hits: AtomicU64,
     dcache_misses: AtomicU64,
 }
@@ -262,10 +260,6 @@ fn record(kind: OpKind, latency_ns: u64, delta: &StatsSnapshot) {
     cell.clwb.fetch_add(delta.clwb, Ordering::Relaxed);
     cell.ntstores.fetch_add(delta.ntstores, Ordering::Relaxed);
     cell.sfences.fetch_add(delta.sfences, Ordering::Relaxed);
-    cell.batch_closes
-        .fetch_add(delta.batch_closes, Ordering::Relaxed);
-    cell.batched_ops
-        .fetch_add(delta.batched_ops, Ordering::Relaxed);
     THREAD_RING.with(|r| {
         r.push(OpRecord {
             kind_index: kind as u8,
@@ -288,8 +282,6 @@ pub fn reset() {
         cell.clwb.store(0, Ordering::Relaxed);
         cell.ntstores.store(0, Ordering::Relaxed);
         cell.sfences.store(0, Ordering::Relaxed);
-        cell.batch_closes.store(0, Ordering::Relaxed);
-        cell.batched_ops.store(0, Ordering::Relaxed);
         cell.dcache_hits.store(0, Ordering::Relaxed);
         cell.dcache_misses.store(0, Ordering::Relaxed);
     }
@@ -415,12 +407,6 @@ impl KindReport {
         self.totals.bytes_written as f64 / self.ops.max(1) as f64
     }
 
-    /// Fraction of this kind's operations that joined a group-durability
-    /// commit batch instead of fencing inline (0.0 with batching off).
-    pub fn batched_fraction(&self) -> f64 {
-        self.totals.batched_ops as f64 / self.ops.max(1) as f64
-    }
-
     fn to_json(&self) -> serde_json::Value {
         let lat = &self.latency;
         serde_json::json!({
@@ -457,15 +443,6 @@ impl KindReport {
                 "misses": self.dcache_misses,
                 "hit_rate": self.dcache_hit_rate(),
             }),
-            // Group-durability attribution (DESIGN.md §8): comparing
-            // per_op.sfences across rows with batched_fraction ~1 vs ~0
-            // exposes the fence-coalescing win per operation kind.
-            "batch": serde_json::json!({
-                "batched_ops": self.totals.batched_ops,
-                "batch_closes": self.totals.batch_closes,
-                "batched_fraction": self.batched_fraction(),
-                "sfences_per_op": self.sfences_per_op(),
-            }),
         })
     }
 }
@@ -498,8 +475,6 @@ impl Report {
                     mine.totals.clwb += row.totals.clwb;
                     mine.totals.ntstores += row.totals.ntstores;
                     mine.totals.sfences += row.totals.sfences;
-                    mine.totals.batch_closes += row.totals.batch_closes;
-                    mine.totals.batched_ops += row.totals.batched_ops;
                     mine.dcache_hits += row.dcache_hits;
                     mine.dcache_misses += row.dcache_misses;
                 }
@@ -585,8 +560,7 @@ pub fn report() -> Report {
                 clwb: cell.clwb.load(Ordering::Relaxed),
                 ntstores: cell.ntstores.load(Ordering::Relaxed),
                 sfences: cell.sfences.load(Ordering::Relaxed),
-                batch_closes: cell.batch_closes.load(Ordering::Relaxed),
-                batched_ops: cell.batched_ops.load(Ordering::Relaxed),
+                ..StatsSnapshot::default()
             },
         });
     }

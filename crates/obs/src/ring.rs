@@ -45,8 +45,6 @@ struct Slot {
     clwb: AtomicU64,
     ntstores: AtomicU64,
     sfences: AtomicU64,
-    batch_closes: AtomicU64,
-    batched_ops: AtomicU64,
 }
 
 pub(crate) struct ThreadRing {
@@ -80,10 +78,6 @@ impl ThreadRing {
         slot.clwb.store(rec.delta.clwb, Ordering::Relaxed);
         slot.ntstores.store(rec.delta.ntstores, Ordering::Relaxed);
         slot.sfences.store(rec.delta.sfences, Ordering::Relaxed);
-        slot.batch_closes
-            .store(rec.delta.batch_closes, Ordering::Relaxed);
-        slot.batched_ops
-            .store(rec.delta.batched_ops, Ordering::Relaxed);
         slot.seq.store(seq + 2, Ordering::Release); // even: published
         self.writes.store(n + 1, Ordering::Release);
     }
@@ -119,8 +113,7 @@ impl ThreadRing {
                     clwb: slot.clwb.load(Ordering::Relaxed),
                     ntstores: slot.ntstores.load(Ordering::Relaxed),
                     sfences: slot.sfences.load(Ordering::Relaxed),
-                    batch_closes: slot.batch_closes.load(Ordering::Relaxed),
-                    batched_ops: slot.batched_ops.load(Ordering::Relaxed),
+                    ..StatsSnapshot::default()
                 },
             };
             if slot.seq.load(Ordering::Acquire) == seq1 {

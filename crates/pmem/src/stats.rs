@@ -26,10 +26,6 @@ pub struct PmemStats {
     pub ntstores: AtomicU64,
     /// Store fences issued (`sfence`).
     pub sfences: AtomicU64,
-    /// Group-durability batch closes (one per coalesced fence pair).
-    pub batch_closes: AtomicU64,
-    /// Metadata operations committed through a batch instead of inline.
-    pub batched_ops: AtomicU64,
 }
 
 /// A plain-data snapshot of [`PmemStats`].
@@ -49,9 +45,9 @@ pub struct StatsSnapshot {
     pub ntstores: u64,
     /// Store fences.
     pub sfences: u64,
-    /// Group-durability batch closes.
-    pub batch_closes: u64,
-    /// Metadata operations committed through a batch.
+    /// Always 0: every metadata operation commits inline. Kept only because
+    /// the benchmark crate reads it for its `arckfs.batch.batched_share`
+    /// row; a benchmark-only change removes the field and that row together.
     pub batched_ops: u64,
 }
 
@@ -66,8 +62,7 @@ impl PmemStats {
             clwb: self.clwb.load(Ordering::Relaxed),
             ntstores: self.ntstores.load(Ordering::Relaxed),
             sfences: self.sfences.load(Ordering::Relaxed),
-            batch_closes: self.batch_closes.load(Ordering::Relaxed),
-            batched_ops: self.batched_ops.load(Ordering::Relaxed),
+            ..StatsSnapshot::default()
         }
     }
 
@@ -80,8 +75,6 @@ impl PmemStats {
         self.clwb.store(0, Ordering::Relaxed);
         self.ntstores.store(0, Ordering::Relaxed);
         self.sfences.store(0, Ordering::Relaxed);
-        self.batch_closes.store(0, Ordering::Relaxed);
-        self.batched_ops.store(0, Ordering::Relaxed);
     }
 
     pub(crate) fn count_store(&self, bytes: usize) {
@@ -109,17 +102,6 @@ impl PmemStats {
     pub(crate) fn count_sfence(&self) {
         self.sfences.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Record one group-durability batch close. Called by the LibFS batch
-    /// layer (it has no store/flush of its own to piggyback on).
-    pub fn count_batch_close(&self) {
-        self.batch_closes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one metadata operation committed via a batch.
-    pub fn count_batched_op(&self) {
-        self.batched_ops.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 impl StatsSnapshot {
@@ -142,8 +124,7 @@ impl StatsSnapshot {
             clwb: self.clwb.saturating_sub(earlier.clwb),
             ntstores: self.ntstores.saturating_sub(earlier.ntstores),
             sfences: self.sfences.saturating_sub(earlier.sfences),
-            batch_closes: self.batch_closes.saturating_sub(earlier.batch_closes),
-            batched_ops: self.batched_ops.saturating_sub(earlier.batched_ops),
+            ..StatsSnapshot::default()
         }
     }
 
@@ -158,8 +139,6 @@ impl StatsSnapshot {
             && self.clwb >= other.clwb
             && self.ntstores >= other.ntstores
             && self.sfences >= other.sfences
-            && self.batch_closes >= other.batch_closes
-            && self.batched_ops >= other.batched_ops
     }
 
     /// Alias for [`StatsSnapshot::delta`] kept for existing call sites.
@@ -247,14 +226,11 @@ mod tests {
         s.count_store(8);
         let a = s.snapshot();
         s.count_sfence();
-        s.count_batch_close();
-        s.count_batched_op();
         let b = s.snapshot();
         assert!(b.dominates(&a));
         assert!(b.dominates(&b));
         assert!(!a.dominates(&b));
         let d = b.delta(&a);
-        assert_eq!(d.batch_closes, 1);
-        assert_eq!(d.batched_ops, 1);
+        assert_eq!(d.sfences, 1);
     }
 }

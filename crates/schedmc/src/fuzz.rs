@@ -113,10 +113,6 @@ pub enum FuzzOpKind {
     WriteRanged,
     /// `fallocate` on `f0`; no-op when unsupported.
     Fallocate,
-    /// Explicit group-durability close.
-    FlushBatch,
-    /// Create meant to ride an open commit batch.
-    CreateBatched,
     /// Truncate `f0` to an `arg`-picked size — the designated refuter of
     /// the `size_monotone` candidate invariant.
     Truncate,
@@ -126,7 +122,7 @@ pub enum FuzzOpKind {
 
 impl FuzzOpKind {
     /// The whole fuzz vocabulary in a fixed order.
-    pub const ALL: [FuzzOpKind; 14] = [
+    pub const ALL: [FuzzOpKind; 12] = [
         FuzzOpKind::Create,
         FuzzOpKind::Unlink,
         FuzzOpKind::Rename,
@@ -137,8 +133,6 @@ impl FuzzOpKind {
         FuzzOpKind::WriteDelegated,
         FuzzOpKind::WriteRanged,
         FuzzOpKind::Fallocate,
-        FuzzOpKind::FlushBatch,
-        FuzzOpKind::CreateBatched,
         FuzzOpKind::Truncate,
         FuzzOpKind::Mkdir,
     ];
@@ -156,8 +150,6 @@ impl FuzzOpKind {
             FuzzOpKind::WriteDelegated => "write_delegated",
             FuzzOpKind::WriteRanged => "write_ranged",
             FuzzOpKind::Fallocate => "fallocate",
-            FuzzOpKind::FlushBatch => "flush_batch",
-            FuzzOpKind::CreateBatched => "create_batched",
             FuzzOpKind::Truncate => "truncate",
             FuzzOpKind::Mkdir => "mkdir",
         }
@@ -290,15 +282,6 @@ impl FuzzOp {
                 let c = fs.close(fd);
                 r.and(c)
             }
-            FuzzOpKind::FlushBatch => {
-                fs.flush_batch();
-                Ok(())
-            }
-            FuzzOpKind::CreateBatched => {
-                let name = format!("nb{}", self.arg % 2);
-                let fd = fs.open_at(t.home_fd, &name, OpenFlags::rw().create())?;
-                fs.close(fd)
-            }
             FuzzOpKind::Truncate => {
                 let fd = fs.open_at(t.home_fd, "f0", OpenFlags::empty().write())?;
                 let r = fs.truncate(fd, u64::from(self.arg) % 4096);
@@ -353,9 +336,8 @@ pub struct FuzzOpts {
     pub corpus_seeds: usize,
     /// Vocabulary the generator and mutator draw from.
     pub vocabulary: Vec<FuzzOpKind>,
-    /// LibFS configuration under test. The fuzzer enables the optional
-    /// subsystems (delegation, batching) in its defaults so their inject
-    /// points are reachable.
+    /// LibFS configuration under test. The nightly leg enables the
+    /// delegation rings so their inject points are reachable.
     pub config: Config,
 }
 
@@ -365,12 +347,10 @@ impl FuzzOpts {
     /// in the loop, full vocabulary.
     pub fn smoke() -> FuzzOpts {
         let mut config = Config::arckfs_plus();
-        // Reach group durability's inject points. Delegation rings stay
-        // OFF here — their free-running worker threads race the quiesce
-        // grace deadline, and the smoke's same-seed determinism contract
-        // can't survive that (the nightly leg turns them on; it makes no
-        // determinism claim).
-        config.batch = true;
+        // Delegation rings stay OFF here — their free-running worker
+        // threads race the quiesce grace deadline, and the smoke's
+        // same-seed determinism contract can't survive that (the nightly
+        // leg turns them on; it makes no determinism claim).
         // Small pools, so a 10–50-op program crosses the kernel's batched
         // grant and surplus-return paths.
         config.page_batch = 16;

@@ -118,18 +118,12 @@ pub enum Op {
     /// released with, and replays the other side's changed slots into it
     /// (DESIGN.md §14).
     Handoff,
-    /// `flush_batch()` — the explicit group-durability close (ISSUE 4).
-    /// A no-op unless the config under test enables batching.
-    FlushBatch,
-    /// `create("/d/nb")` — a create on its own name, meant to ride an
-    /// open commit batch and race the ops that force its close.
-    CreateBatched,
 }
 
 impl Op {
-    /// The whole vocabulary, in a fixed order. The batch ops come last
-    /// so budget truncation of a sweep sheds the newest pairs first.
-    pub const ALL: [Op; 13] = [
+    /// The whole vocabulary, in a fixed order. Newer ops come last so
+    /// budget truncation of a sweep sheds the newest pairs first.
+    pub const ALL: [Op; 11] = [
         Op::Create,
         Op::Unlink,
         Op::Rename,
@@ -141,17 +135,11 @@ impl Op {
         Op::WriteRanged,
         Op::Fallocate,
         Op::Handoff,
-        Op::FlushBatch,
-        Op::CreateBatched,
     ];
 
     /// The ops that exercise the ranged shared-file data path: the
     /// disjoint vectored writer and the preallocator.
     pub const RANGED: [Op; 2] = [Op::WriteRanged, Op::Fallocate];
-
-    /// The ops that drive a batch close: the explicit flush and the
-    /// batched create whose visibility other ops can force.
-    pub const BATCH: [Op; 2] = [Op::FlushBatch, Op::CreateBatched];
 
     /// Short name (participant label, report rows).
     pub fn name(self) -> &'static str {
@@ -167,8 +155,6 @@ impl Op {
             Op::WriteRanged => "write_ranged",
             Op::Fallocate => "fallocate",
             Op::Handoff => "handoff",
-            Op::FlushBatch => "flush_batch",
-            Op::CreateBatched => "create_batched",
         }
     }
 
@@ -254,14 +240,6 @@ impl Op {
                 let fd = fs.create("/d/hb")?;
                 fs.close(fd)
             }
-            Op::FlushBatch => {
-                fs.flush_batch();
-                Ok(())
-            }
-            Op::CreateBatched => {
-                let fd = fs.create("/d/nb")?;
-                fs.close(fd)
-            }
         }
     }
 }
@@ -318,10 +296,7 @@ pub fn setup(fs: &LibFs) -> FsResult<()> {
         let fd = fs.create(name)?;
         fs.close(fd)?;
     }
-    // Quiesce any open commit batch: the racing ops start from a
-    // known-durable baseline (the crash oracle persists it wholesale),
-    // and only *their* batches can be open mid-schedule.
-    fs.sync()
+    Ok(())
 }
 
 // ---- options ---------------------------------------------------------------
@@ -1149,17 +1124,6 @@ pub fn explore_vocabulary(opts: &ExploreOpts) -> ExploreReport {
 /// Explore every unordered triple from [`Op::ALL`] — the deep sweep.
 pub fn explore_vocabulary_triples(opts: &ExploreOpts) -> ExploreReport {
     explore_combos(opts, 3)
-}
-
-/// Explore every unordered pair involving a batch-close driver
-/// ([`Op::BATCH`]) under a **batch-enabled** copy of `opts.config` —
-/// the vocabulary sweep alone never schedules a real close because the
-/// default config leaves group durability off. Same preemption bound
-/// and budget semantics as [`explore_vocabulary`].
-pub fn explore_batch_pairs(opts: &ExploreOpts) -> ExploreReport {
-    let mut opts = opts.clone();
-    opts.config.batch = true;
-    explore_pairs_with(&opts, &Op::BATCH)
 }
 
 /// Explore every unordered pair involving [`Op::WriteDelegated`] under a

@@ -40,10 +40,6 @@ fn main() {
     } else {
         schedmc::explore_vocabulary(&opts)
     };
-    // Every pair involving a batch close, re-swept with group durability
-    // enabled (the default config leaves it off, so the sweep above
-    // never schedules a real close).
-    report.merge(schedmc::explore_batch_pairs(&opts));
     // Every pair involving a delegated write, re-swept with the
     // delegation rings enabled (the default config writes inline, so the
     // sweep above never arbitrates the `delegate.sq.*` points).

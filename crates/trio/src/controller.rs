@@ -501,21 +501,15 @@ impl Kernel {
             }
             let mut children = HashMap::new();
             // Per name, keep the committed record with the highest sequence
-            // number — deletions included. With the group-durability batch
-            // layer (DESIGN.md §8) an unlink is a *negative* log record and
-            // the superseded positive is only tombstoned in place after the
-            // batch fences, so recovery must resolve names by sequence
-            // rather than trust `is_live` alone. A nonzero batch watermark
-            // marks every record above it as an unfenced batch member:
-            // crash residue, skipped wholesale.
-            let wm = inode.batch_seq;
+            // number — deletions included. Verification accepts a log that
+            // holds a tombstone and a live record of one name, so `is_live`
+            // alone cannot be trusted: recovery resolves names the way the
+            // LibFS index rebuild and fsck do, and every reader of a forged
+            // image sees the same namespace.
             let mut best: std::collections::BTreeMap<String, (u64, bool, u64)> =
                 std::collections::BTreeMap::new();
             let walk = format::walk_dir_log(&device, &geom, &inode, |d| {
                 if d.marker == 0 || d.name_has_nul() {
-                    return;
-                }
-                if wm != 0 && d.seq > wm {
                     return;
                 }
                 let name = match d.name_str() {

@@ -20,8 +20,7 @@
 //! | 32 | `nlink: u64` | |
 //! | 40 | `seq: u64` | monotone per-inode sequence (dentry ordering) |
 //! | 48 | `direct[16]: u64` | directories: tail head pages; regular files: reserved, must be zero |
-//! | 176 | `reserved[2]: u64` | must be zero |
-//! | 192 | `batch_seq: u64` | directories: group-durability watermark — 0 when quiescent; a batch's open sequence `S0` while a commit batch is in flight (records with `seq > S0` are uncommitted until the batch fences; see DESIGN.md §8) |
+//! | 176 | `reserved[3]: u64` | must be zero in every committed inode |
 //! | 200 | `extent_root: u64` | regular files: head of the extent-leaf chain, the file's only block mapping; 0 = no block mapped (DESIGN.md §11) |
 //!
 //! ## Extent leaf (one page)
@@ -100,11 +99,9 @@ pub const I_NLINK: u64 = 32;
 pub const I_SEQ: u64 = 40;
 /// Inode field offset.
 pub const I_DIRECT: u64 = 48;
-/// Inode field offset: two reserved words, zero in every committed inode.
+/// Inode field offset: three reserved words, zero in every committed
+/// inode.
 pub const I_RESERVED: u64 = 176;
-/// Inode field offset: the group-durability watermark (own cache line —
-/// `192 = 3 × 64` — so persisting it never drags neighbouring fields).
-pub const I_BATCH_SEQ: u64 = 192;
 /// Inode field offset: extent-tree root (regular files; 0 = no block
 /// mapped).
 pub const I_EXTENT_ROOT: u64 = 200;
@@ -325,10 +322,8 @@ pub struct RawInode {
     pub seq: u64,
     /// Tail heads (directories); reserved-zero for regular files.
     pub direct: [u64; NDIRECT],
-    /// The two reserved words after `direct[]`; zero when well-formed.
-    pub reserved: [u64; 2],
-    /// Group-durability watermark (directories; 0 when no batch is open).
-    pub batch_seq: u64,
+    /// The three reserved words after `direct[]`; zero when well-formed.
+    pub reserved: [u64; 3],
     /// Extent-tree root (regular files; 0 = no block mapped).
     pub extent_root: u64,
 }
@@ -344,11 +339,18 @@ impl RawInode {
         InodeType::from_raw(self.itype)
     }
 
+    /// Are the reserved words all zero? Required of every committed inode:
+    /// no reader gives them a meaning, so a LibFS must not be able to plant
+    /// one for a later reader to act on.
+    pub fn reserved_clear(&self) -> bool {
+        self.reserved.iter().all(|&w| w == 0)
+    }
+
     /// Are `direct[]` and the reserved words all zero? Required of every
     /// committed regular file: its only block mapping is the extent chain,
     /// so a non-zero word here names a page nothing accounts for.
     pub fn pointer_words_clear(&self) -> bool {
-        self.direct.iter().chain(&self.reserved).all(|&w| w == 0)
+        self.direct.iter().all(|&w| w == 0) && self.reserved_clear()
     }
 }
 
@@ -382,8 +384,11 @@ pub fn decode_inode(rec: &[u8; INODE_SIZE as usize]) -> RawInode {
         nlink: u64_at(I_NLINK),
         seq: u64_at(I_SEQ),
         direct,
-        reserved: [u64_at(I_RESERVED), u64_at(I_RESERVED + 8)],
-        batch_seq: u64_at(I_BATCH_SEQ),
+        reserved: [
+            u64_at(I_RESERVED),
+            u64_at(I_RESERVED + 8),
+            u64_at(I_RESERVED + 16),
+        ],
         extent_root: u64_at(I_EXTENT_ROOT),
     }
 }

@@ -18,12 +18,10 @@
 //! **Benign** findings are expected crash residue that recovery simply
 //! cleans up: committed inodes no dentry references (the create crashed
 //! before the dentry's marker persisted), stale directory size fields,
-//! and — with group durability (DESIGN.md §8) — records above a
-//! directory's persisted batch watermark (the open batch rolls back
-//! wholesale) or live records a newer *negative* record supersedes (a
-//! batched unlink whose deferred tombstone did not persist). Liveness is
-//! therefore decided by per-name sequence resolution over committed
-//! records below the watermark, the same rule recovery applies.
+//! and live records a newer tombstone of the same name and inode
+//! supersedes. Verification accepts such a log, so liveness is decided by
+//! per-name sequence resolution over every committed record, the same rule
+//! recovery and the LibFS index rebuild apply.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -113,19 +111,10 @@ pub enum FsckIssue {
         /// Counted live entries.
         actual: u64,
     },
-    /// Dentry records above the directory's persisted group-durability
-    /// watermark: an open commit batch was in flight at the crash
-    /// (DESIGN.md §8). Recovery rolls the whole batch back. Benign.
-    BatchResidue {
-        /// The directory.
-        dir: u64,
-        /// The persisted watermark (`batch_seq`).
-        watermark: u64,
-    },
-    /// A live dentry superseded by a newer *negative* (deleted) record
-    /// with the same name and inode — residue of a batched unlink or
-    /// rename whose deferred in-place tombstone did not persist. Recovery
-    /// resolves by sequence number; the name is dead. Benign.
+    /// A live dentry superseded by a newer deleted record with the same
+    /// name and inode. The LibFS tombstones in place and never writes
+    /// one, but verification accepts such a log, so every reader resolves
+    /// it alike: by sequence number, and the name is dead. Benign.
     UnlinkResidue {
         /// The directory.
         dir: u64,
@@ -173,7 +162,6 @@ impl FsckIssue {
             FsckIssue::OrphanInode { .. }
                 | FsckIssue::SizeMismatch { .. }
                 | FsckIssue::RenameResidue { .. }
-                | FsckIssue::BatchResidue { .. }
                 | FsckIssue::UnlinkResidue { .. }
                 | FsckIssue::PageLeak { .. }
         )
@@ -454,9 +442,8 @@ fn audit_pages(
 fn dir_children(device: &Arc<PmemDevice>, geom: &Geometry, dir: u64) -> Vec<u64> {
     let mut out = Vec::new();
     if let Ok(inode) = format::read_inode(device, geom, dir) {
-        let wm = inode.batch_seq;
         let _ = format::walk_dir_log(device, geom, &inode, |d| {
-            if d.is_live() && d.ino != 0 && d.ino <= geom.max_inodes && (wm == 0 || d.seq <= wm) {
+            if d.is_live() && d.ino != 0 && d.ino <= geom.max_inodes {
                 out.push(d.ino);
             }
         });
@@ -490,23 +477,22 @@ fn walk_dir(
         }
     };
 
-    let (recs, batch_residue) =
-        match committed_records(device, geom, &inode, dir, Some(report)) {
-            Ok(v) => v,
-            Err(e) => {
-                report.issues.push(FsckIssue::Structural {
-                    ino: dir,
-                    detail: e,
-                });
-                return;
-            }
-        };
-    if batch_residue {
-        report.issues.push(FsckIssue::BatchResidue {
-            dir,
-            watermark: inode.batch_seq,
+    if !inode.reserved_clear() {
+        report.issues.push(FsckIssue::Structural {
+            ino: dir,
+            detail: "directory with a non-zero reserved word".into(),
         });
     }
+    let recs = match committed_records(device, geom, &inode, dir, Some(report)) {
+        Ok(v) => v,
+        Err(e) => {
+            report.issues.push(FsckIssue::Structural {
+                ino: dir,
+                detail: e,
+            });
+            return;
+        }
+    };
 
     let live = resolve_live(recs, dir, Some(report));
 
@@ -570,13 +556,10 @@ fn walk_dir(
 /// A directory's committed record: `(name, seq, ino, deleted)`.
 type DirRec = (String, u64, u64, bool);
 
-/// Collect a directory's committed dentry records below its group-
-/// durability watermark (DESIGN.md §8: records above the watermark belong
-/// to the commit batch open at the crash and are uncommitted by
-/// definition). Deleted records are included — batched unlinks and renames
-/// append *negative* records, so liveness is decided afterwards by
-/// [`resolve_live`]. The second return is whether any record sat above the
-/// watermark. With `report`, §4.2 payload and target violations are
+/// Collect a directory's committed dentry records. Deleted records are
+/// included — a tombstone can outrank a live record of its name in a log
+/// verification accepted — so liveness is decided afterwards by
+/// [`resolve_live`]. With `report`, §4.2 payload and target violations are
 /// reported; without it they are skipped silently (recovery erases them).
 fn committed_records(
     device: &Arc<PmemDevice>,
@@ -584,16 +567,10 @@ fn committed_records(
     inode: &format::RawInode,
     dir: u64,
     mut report: Option<&mut FsckReport>,
-) -> Result<(Vec<DirRec>, bool), String> {
-    let wm = inode.batch_seq;
-    let mut batch_residue = false;
+) -> Result<Vec<DirRec>, String> {
     let mut recs: Vec<DirRec> = Vec::new();
     format::walk_dir_log(device, geom, inode, |d| {
         if d.marker == 0 {
-            return;
-        }
-        if wm != 0 && d.seq > wm {
-            batch_residue = true;
             return;
         }
         let torn = d.marker as usize > format::DENTRY_NAME_CAP || d.name_has_nul();
@@ -628,12 +605,12 @@ fn committed_records(
         }
         recs.push((name, d.seq, d.ino, d.deleted));
     })?;
-    Ok((recs, batch_residue))
+    Ok(recs)
 }
 
 /// Per-name and per-inode sequence resolution over a directory's committed
 /// records — exactly the rule recovery applies. A live record below the
-/// per-name winner is benign only when a newer negative record for the
+/// per-name winner is benign only when a newer deleted record for the
 /// same inode explicitly killed it; any other live loser is a genuine
 /// duplicate. An inode live under two names (same-directory rename
 /// residue) keeps the newer name. Returns the live `name → ino` map; with
@@ -780,7 +757,7 @@ fn file_content_hash(
 /// Walk the namespace from the root and return every live, committed entry
 /// sorted by path — the **logical** state of the image, independent of
 /// physical placement, allocator shard count, and benign crash residue
-/// (orphans, stale sizes, batch residue, unpersisted tombstones), all of
+/// (orphans, stale sizes, unpersisted tombstones), all of
 /// which recovery discards. Liveness uses the same per-name sequence
 /// resolution as [`fsck`]; nothing is reported.
 pub fn logical_snapshot(
@@ -796,7 +773,7 @@ pub fn logical_snapshot(
             Ok(i) => i,
             Err(e) => return Err(e.to_string()),
         };
-        let (recs, _) = committed_records(device, geom, &inode, dir, None)?;
+        let recs = committed_records(device, geom, &inode, dir, None)?;
         let mut children: Vec<(String, u64)> =
             resolve_live(recs, dir, None).into_iter().collect();
         children.sort();
@@ -1105,43 +1082,13 @@ pub fn repair(device: &Arc<PmemDevice>) -> Result<FsckReport, String> {
                 device.write_u64(base, 0).map_err(|e| e.to_string())?;
                 device.persist(base, 8).map_err(|e| e.to_string())?;
             }
-            FsckIssue::BatchResidue { dir, watermark } => {
-                // Roll the open batch back: erase every gated record's
-                // marker, persist, then clear the watermark — in that
-                // order, so a crash mid-repair never exposes a cleared
-                // watermark with a gated record still looking committed.
-                let inode = format::read_inode(device, &geom, *dir).map_err(|e| e.to_string())?;
-                let mut gated: Vec<u64> = Vec::new();
-                format::walk_dir_log(device, &geom, &inode, |d| {
-                    if d.marker != 0 && d.seq > *watermark {
-                        gated.push(d.offset);
-                    }
-                })?;
-                for off in gated {
-                    device
-                        .write(off + format::D_MARKER, &[0, 0])
-                        .map_err(|e| e.to_string())?;
-                    device
-                        .persist(off + format::D_MARKER, 2)
-                        .map_err(|e| e.to_string())?;
-                }
-                let base = geom.inode_offset(*dir);
-                device
-                    .write_u64(base + format::I_BATCH_SEQ, 0)
-                    .map_err(|e| e.to_string())?;
-                device
-                    .persist(base + format::I_BATCH_SEQ, 8)
-                    .map_err(|e| e.to_string())?;
-            }
             FsckIssue::UnlinkResidue { dir, name } => {
-                // Persist the deferred tombstone: mark deleted every live
-                // record for `name` that a newer negative record for the
-                // same inode supersedes.
+                // Mark deleted every live record for `name` that a newer
+                // deleted record for the same inode supersedes.
                 let inode = format::read_inode(device, &geom, *dir).map_err(|e| e.to_string())?;
-                let wm = inode.batch_seq;
                 let mut recs: Vec<(u64, u64, bool, u64)> = Vec::new(); // (seq, ino, deleted, off)
                 format::walk_dir_log(device, &geom, &inode, |d| {
-                    if d.marker == 0 || (wm != 0 && d.seq > wm) {
+                    if d.marker == 0 {
                         return;
                     }
                     if d.name_str() == Some(name.as_str()) {

@@ -666,6 +666,11 @@ pub(crate) fn verify_and_apply(
             Ok(verified(changed, Vec::new(), Children::default(), None))
         }
         InodeType::Directory => {
+            // No reader gives the reserved words a meaning; one left
+            // non-zero is a field a later reader might act on.
+            if !inode.reserved_clear() {
+                return Err(fail(ino, "directory with a non-zero reserved word"));
+            }
             let (live, pages) = parse_dir(device, geom, ino, &inode)?;
             let old = &*snap.children;
 

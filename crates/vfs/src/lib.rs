@@ -348,9 +348,9 @@ pub trait FileSystem: Send + Sync {
 
     /// Make every completed operation durable, file-system-wide — the
     /// handle-less durability barrier. File systems that persist
-    /// synchronously need nothing here (the default); ones that batch
-    /// metadata commits (ArckFS group durability) override it to close
-    /// their open commit batches.
+    /// synchronously need nothing here (the default); ones that buffer
+    /// writes or hand them to background workers override it to drain
+    /// them.
     fn sync(&self) -> FsResult<()> {
         Ok(())
     }

@@ -344,8 +344,7 @@ fn replay_setup(prepare: impl Fn(&LibFs)) -> (Arc<Kernel>, Arc<LibFs>, Arc<LibFs
         KernelConfig::arckfs_plus(),
     )
     .expect("format");
-    let mut cfg = Config::arckfs_plus();
-    cfg.batch = false;
+    let cfg = Config::arckfs_plus();
     let a = LibFs::mount(kernel.clone(), cfg.clone(), 0).expect("mount a");
     let b = LibFs::mount(kernel.clone(), cfg, 0).expect("mount b");
     a.mkdir("/d").unwrap();
@@ -475,4 +474,29 @@ fn a_tombstone_turned_into_a_hole_is_not_replayed() {
     let c = LibFs::mount(kernel.clone(), Config::arckfs_plus(), 0).unwrap();
     assert_eq!(c.readdir("/d").unwrap().len(), 44);
     assert!(trio::fsck::fsck(kernel.device()).unwrap().is_consistent());
+}
+
+/// A reserved word of a directory's inode forged non-zero: no reader gives
+/// it a meaning, so the verifier refuses the release instead of leaving the
+/// word for a later reader to act on, and the next owner sees every name.
+#[test]
+fn a_forged_reserved_word_on_a_directory_is_rejected() {
+    let (kernel, a, b, dir) = replay_setup(|_| {});
+    b.stat("/d").unwrap();
+    // The third reserved word, offset 192.
+    let word = kernel.geometry().inode_offset(dir) + format::I_RESERVED + 16;
+    kernel.device().write_u64(word, 1).unwrap();
+    expect_verification_failure(b.release_path("/d"), "reserved word on a directory");
+    b.release_path("/").unwrap();
+    let mut names: Vec<String> = a
+        .readdir("/d")
+        .unwrap()
+        .into_iter()
+        .map(|e| e.name)
+        .collect();
+    names.sort();
+    assert_eq!(names, ["r0", "r1", "r2", "r3"]);
+    a.check_dir_index("/d").unwrap_or_else(|e| panic!("{e}"));
+    let report = trio::fsck::fsck(kernel.device()).unwrap();
+    assert!(report.is_consistent(), "{report:?}");
 }

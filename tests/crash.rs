@@ -10,6 +10,98 @@ use vfs::{FileSystem, FsExt};
 
 const DEV: usize = 16 << 20;
 
+/// Crash states sampled per sequence in the Table-1 sweep.
+const TABLE1_SAMPLES: usize = 24;
+
+/// The Table-1 metadata vocabulary over one shared directory. Each op
+/// has a fixed operand, so sequence validity is a tiny state machine
+/// over which names exist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Table1Op {
+    /// `create /d/a`
+    Create,
+    /// `unlink /d/a`
+    Unlink,
+    /// `rename /d/a -> /d/r`
+    Rename,
+    /// `mkdir /d/m`
+    Mkdir,
+}
+
+impl Table1Op {
+    const ALL: [Table1Op; 4] = [
+        Table1Op::Create,
+        Table1Op::Unlink,
+        Table1Op::Rename,
+        Table1Op::Mkdir,
+    ];
+
+    /// Apply to the (a, r, m) existence vector; `None` when invalid.
+    fn step(self, (a, r, m): (bool, bool, bool)) -> Option<(bool, bool, bool)> {
+        match self {
+            Table1Op::Create if !a => Some((true, r, m)),
+            Table1Op::Unlink if a => Some((false, r, m)),
+            Table1Op::Rename if a && !r => Some((false, true, m)),
+            Table1Op::Mkdir if !m => Some((a, r, true)),
+            _ => None,
+        }
+    }
+
+    fn apply(self, fs: &LibFs) {
+        match self {
+            Table1Op::Create => {
+                let fd = fs.create("/d/a").unwrap();
+                fs.close(fd).unwrap();
+            }
+            Table1Op::Unlink => fs.unlink("/d/a").unwrap(),
+            Table1Op::Rename => fs.rename("/d/a", "/d/r").unwrap(),
+            Table1Op::Mkdir => fs.mkdir("/d/m").unwrap(),
+        }
+    }
+}
+
+/// Every valid op sequence of length 1..=4 from the vocabulary.
+fn table1_sequences() -> Vec<Vec<Table1Op>> {
+    let mut out = Vec::new();
+    let mut frontier = vec![(Vec::new(), (false, false, false))];
+    for _ in 0..4 {
+        let mut next = Vec::new();
+        for (seq, state) in frontier {
+            for op in Table1Op::ALL {
+                if let Some(after) = op.step(state) {
+                    let mut s = seq.clone();
+                    s.push(op);
+                    out.push(s.clone());
+                    next.push((s, after));
+                }
+            }
+        }
+        frontier = next;
+    }
+    out
+}
+
+#[test]
+fn every_table1_sequence_leaves_only_consistent_crash_states() {
+    let sequences = table1_sequences();
+    // The vocabulary's validity machine admits exactly these counts per
+    // length (2, 4, 8, 11) — pin it so the sweep can't silently shrink.
+    assert_eq!(sequences.len(), 25);
+    for (si, seq) in sequences.iter().enumerate() {
+        let device = PmemDevice::new_tracked(8 << 20);
+        let (_k, fs) = arckfs::new_fs_on(device.clone(), Config::arckfs_plus()).unwrap();
+        fs.mkdir("/d").unwrap();
+        // Quiesce the setup so crash states differ only by the sequence.
+        device.persist_all();
+        for op in seq {
+            op.apply(&fs);
+        }
+        let seed = (si as u64 + 1) << 16;
+        let report = crashmc::check_bounded(&device, 64, TABLE1_SAMPLES, seed).unwrap();
+        assert!(report.is_consistent(), "{seq:?}: {report:?}");
+    }
+}
+
 #[test]
 fn quiesced_workload_is_always_consistent() {
     let device = PmemDevice::new_tracked(DEV);
@@ -56,9 +148,6 @@ fn remount_recovers_the_tree_after_crash() {
     fs.write_file("/docs/report.txt", b"durable content").unwrap();
     fs.mkdir("/docs/sub").unwrap();
     fs.write_file("/docs/sub/deep.txt", &vec![0x7Au8; 10_000]).unwrap();
-    // Commit any open batch (ARCKFS_BATCH=1 runs): the tree below is the
-    // durable state the recovered kernel must reproduce.
-    fs.sync().unwrap();
 
     // Crash: take a sampled crash image and bring up a whole new kernel
     // on the recovered device.
@@ -100,7 +189,6 @@ fn recovery_reclaims_orphans_and_recomputes_sizes() {
     let device = PmemDevice::new_tracked(DEV);
     let (_k, fs) = arckfs::new_fs_on(device.clone(), Config::arckfs_plus()).unwrap();
     fs.write_file("/real.txt", b"visible").unwrap();
-    fs.sync().unwrap(); // commit the create's batch under ARCKFS_BATCH=1
     let geom = trio::format::read_superblock(&device).unwrap();
     // Orphan: commit inode 50 with no dentry anywhere.
     let base = geom.inode_offset(50);
@@ -127,7 +215,6 @@ fn rename_crash_window_is_benign_residue_at_worst() {
     let device = PmemDevice::new_tracked(DEV);
     let (_k, fs) = arckfs::new_fs_on(device.clone(), Config::arckfs_plus()).unwrap();
     fs.write_file("/before", b"payload").unwrap();
-    fs.sync().unwrap(); // close any open batch: "/before" must be committed
     device.persist_all(); // quiesce: the create is fully durable
 
     fs.rename("/before", "/after").unwrap();

@@ -23,10 +23,6 @@ fn distinct_states_hash_distinct() {
     let (device, fs) = fresh_fs();
     let mut seen = std::collections::BTreeSet::new();
     let mut step = |label: &str| {
-        // Quiesce any open metadata batch first: a batched record is gated
-        // behind the watermark and would not count as part of the logical
-        // state yet (see the ARCKFS_BATCH gotcha in DESIGN.md §8).
-        fs.sync().unwrap();
         let fp = crashmc::fingerprint(&device).unwrap();
         assert!(seen.insert(fp), "state '{label}' collided with an earlier state");
     };

@@ -11,14 +11,6 @@ use arckfs_repro::{
     vfs::{FileSystem, FsExt},
 };
 
-/// Pin group durability off: the inline fence-count rows below assert
-/// exact per-op counts, which an `ARCKFS_BATCH=1` environment (the CI
-/// matrix) would otherwise coalesce out from under them.
-fn inline(mut config: arckfs::Config) -> arckfs::Config {
-    config.batch = false;
-    config
-}
-
 /// Run `n` creates under `config` and return the obs `create` row.
 fn create_row(config: arckfs::Config, n: u64) -> obs::KindReport {
     let (_kernel, fs) = arckfs::new_fs(64 << 20, config).expect("format");
@@ -39,8 +31,8 @@ fn create_row(config: arckfs::Config, n: u64) -> obs::KindReport {
 fn fence_fix_adds_exactly_one_sfence_per_create() {
     const N: u64 = 64;
     let (off, on) = obs::enabled_scope(|| {
-        let off = create_row(inline(arckfs::Config::arckfs_plus().with_fix("4.2", false)), N);
-        let on = create_row(inline(arckfs::Config::arckfs_plus()), N);
+        let off = create_row(arckfs::Config::arckfs_plus().with_fix("4.2", false), N);
+        let on = create_row(arckfs::Config::arckfs_plus(), N);
         (off, on)
     });
     obs::reset();
@@ -64,56 +56,6 @@ fn fence_fix_adds_exactly_one_sfence_per_create() {
     // And the spans measured real latencies for every operation.
     assert_eq!(on.latency.count(), N);
     assert!(on.latency.max() > 0);
-}
-
-#[test]
-fn group_durability_coalesces_create_fences() {
-    // Large enough that allocation-path fences (a fresh dentry page
-    // every 31 creates, inode-pool refills) amortize into the ε below.
-    const N: u64 = 512;
-    let mut batched_cfg = arckfs::Config::arckfs_plus();
-    batched_cfg.batch = true;
-    batched_cfg.batch_ops = 8;
-    // Batch requested but gated inactive (the §4.2 fence it would
-    // coalesce is missing): must be byte-identical to that inline config.
-    let mut gated_cfg = arckfs::Config::arckfs_plus().with_fix("4.2", false);
-    gated_cfg.batch = true;
-    let (plain, batched, gated) = obs::enabled_scope(|| {
-        (
-            create_row(inline(arckfs::Config::arckfs_plus()), N),
-            create_row(batched_cfg, N),
-            create_row(gated_cfg, N),
-        )
-    });
-    obs::reset();
-
-    assert_eq!(plain.ops, N);
-    assert_eq!(batched.ops, N);
-    // Every create joined a batch — and the inline run never did. The
-    // batched/inline split is what the obs JSON `batch` block exports.
-    assert!((batched.batched_fraction() - 1.0).abs() < 1e-9);
-    assert!(plain.batched_fraction().abs() < 1e-9);
-    // The headline: at batch size 8 the create path pays an eighth of
-    // the inline ordering points, plus the batch protocol's own fence
-    // pair and the odd allocation-path fence (the ε).
-    assert!(
-        batched.sfences_per_op() <= plain.sfences_per_op() / 8.0 + 0.25,
-        "batched {}/op vs inline {}/op",
-        batched.sfences_per_op(),
-        plain.sfences_per_op()
-    );
-    // And at minimum the acceptance bar: a 4x reduction.
-    assert!(
-        batched.sfences_per_op() * 4.0 <= plain.sfences_per_op(),
-        "batched {}/op vs inline {}/op",
-        batched.sfences_per_op(),
-        plain.sfences_per_op()
-    );
-    // With the knob on but gated off, the integer fence total is
-    // *exactly* the inline count of the same (fix-4.2-less) config:
-    // inactive batching changes nothing, to the fence.
-    assert_eq!(gated.totals.sfences, plain.totals.sfences - N);
-    assert!(gated.batched_fraction().abs() < 1e-9);
 }
 
 /// The ISSUE 6 accounting fix, observed at the FS level: `delegated_bytes`
@@ -160,7 +102,7 @@ fn delegated_bytes_attributed_only_on_completion() {
 #[test]
 fn report_json_exposes_attribution() {
     const N: u64 = 16;
-    let row = obs::enabled_scope(|| create_row(inline(arckfs::Config::arckfs_plus()), N));
+    let row = obs::enabled_scope(|| create_row(arckfs::Config::arckfs_plus(), N));
     obs::reset();
     let report = obs::Report { kinds: vec![row] };
     let v = report.to_json("test");

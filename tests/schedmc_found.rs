@@ -13,7 +13,7 @@ use std::time::Duration;
 use arckfs::delegate::DelegationPool;
 use arckfs::{inject, Config, LibFs};
 use pmem::{Mapping, MappingRegistry, PmemDevice, ShardedPageAllocator};
-use schedmc::fuzz::{fuzz, replay_fuzz, FuzzOp, FuzzOpKind, FuzzOpts};
+use schedmc::fuzz::{fuzz, FuzzOpKind, FuzzOpts};
 use schedmc::{explore, replay, ExploreOpts, FailureKind, Op};
 use trio::{Kernel, KernelConfig};
 use vfs::{FileSystem, FsError, FsExt};
@@ -181,53 +181,6 @@ fn release_vs_revive_window_exonerated() {
     assert!(
         report.points_hit.get("libfs.revive.rebuild").copied() >= Some(1),
         "revival window must be scheduled through: {:?}",
-        report.points_hit
-    );
-    assert!(report.is_clean(), "{:?}", report.failures);
-}
-
-// ---------------------------------------------------------------------------
-// Group durability: the visibility barrier, pinned as a schedule
-// ---------------------------------------------------------------------------
-
-/// The minimized schedule for the batch visibility rule (ISSUE 4):
-/// `[0]` runs the batched create to completion (its records ride an
-/// open batch — the creator pays no close), then the other thread's
-/// `open_at` walks the same directory. The lookup must close the batch
-/// *before* the open observes the entry, so the close's fence pair
-/// lands on the opener's thread, and every oracle stays clean.
-#[test]
-fn open_after_batched_create_forces_the_close() {
-    let mut cfg = Config::arckfs_plus();
-    cfg.batch = true;
-    let outcome = replay(&[Op::CreateBatched, Op::OpenAt], &[0], &opts(cfg));
-    assert!(!outcome.diverged_from_schedule);
-    assert!(outcome.failure.is_none(), "{:?}", outcome.failure);
-    let closes: Vec<usize> = outcome
-        .trace
-        .iter()
-        .filter(|(_, p)| p.starts_with("batch.close."))
-        .map(|(tid, _)| *tid)
-        .collect();
-    assert!(
-        closes.iter().all(|&tid| tid == 1) && !closes.is_empty(),
-        "the opener (tid 1), never the creator, must pay the batch \
-         close; close points hit by tids {closes:?} in {:?}",
-        outcome.trace
-    );
-}
-
-/// The whole bound-2 pair space around that window, swept clean with
-/// the batch config — and the close window really is scheduled through.
-#[test]
-fn batched_create_vs_open_space_is_clean() {
-    let mut cfg = Config::arckfs_plus();
-    cfg.batch = true;
-    let report = explore(&[Op::CreateBatched, Op::OpenAt], &opts(cfg));
-    assert!(!report.truncated);
-    assert!(
-        report.points_hit.get("batch.close.pre_fence").copied() >= Some(1),
-        "the close window must be scheduled through: {:?}",
         report.points_hit
     );
     assert!(report.is_clean(), "{:?}", report.failures);
@@ -742,68 +695,3 @@ fn release_vs_revive_reconfirmed_at_fuzz_depth() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Found by the fuzzer (ISSUE 9): dentry-slot double grant across revival
-// ---------------------------------------------------------------------------
-
-/// The first smoke campaign (seed 0xf12f, 24 execs) found a directory
-/// silently *losing* an entry: a `mkdir` succeeded, yet the next release's
-/// kernel verify counted one fewer live dentry than the inode's size field
-/// ("dir size 5 != live entries 4"). Minimized shape:
-///
-/// 1. A batched rename defers its old-record tombstone to the batch close
-///    as a post action. The close — run here by the §4.3 release quiesce —
-///    stages the retired slot offsets in the retained `DirBatch::reclaim`,
-///    to be handed back to `free_slots` after the *next* close's fence.
-/// 2. The §4.3 revival rebuild independently re-derives those same slots
-///    from its log scan (they are tombstoned records by now) and installs
-///    them in `free_slots`, making the staged list an exact duplicate.
-/// 3. A post-revival `mkdir` takes the slot and writes its dentry. The next
-///    batch close then appends the stale `reclaim` into `free_slots`, the
-///    slot is granted a *second* time, and a later create overwrites the
-///    live dentry in place — the mkdir'd entry vanishes while the durable
-///    size still counts it.
-///
-/// Fixed by dropping the retained `reclaim` during revival: the rebuild
-/// scan is the only authority on reusable slots after a release. This
-/// replay pins the fuzzer's minimized 10-op program and 55-choice schedule;
-/// it must follow the schedule without divergence and come back with every
-/// oracle clean.
-#[test]
-fn revival_cannot_double_grant_reclaimed_dentry_slots() {
-    let mut o = fuzz_opts(0xf12f, 1);
-    // A pinned choice sequence is only meaningful under the exact
-    // configuration the campaign ran with (a bare `schedmc -- fuzz`, env
-    // defaults). The preset constructors read the CI legs' env knobs, so
-    // pin every one that changes which inject points an op visits.
-    o.config.dcache = true;
-    o.config.delegation_threads = 0;
-    o.config.batch_ops = 8;
-    o.config.batch_bytes = 16 * 1024;
-    let program = [
-        FuzzOp { kind: FuzzOpKind::Append, tenant: 0, arg: 62719 },
-        FuzzOp { kind: FuzzOpKind::WriteRanged, tenant: 1, arg: 59772 },
-        FuzzOp { kind: FuzzOpKind::FlushBatch, tenant: 0, arg: 11862 },
-        FuzzOp { kind: FuzzOpKind::WriteDelegated, tenant: 1, arg: 40744 },
-        FuzzOp { kind: FuzzOpKind::Rename, tenant: 1, arg: 57094 },
-        FuzzOp { kind: FuzzOpKind::Release, tenant: 1, arg: 34916 },
-        FuzzOp { kind: FuzzOpKind::Unlink, tenant: 1, arg: 8422 },
-        FuzzOp { kind: FuzzOpKind::OpenAt, tenant: 0, arg: 2954 },
-        FuzzOp { kind: FuzzOpKind::Mkdir, tenant: 1, arg: 16637 },
-        FuzzOp { kind: FuzzOpKind::Release, tenant: 1, arg: 60604 },
-    ];
-    let schedule = [
-        1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 2, 2, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1, 0, 0, 0, 2,
-        2, 2, 2, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    ];
-    let replay = replay_fuzz(&program, &schedule, &o);
-    assert!(
-        !replay.diverged_from_schedule,
-        "the pinned double-grant schedule must stay applicable"
-    );
-    assert!(
-        replay.failure.is_none(),
-        "replay must be clean with the revival reclaim-drop fix: {:?}",
-        replay.failure
-    );
-}

@@ -186,14 +186,6 @@ use trio::format;
 
 const PAGE: u64 = pmem::PAGE_SIZE as u64;
 
-fn plus() -> Config {
-    // Exact read counts and slot layouts are pinned below: keep the
-    // environment's batch knob out of it (see the batch variant for that).
-    let mut c = Config::arckfs_plus();
-    c.batch = false;
-    c
-}
-
 fn two_apps(config: Config) -> (Arc<Kernel>, Arc<LibFs>, Arc<LibFs>) {
     let k = kernel();
     let a = LibFs::mount(k.clone(), config.clone(), 0).unwrap();
@@ -283,7 +275,7 @@ fn assert_fsck_clean(k: &Kernel) {
 /// less than a page. At the parent commit both are ~3× the page count.
 #[test]
 fn handoff_reads_each_log_page_at_most_once() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/dir100").unwrap();
     for i in 0..100 {
         touch(&a, &format!("/dir100/r{i}"));
@@ -336,7 +328,7 @@ fn handoff_reads_each_log_page_at_most_once() {
 /// kernel's next snapshot is the rolled-back state, not the rejected one.
 #[test]
 fn rollback_of_a_foreign_release_forces_a_rebuild() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/d").unwrap();
     for n in ["x", "y", "z"] {
         touch(&a, &format!("/d/{n}"));
@@ -385,7 +377,7 @@ fn rollback_of_a_foreign_release_forces_a_rebuild() {
 /// directory past one page per tail without overwriting or double-granting.
 #[test]
 fn identical_live_set_with_moved_slots_is_not_a_match() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/d").unwrap();
     for n in ["x", "y", "z"] {
         touch(&a, &format!("/d/{n}"));
@@ -424,7 +416,7 @@ fn identical_live_set_with_moved_slots_is_not_a_match() {
 /// lands where the kept tails and free slots say.
 #[test]
 fn lookups_by_the_other_side_keep_the_index() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/d").unwrap();
     for n in 0..40 {
         touch(&a, &format!("/d/f{n}"));
@@ -457,58 +449,11 @@ fn lookups_by_the_other_side_keep_the_index() {
     assert_fsck_clean(&k);
 }
 
-/// (c, batch on) The release quiesce closes the directory's batch and
-/// stages the post actions' slots in the batch cell's `reclaim` list. A kept
-/// index keeps that list, and the next close hands each slot back once: a
-/// slot handed back twice would be granted twice and the second create
-/// would overwrite the first's record.
-#[test]
-fn kept_index_hands_staged_slots_back_exactly_once() {
-    let mut cfg = Config::arckfs_plus();
-    cfg.batch = true;
-    cfg.batch_ops = 64;
-    let (k, a, b) = two_apps(cfg);
-    a.mkdir("/d").unwrap();
-    for n in 0..24 {
-        touch(&a, &format!("/d/f{n}"));
-    }
-    a.sync().unwrap();
-    for n in 0..12 {
-        a.unlink(&format!("/d/f{n}")).unwrap(); // tombstones deferred to the close
-    }
-    hand_over(&a, "/d"); // quiesce closes the batch, stages 12 slots
-    assert_eq!(names(&b, "/d").len(), 12);
-    hand_over(&b, "/d");
-
-    let cost = reacquire_cost(&k, &a, "/d");
-    assert!(
-        cost < PAGE,
-        "A re-read the log of an unchanged directory ({cost} B)"
-    );
-    let mut expect: Vec<String> = (12..24).map(|n| format!("f{n}")).collect();
-    // Three rounds, each closing a batch: the staged slots re-enter the
-    // allocator at the first close and are consumed by the later creates.
-    for round in 0..3 {
-        for n in 0..10 {
-            touch(&a, &format!("/d/g{round}_{n}"));
-            expect.push(format!("g{round}_{n}"));
-        }
-        a.sync().unwrap();
-    }
-    let expect = sorted(expect);
-    assert_eq!(names(&a, "/d"), expect);
-    hand_over(&a, "/d");
-    assert_eq!(names(&b, "/d"), expect, "a staged slot was granted twice");
-    a.unmount().unwrap();
-    b.unmount().unwrap();
-    assert_fsck_clean(&k);
-}
-
 /// (d) Inside a trust group releases are not verified and owners overlap:
 /// no remembered generation may ever match, whichever side wrote.
 #[test]
 fn trust_group_release_never_keeps_the_index() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     k.create_trust_group(&[a.id(), b.id()]).unwrap();
     a.mkdir("/g").unwrap();
     touch(&a, "/g/from_a");
@@ -540,7 +485,7 @@ fn trust_group_release_never_keeps_the_index() {
 /// life never matches the new one.
 #[test]
 fn recycled_inode_number_never_matches() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/old").unwrap();
     touch(&a, "/old/gone");
     a.unlink("/old/gone").unwrap();
@@ -551,7 +496,7 @@ fn recycled_inode_number_never_matches() {
     // to the kernel's pool; the next application is granted it again.
     b.rmdir("/old").unwrap();
     b.unmount().unwrap();
-    let c = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    let c = LibFs::mount(k.clone(), Config::arckfs_plus(), 0).unwrap();
     let reborn = (0..4096)
         .map(|i| format!("/new{i}"))
         .find(|p| {
@@ -567,7 +512,7 @@ fn recycled_inode_number_never_matches() {
     assert_eq!(names(&a, &reborn), ["inside"]);
     touch(&a, &format!("{reborn}/more"));
     a.unmount().unwrap();
-    let d = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    let d = LibFs::mount(k.clone(), Config::arckfs_plus(), 0).unwrap();
     assert_eq!(names(&d, &reborn), ["inside", "more"]);
     assert_fsck_clean(&k);
 }
@@ -579,7 +524,7 @@ fn recycled_inode_number_never_matches() {
 /// descriptor is granted the inode, finds it freed — and hands it back.
 #[test]
 fn failed_revival_hands_the_grant_back() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/d").unwrap();
     a.write_file("/d/f", b"data").unwrap();
     let fd = a.open("/d/f", vfs::OpenFlags::read()).unwrap();
@@ -653,7 +598,7 @@ fn hand_over_all(fs: &LibFs, dirs: &[&str]) {
 /// and of the `z` A had unlinked: the same slots under other names.
 #[test]
 fn replay_reuses_slots_under_other_names() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/d").unwrap();
     for n in ["x", "y", "z"] {
         touch(&a, &format!("/d/{n}"));
@@ -690,7 +635,7 @@ fn replay_reuses_slots_under_other_names() {
 /// sibling's delta is then its commit's).
 #[test]
 fn replay_follows_renames_within_and_across_directories() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/d").unwrap();
     a.mkdir("/e").unwrap();
     for p in ["/d/x", "/d/y", "/e/u"] {
@@ -721,7 +666,7 @@ fn replay_follows_renames_within_and_across_directories() {
     touch(&a, "/e/z");
     a.unmount().unwrap();
     b.unmount().unwrap();
-    let c = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    let c = LibFs::mount(k.clone(), Config::arckfs_plus(), 0).unwrap();
     assert_eq!(names(&c, "/e"), ["y", "z"]);
     c.unmount().unwrap();
     assert_fsck_clean(&k);
@@ -731,7 +676,7 @@ fn replay_follows_renames_within_and_across_directories() {
 /// records no delta and A rebuilds.
 #[test]
 fn a_create_that_links_a_log_page_falls_back() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/d").unwrap();
     touch(&a, "/d/first");
     let dir = a.stat("/d").unwrap().ino;
@@ -752,7 +697,7 @@ fn a_create_that_links_a_log_page_falls_back() {
 /// rebuild even though PM holds exactly what it last replayed.
 #[test]
 fn a_rollback_between_turns_leaves_no_delta() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/d").unwrap();
     touch(&a, "/d/x");
     let dir = a.stat("/d").unwrap().ino;
@@ -782,8 +727,8 @@ fn a_rollback_between_turns_leaves_no_delta() {
 /// the commit, when the commit's own delta is still the current one.
 #[test]
 fn trust_groups_and_commits_start_deltas_elsewhere() {
-    let (k, a, b) = two_apps(plus());
-    let c = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    let (k, a, b) = two_apps(Config::arckfs_plus());
+    let c = LibFs::mount(k.clone(), Config::arckfs_plus(), 0).unwrap();
     k.create_trust_group(&[a.id(), b.id()]).unwrap();
     c.mkdir("/d").unwrap();
     touch(&c, "/d/c0");
@@ -799,7 +744,7 @@ fn trust_groups_and_commits_start_deltas_elsewhere() {
 
     // Outside the group: commit, then change, then release. (Four
     // residents give every tail a page: B's creates append in place.)
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/d").unwrap();
     for n in ["x", "r1", "r2", "r3"] {
         touch(&a, &format!("/d/{n}"));
@@ -827,7 +772,7 @@ fn trust_groups_and_commits_start_deltas_elsewhere() {
 fn a_third_application_falls_back() {
     let k = kernel();
     let apps: Vec<Arc<LibFs>> = (0..3)
-        .map(|_| LibFs::mount(k.clone(), plus(), 0).unwrap())
+        .map(|_| LibFs::mount(k.clone(), Config::arckfs_plus(), 0).unwrap())
         .collect();
     apps[0].mkdir("/d").unwrap();
     for i in 0..20 {
@@ -853,53 +798,12 @@ fn a_third_application_falls_back() {
     assert_fsck_clean(&k);
 }
 
-/// (h) Group durability on: the release quiesce's close staged the slots of
-/// A's unlinks in the batch cell, so A's index is not exact for a replay to
-/// patch — it rebuilds. With nothing staged the replay runs, batch or not.
-#[test]
-fn a_staged_reclaim_list_forces_the_rebuild() {
-    let mut cfg = Config::arckfs_plus();
-    cfg.batch = true;
-    cfg.batch_ops = 64;
-    let (k, a, b) = two_apps(cfg);
-    a.mkdir("/d").unwrap();
-    for n in 0..24 {
-        touch(&a, &format!("/d/f{n}"));
-    }
-    a.sync().unwrap();
-    for n in 0..12 {
-        a.unlink(&format!("/d/f{n}")).unwrap();
-    }
-    let dir = a.stat("/d").unwrap().ino;
-    hand_over(&a, "/d"); // stages 12 slots
-    touch(&b, "/d/b0");
-    hand_over(&b, "/d");
-    assert_eq!(revive(&k, &a, "/d", dir), Revival::Rebuilt);
-    for n in 0..5 {
-        touch(&a, &format!("/d/a{n}"));
-    }
-    hand_over(&a, "/d"); // creates only: nothing staged
-    for n in 0..3 {
-        touch(&b, &format!("/d/b{}", n + 1));
-    }
-    b.unlink("/d/b2").unwrap();
-    hand_over(&b, "/d");
-    assert_eq!(revive(&k, &a, "/d", dir), Revival::Replayed);
-    let mut expect: Vec<String> = (12..24).map(|n| format!("f{n}")).collect();
-    expect.extend(["b0", "b1", "b3"].map(String::from));
-    expect.extend((0..5).map(|n| format!("a{n}")));
-    assert_eq!(names(&a, "/d"), sorted(expect));
-    a.unmount().unwrap();
-    b.unmount().unwrap();
-    assert_fsck_clean(&k);
-}
-
 /// (i) A number freed and recycled into a new directory starts from a
 /// generation no release of its past life reported, so a delta of the new
 /// life never has A's `from`.
 #[test]
 fn a_recycled_number_is_never_replayed() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/old").unwrap();
     touch(&a, "/old/gone");
     a.unlink("/old/gone").unwrap();
@@ -907,7 +811,7 @@ fn a_recycled_number_is_never_replayed() {
     hand_over(&a, "/old");
     b.rmdir("/old").unwrap();
     b.unmount().unwrap();
-    let c = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    let c = LibFs::mount(k.clone(), Config::arckfs_plus(), 0).unwrap();
     let reborn = (0..4096)
         .map(|i| format!("/new{i}"))
         .find(|p| {
@@ -917,7 +821,7 @@ fn a_recycled_number_is_never_replayed() {
         .expect("the freed number comes around again");
     touch(&c, &format!("{reborn}/inside"));
     c.unmount().unwrap();
-    let d = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    let d = LibFs::mount(k.clone(), Config::arckfs_plus(), 0).unwrap();
     touch(&d, &format!("{reborn}/more")); // one verified step of the new life
     d.unmount().unwrap();
     assert_eq!(revive(&k, &a, &reborn, ino), Revival::Rebuilt);
@@ -947,7 +851,7 @@ fn changed_records(then: &[(u64, Vec<u8>)], now: &[(u64, Vec<u8>)]) -> u64 {
 /// commit it read all four of them).
 #[test]
 fn handoff_reads_only_changed_slots() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/dir100").unwrap();
     for i in 0..100 {
         touch(&a, &format!("/dir100/r{i}"));
@@ -1005,7 +909,7 @@ fn handoff_reads_only_changed_slots() {
 /// sight did not.)
 #[test]
 fn a_first_sight_numbers_its_records_above_the_log() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/d").unwrap();
     for i in 0..8 {
         touch(&a, &format!("/d/r{i}"));
@@ -1020,7 +924,7 @@ fn a_first_sight_numbers_its_records_above_the_log() {
     hand_over(&a, "/d");
     touch(&b, "/d/x"); // B's first sight of /d
     hand_over(&b, "/d");
-    let c = LibFs::mount(k.clone(), plus(), 0).unwrap();
+    let c = LibFs::mount(k.clone(), Config::arckfs_plus(), 0).unwrap();
     assert!(
         names(&c, "/d").contains(&"x".to_string()),
         "B's x ranked below A's tombstone"
@@ -1038,7 +942,7 @@ fn a_first_sight_numbers_its_records_above_the_log() {
 /// ROADMAP item 3 — so this test does not write through A's descriptor.)
 #[test]
 fn a_number_another_application_holds_is_not_reused() {
-    let (k, a, b) = two_apps(plus());
+    let (k, a, b) = two_apps(Config::arckfs_plus());
     a.mkdir("/d").unwrap();
     a.write_file("/d/f", b"a's").unwrap();
     let fd = a.open("/d/f", vfs::OpenFlags::rw()).unwrap();

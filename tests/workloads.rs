@@ -99,12 +99,8 @@ fn fxmark_persistence_accounting_sanity() {
     // Opens never persist anything; creates must fence at least once per
     // operation (the §4.2 commit protocol). Structural, so it holds in
     // debug and release builds alike (a throughput comparison would be
-    // noise-bound in unoptimized builds). Group durability is pinned off:
-    // the per-op fence floor is exactly what an `ARCKFS_BATCH=1`
-    // environment (the CI matrix) exists to coalesce away.
-    let mut inline_cfg = Config::arckfs_plus();
-    inline_cfg.batch = false;
-    let fs = arckfs::new_fs(DEV, inline_cfg.clone()).unwrap().1;
+    // noise-bound in unoptimized builds).
+    let fs = arckfs::new_fs(DEV, Config::arckfs_plus()).unwrap().1;
     let r = fxmark::harness::run_workload_timed(fs.clone(), Workload::MRPL, 1, 500).unwrap();
     assert_eq!(r.ops, 500);
     fs.reset_stats();
@@ -113,7 +109,7 @@ fn fxmark_persistence_accounting_sanity() {
     assert_eq!(r.ops, 500);
     assert_eq!(open_stats.fences, 0, "opens must not fence");
 
-    let fs = arckfs::new_fs(DEV, inline_cfg).unwrap().1;
+    let fs = arckfs::new_fs(DEV, Config::arckfs_plus()).unwrap().1;
     fxmark::Workload::MWCL.setup(fs.as_ref(), 1).unwrap();
     fs.reset_stats();
     let r = fxmark::harness::run_workload_timed(fs.clone(), Workload::MWCL, 1, 500).unwrap();
