@@ -6,6 +6,7 @@
 
 use std::cell::UnsafeCell;
 use std::fmt;
+use std::sync::atomic::{fence, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -13,7 +14,7 @@ use parking_lot::Mutex;
 use crate::latency::LatencyModel;
 use crate::stats::PmemStats;
 use crate::tracker::Tracker;
-use crate::{line_of, CACHE_LINE, PAGE_SIZE};
+use crate::{line_of, CACHE_LINE, GRANULE, GRANULES_PER_PAGE, PAGE_SIZE};
 
 /// Result alias for device operations.
 pub type PmemResult<T> = Result<T, PmemError>;
@@ -165,11 +166,44 @@ enum Backing {
     Tracked(Mutex<Tracker>),
 }
 
+/// One page's granule write flags (bit `i`: granule `i` of the page), alone
+/// on its cache line so that stores to two pages never share a flag line.
+#[repr(align(64))]
+struct WrittenMask(AtomicU32);
+
+/// The flag masks of a `len`-byte device, one per (partial) page.
+fn written_masks(len: usize) -> Box<[WrittenMask]> {
+    let masks = Box::<[WrittenMask]>::new_zeroed_slice(len.div_ceil(PAGE_SIZE));
+    // SAFETY: `WrittenMask` is one `AtomicU32`, for which all-zero bytes
+    // are the valid value 0. (Zeroed allocation leaves a large device's
+    // masks to be paged in as they are first touched.)
+    unsafe { masks.assume_init() }
+}
+
+/// The mask of granules `lo..=hi` of one page.
+fn granule_bits(lo: usize, hi: usize) -> u32 {
+    (u32::MAX >> (GRANULES_PER_PAGE - 1 - hi)) & (u32::MAX << lo)
+}
+
 /// An emulated persistent-memory device.
 ///
 /// All offsets are absolute byte offsets from the start of the device.
 /// Devices are usually wrapped in an [`Arc`] and shared between the kernel
 /// substrate and every LibFS.
+///
+/// # Granule write flags
+///
+/// Every store path — [`write`](Self::write) (and [`zero`](Self::zero)
+/// through it), [`ntstore`](Self::ntstore) and the atomic read-modify-writes
+/// — sets, *after* storing the data, the flag of each [`GRANULE`] it
+/// touched, with a release `fetch_or`. [`take_written`](Self::take_written)
+/// swaps a page's flags to zero (acquire-release, then a fence) and must be
+/// called *before* the taker reads the granules it captures: a clear flag
+/// then means no store to that granule became visible since the last take,
+/// and a store still in flight during the take sets its flag afterwards, so
+/// the next take reports it. Loads never set a flag; neither reading nor
+/// taking the flags counts a load or charges latency (they model page-table
+/// bookkeeping in DRAM).
 ///
 /// # Examples
 ///
@@ -191,6 +225,7 @@ pub struct PmemDevice {
     backing: Backing,
     stats: PmemStats,
     latency: LatencyModel,
+    written: Box<[WrittenMask]>,
 }
 
 impl fmt::Debug for PmemDevice {
@@ -203,56 +238,57 @@ impl fmt::Debug for PmemDevice {
 }
 
 impl PmemDevice {
-    /// A zero-initialized fast-mode device of `len` bytes.
-    pub fn new(len: usize) -> Arc<Self> {
+    fn with_backing(len: usize, backing: Backing, latency: LatencyModel) -> Arc<Self> {
         Arc::new(PmemDevice {
             len,
-            backing: Backing::Fast(FastBuf::new(len)),
+            backing,
             stats: PmemStats::default(),
-            latency: LatencyModel::disabled(),
+            latency,
+            written: written_masks(len),
         })
+    }
+
+    /// A zero-initialized fast-mode device of `len` bytes.
+    pub fn new(len: usize) -> Arc<Self> {
+        Self::with_backing(
+            len,
+            Backing::Fast(FastBuf::new(len)),
+            LatencyModel::disabled(),
+        )
     }
 
     /// A zero-initialized tracked-mode device of `len` bytes.
     pub fn new_tracked(len: usize) -> Arc<Self> {
-        Arc::new(PmemDevice {
+        Self::with_backing(
             len,
-            backing: Backing::Tracked(Mutex::new(Tracker::new(len))),
-            stats: PmemStats::default(),
-            latency: LatencyModel::disabled(),
-        })
+            Backing::Tracked(Mutex::new(Tracker::new(len))),
+            LatencyModel::disabled(),
+        )
     }
 
     /// A fast-mode device initialized from a durable image (e.g. a crash
     /// image produced by [`PmemDevice::sample_crash_image`]), for recovery.
     pub fn from_image(image: &[u8]) -> Arc<Self> {
-        Arc::new(PmemDevice {
-            len: image.len(),
-            backing: Backing::Fast(FastBuf::from_image(image)),
-            stats: PmemStats::default(),
-            latency: LatencyModel::disabled(),
-        })
+        Self::with_backing(
+            image.len(),
+            Backing::Fast(FastBuf::from_image(image)),
+            LatencyModel::disabled(),
+        )
     }
 
     /// A tracked-mode device initialized from a durable image.
     pub fn tracked_from_image(image: Vec<u8>) -> Arc<Self> {
         let len = image.len();
-        Arc::new(PmemDevice {
+        Self::with_backing(
             len,
-            backing: Backing::Tracked(Mutex::new(Tracker::from_image(image))),
-            stats: PmemStats::default(),
-            latency: LatencyModel::disabled(),
-        })
+            Backing::Tracked(Mutex::new(Tracker::from_image(image))),
+            LatencyModel::disabled(),
+        )
     }
 
     /// A fast-mode device with an injected latency model (benchmarks).
     pub fn with_latency(len: usize, latency: LatencyModel) -> Arc<Self> {
-        Arc::new(PmemDevice {
-            len,
-            backing: Backing::Fast(FastBuf::new(len)),
-            stats: PmemStats::default(),
-            latency,
-        })
+        Self::with_backing(len, Backing::Fast(FastBuf::new(len)), latency)
     }
 
     /// Device length in bytes.
@@ -346,6 +382,7 @@ impl PmemDevice {
             }
             Backing::Tracked(t) => t.lock().write(off, data),
         }
+        self.mark_written(off, data.len());
         Ok(())
     }
 
@@ -370,7 +407,61 @@ impl PmemDevice {
             }
             Backing::Tracked(t) => t.lock().ntstore(off, data),
         }
+        self.mark_written(off, data.len());
         Ok(())
+    }
+
+    /// Set the write flag of every granule `[off, off + len)` touches. Runs
+    /// after the data store; the release pairs with the acquire of
+    /// [`PmemDevice::take_written`], so a taker that sees the flag sees the
+    /// data.
+    #[inline]
+    fn mark_written(&self, off: u64, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let page = PAGE_SIZE as u64;
+        let granule = |at: u64| (at % page) as usize / GRANULE;
+        let last = off + len as u64 - 1;
+        let (first_page, last_page) = (off / page, last / page);
+        for p in first_page..=last_page {
+            let lo = if p == first_page { granule(off) } else { 0 };
+            let hi = if p == last_page {
+                granule(last)
+            } else {
+                GRANULES_PER_PAGE - 1
+            };
+            self.written[p as usize]
+                .0
+                .fetch_or(granule_bits(lo, hi), Ordering::Release);
+        }
+    }
+
+    fn written_mask(&self, page: u64) -> PmemResult<&AtomicU32> {
+        self.written
+            .get(page as usize)
+            .map(|m| &m.0)
+            .ok_or(PmemError::OutOfBounds {
+                offset: page.saturating_mul(PAGE_SIZE as u64),
+                len: PAGE_SIZE,
+                size: self.len,
+            })
+    }
+
+    /// The granule write flags of `page`: bit `i` is set when a store to
+    /// bytes `[i * GRANULE, (i + 1) * GRANULE)` of the page became visible
+    /// since the flags were last taken. Counts no load, charges no latency.
+    pub fn written(&self, page: u64) -> PmemResult<u32> {
+        Ok(self.written_mask(page)?.load(Ordering::Acquire))
+    }
+
+    /// Take `page`'s granule write flags, leaving them clear. Call it
+    /// *before* reading the granules the flags are for (see the struct
+    /// docs). Counts no load, charges no latency.
+    pub fn take_written(&self, page: u64) -> PmemResult<u32> {
+        let flags = self.written_mask(page)?.swap(0, Ordering::AcqRel);
+        fence(Ordering::SeqCst);
+        Ok(flags)
     }
 
     /// Flush (`clwb`) every cache line overlapping `[off, off + len)`.
@@ -491,9 +582,8 @@ impl PmemDevice {
         self.stats.count_load(8);
         self.stats.count_store(8);
         self.latency.charge_write(1);
-        match &self.backing {
+        let old = match &self.backing {
             Backing::Fast(fb) => {
-                use std::sync::atomic::Ordering;
                 let word = fb.atomic_word(off as usize);
                 let mut old = word.load(Ordering::Relaxed);
                 // The in-memory value is native-endian; the device contract
@@ -507,7 +597,7 @@ impl PmemDevice {
                         Ordering::AcqRel,
                         Ordering::Relaxed,
                     ) {
-                        Ok(_) => return Ok(u64::from_le(old)),
+                        Ok(_) => break u64::from_le(old),
                         Err(cur) => old = cur,
                     }
                 }
@@ -521,9 +611,11 @@ impl PmemDevice {
                 t.read(off, &mut b);
                 let old = u64::from_le_bytes(b);
                 t.write(off, &f(old).to_le_bytes());
-                Ok(old)
+                old
             }
-        }
+        };
+        self.mark_written(off, 8);
+        Ok(old)
     }
 
     /// Zero a byte range (store of zeroes; still needs flushing to persist).
@@ -757,6 +849,110 @@ mod tests {
         d.persist(0, 8).unwrap();
         let img = d.persistent_image().unwrap();
         assert_eq!(u64::from_le_bytes(img[0..8].try_into().unwrap()), 0xabc);
+    }
+
+    // ---- granule write flags ---------------------------------------------
+
+    fn both_backings(len: usize) -> [Arc<PmemDevice>; 2] {
+        [PmemDevice::new(len), PmemDevice::new_tracked(len)]
+    }
+
+    fn all_flags(d: &PmemDevice) -> Vec<u32> {
+        (0..d.page_count()).map(|p| d.written(p).unwrap()).collect()
+    }
+
+    #[test]
+    fn every_store_path_flags_exactly_the_touched_granules() {
+        const P: u64 = PAGE_SIZE as u64;
+        for d in both_backings(4 * PAGE_SIZE) {
+            // Inside one granule.
+            d.write(130, &[1; 10]).unwrap();
+            assert_eq!(all_flags(&d), [1 << 1, 0, 0, 0]);
+            // Straddling a granule boundary, then a page boundary.
+            d.write(P + 120, &[2; 16]).unwrap();
+            assert_eq!(d.written(1).unwrap(), 0b11);
+            d.write(2 * P - 64, &[3; 128]).unwrap();
+            assert_eq!(d.written(1).unwrap(), 0b11 | 1 << 31);
+            assert_eq!(d.written(2).unwrap(), 1);
+            // Non-temporal stores and both read-modify-writes.
+            d.ntstore(3 * P + 5 * 128, &[4; 128]).unwrap();
+            assert_eq!(d.written(3).unwrap(), 1 << 5);
+            d.fetch_or_u64(2 * P + 2 * 128 + 8, 1).unwrap();
+            d.fetch_and_u64(2 * P + 7 * 128, 0).unwrap();
+            assert_eq!(d.written(2).unwrap(), 1 | 1 << 2 | 1 << 7);
+            // `zero` goes through `write`: a whole page and a bit more.
+            d.zero(P - 1, PAGE_SIZE + 2).unwrap();
+            assert_eq!(d.written(0).unwrap(), 1 << 1 | 1 << 31);
+            assert_eq!(d.written(1).unwrap(), u32::MAX);
+            assert_eq!(d.written(2).unwrap(), 1 | 1 << 2 | 1 << 7);
+            // An empty store touches nothing.
+            d.write(3 * P, &[]).unwrap();
+            assert_eq!(d.written(3).unwrap(), 1 << 5);
+        }
+    }
+
+    #[test]
+    fn taking_clears_and_loads_never_flag() {
+        for d in both_backings(2 * PAGE_SIZE) {
+            d.write(300, b"x").unwrap();
+            let loads = d.stats().snapshot().loads;
+            assert_eq!(d.take_written(0).unwrap(), 1 << 2);
+            assert_eq!(d.take_written(0).unwrap(), 0, "taking clears");
+            assert_eq!(d.stats().snapshot().loads, loads, "flags are no PM load");
+            let mut b = [0u8; PAGE_SIZE];
+            d.read(0, &mut b).unwrap();
+            d.read_u64(PAGE_SIZE as u64).unwrap();
+            d.persist(0, 2 * PAGE_SIZE).unwrap();
+            d.persist_all();
+            let _ = d.volatile_image();
+            assert_eq!(all_flags(&d), [0, 0], "no store, no flag");
+            assert!(d.written(2).is_err() && d.take_written(2).is_err());
+        }
+        // A partial last page has a mask too.
+        let d = PmemDevice::new(PAGE_SIZE + 256);
+        d.write(PAGE_SIZE as u64 + 200, &[1; 8]).unwrap();
+        assert_eq!(d.take_written(1).unwrap(), 1 << 1);
+    }
+
+    /// One thread keeps storing to a granule while another takes the flags
+    /// and re-reads what they name, as a verifier does. However the two
+    /// interleave, a granule whose flag is clear afterwards holds exactly
+    /// the bytes the taker last read.
+    #[test]
+    fn a_clear_flag_means_the_last_capture_is_current() {
+        for d in both_backings(2 * PAGE_SIZE) {
+            // Granule 31 of page 0: the store straddles no boundary, the
+            // capture reads exactly the granule.
+            let at = (PAGE_SIZE - GRANULE) as u64;
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let captured = std::thread::scope(|s| {
+                s.spawn(|| {
+                    for i in 0..20_000u64 {
+                        let word = i.to_le_bytes();
+                        let rec: Vec<u8> = word.iter().copied().cycle().take(GRANULE).collect();
+                        d.write(at, &rec).unwrap();
+                    }
+                    done.store(true, Ordering::Release);
+                });
+                let mut captured = [0u8; GRANULE];
+                loop {
+                    let finished = done.load(Ordering::Acquire);
+                    if d.take_written(0).unwrap() & 1 << 31 != 0 {
+                        d.read(at, &mut captured).unwrap();
+                    }
+                    if finished {
+                        break captured;
+                    }
+                }
+            });
+            let mut now = [0u8; GRANULE];
+            d.read(at, &mut now).unwrap();
+            if d.written(0).unwrap() == 0 {
+                assert_eq!(captured, now, "a clear flag over a stale capture");
+            }
+            // The loop's last take followed the writer's last store.
+            assert_eq!(d.written(0).unwrap(), 0);
+        }
     }
 
     #[test]

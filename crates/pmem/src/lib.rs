@@ -27,6 +27,13 @@
 //! access after unmap is a detected bus error, modelling the §4.3 SIGBUS)
 //! and [`alloc`] (a sharded persistent page allocator with a durable bitmap
 //! updated by atomic word read-modify-writes).
+//!
+//! Both backings also keep **granule write flags**: per 4 KiB page, one bit
+//! per [`GRANULE`]-byte granule, set by every store after its data and
+//! taken by the kernel with [`PmemDevice::take_written`] — what an MMU's
+//! soft-dirty bits (per page) or sub-page write permissions (per 128 bytes)
+//! would tell it. They live in DRAM: reading or taking them counts no load
+//! and charges no latency.
 
 pub mod alloc;
 pub mod device;
@@ -73,6 +80,13 @@ pub const CACHE_LINE: usize = 64;
 
 /// Page size in bytes.
 pub const PAGE_SIZE: usize = 4096;
+
+/// Size in bytes of the unit a granule write flag covers (one dentry
+/// record of the directory log).
+pub const GRANULE: usize = 128;
+
+/// Granules per page: the width of a page's write-flag mask.
+pub const GRANULES_PER_PAGE: usize = PAGE_SIZE / GRANULE;
 
 /// Round `n` down to the start of its cache line.
 pub const fn line_of(n: u64) -> u64 {

@@ -26,7 +26,7 @@ use crate::format::{self, Geometry, InodeType};
 use crate::lease::{LeaseGrant, RenameLease};
 use crate::provider;
 use crate::shadow::{ShadowEntry, ShadowTable};
-use crate::verifier::{self, Snapshot, Verified};
+use crate::verifier::{self, Captures, Snapshot};
 use crate::ROOT_INO;
 
 /// Identifier of a registered LibFS (one per application).
@@ -286,6 +286,8 @@ pub(crate) struct KState {
     /// The kernel-global monotone source of generations: a value is never
     /// drawn twice, so a recycled inode number cannot match its past life.
     next_generation: u64,
+    /// Which verification last took each log page's granule write flags.
+    pub captures: Captures,
 }
 
 impl KState {
@@ -301,6 +303,7 @@ impl KState {
             retained: RetainedImages::default(),
             generations: vec![0; geom.max_inodes as usize + 1],
             next_generation: 1,
+            captures: Captures::new(geom.total_pages),
         }
     }
 
@@ -716,8 +719,9 @@ impl Kernel {
     /// Return unused inode numbers: the caller's ownership is dropped, its
     /// grant mapping invalidated, and each number nobody else holds
     /// re-enters circulation. A number another LibFS holds stays out of
-    /// the pool — the next grant must not hand it out again. A call from
-    /// an unregistered LibFS changes nothing.
+    /// the pool — the next grant must not hand it out again — and so does
+    /// one the caller did not hold that is committed (a released inode of
+    /// anybody's). A call from an unregistered LibFS changes nothing.
     pub fn return_inodes(&self, libfs: LibFsId, mut inos: Vec<u64>) {
         self.syscall();
         {
@@ -730,16 +734,31 @@ impl Kernel {
                     reg.unmap();
                 }
                 st.snapshots.remove(&(ino, libfs.0));
-                st.owners.get_mut(&ino).is_none_or(|owners| {
-                    owners.remove(&libfs.0);
-                    owners.is_empty()
-                })
+                let owners = st.owners.get_mut(&ino);
+                match owners.map(|owners| (owners.remove(&libfs.0), owners.is_empty())) {
+                    // The caller's: free once nobody else holds it.
+                    Some((true, unheld)) => unheld,
+                    // Somebody else's.
+                    Some((false, false)) => false,
+                    // Nobody's: free unless a committed inode has it.
+                    _ => self.uncommitted(ino),
+                }
             });
         }
         // A misbehaving LibFS returning numbers it never held must not
         // poison the pool; the error (double free) is dropped, matching
         // the old free-list's silent acceptance.
         let _ = self.inos.free_extent(&inos);
+    }
+
+    /// Is `ino` an inode number in range that no committed inode has? One
+    /// read of its commit marker.
+    fn uncommitted(&self, ino: u64) -> bool {
+        (1..=self.geom.max_inodes).contains(&ino)
+            && self
+                .device
+                .read_u64(self.geom.inode_offset(ino))
+                .is_ok_and(|marker| marker != ino)
     }
 
     /// Grant a page extent to the LibFS.
@@ -794,14 +813,8 @@ impl Kernel {
         if owners.is_some_and(|s| s.iter().any(|&o| o != libfs.0)) {
             return Err(FsError::NotOwner { ino });
         }
-        if !owners.is_some_and(|s| s.contains(&libfs.0)) {
-            let marker = self
-                .device
-                .read_u64(self.geom.inode_offset(ino))
-                .map_err(fs_err)?;
-            if marker == ino {
-                return Err(FsError::NotOwner { ino });
-            }
+        if !owners.is_some_and(|s| s.contains(&libfs.0)) && !self.uncommitted(ino) {
+            return Err(FsError::NotOwner { ino });
         }
         // A recycled number starts a new life here; the kernel may still
         // hold its past one (freed by the owner of its parent, parent not
@@ -837,7 +850,7 @@ impl Kernel {
         if let Some((dirty_group, _)) = st.dirty_in_group.get(&ino) {
             if group != Some(*dirty_group) {
                 let (_, snap) = st.dirty_in_group.remove(&ino).expect("checked above");
-                boundary_image = Some(self.verify_now(&mut st, libfs, ino, snap)?.image);
+                boundary_image = Some(self.verify_now(&mut st, libfs, ino, snap)?);
             }
         }
 
@@ -984,26 +997,26 @@ impl Kernel {
         let earliest = group
             .and_then(|_| st.dirty_in_group.remove(&ino))
             .map(|(_, snap)| snap);
-        let verified = self.verify_now(&mut st, libfs, ino, earliest.unwrap_or(snap))?;
+        let image = self.verify_now(&mut st, libfs, ino, earliest.unwrap_or(snap))?;
         if group.is_none() {
             self.stats.releases.fetch_add(1, Ordering::Relaxed);
         }
         // Nobody maps the inode any more, so the pages just verified stay
         // what PM holds until the next grant: keep them for its snapshot.
-        if unowned && !verified.image.pages.is_empty() {
-            st.retained.insert(verified.image);
+        if unowned && !image.pages.is_empty() {
+            st.retained.insert(image);
         }
         Ok(st.generation(ino))
     }
 
-    /// Run the verifier against `snap`. A difference from the snapshot
-    /// advances the content generation; a violation rolls the inode back
-    /// to the snapshot (and advances it too — the rejected bytes were in
-    /// PM, whoever looked). The returned image is tagged with the
-    /// generation it is the image of, and carries the [`Delta`] that ends
-    /// at it: a change found against the image of the generation that is
-    /// still current — nothing advanced it since the snapshot — is one
-    /// step, and its slot list becomes the delta; no change keeps the
+    /// Run the verifier against `snap` and return the verified image. A
+    /// difference from the snapshot advances the content generation; a
+    /// violation rolls the inode back to the snapshot (and advances it too —
+    /// the rejected bytes were in PM, whoever looked). The image is tagged
+    /// with the generation it is the image of, and carries the [`Delta`]
+    /// that ends at it: a change found against the image of the generation
+    /// that is still current — nothing advanced it since the snapshot — is
+    /// one step, and its slot list becomes the delta; no change keeps the
     /// snapshot's.
     fn verify_now(
         &self,
@@ -1011,7 +1024,7 @@ impl Kernel {
         libfs: LibFsId,
         ino: u64,
         snap: Snapshot,
-    ) -> FsResult<Verified> {
+    ) -> FsResult<Snapshot> {
         self.stats.verifications.fetch_add(1, Ordering::Relaxed);
         match verifier::verify_and_apply(
             &self.device,
@@ -1024,21 +1037,19 @@ impl Kernel {
             &snap,
         ) {
             Ok(mut verified) => {
-                verified.image.delta = snap.delta.clone();
-                if verified.changed {
-                    let one_step = snap.generation != 0 && st.generation(ino) == snap.generation;
+                let from = snap.generation;
+                let changed = verified.changed;
+                let slots = verified.slots.take();
+                let mut image = verified.image(snap);
+                if changed {
+                    let one_step = from != 0 && st.generation(ino) == from;
                     let to = st.advance_generation(ino);
-                    let slots = verified.slots.take().filter(|_| one_step);
-                    verified.image.delta = slots.map(|slots| {
-                        Arc::new(Delta {
-                            from: snap.generation,
-                            to,
-                            slots,
-                        })
-                    });
+                    image.delta = slots
+                        .filter(|_| one_step)
+                        .map(|slots| Arc::new(Delta { from, to, slots }));
                 }
-                verified.image.generation = st.generation(ino);
-                Ok(verified)
+                image.generation = st.generation(ino);
+                Ok(image)
             }
             Err(e) => {
                 self.stats.verify_failures.fetch_add(1, Ordering::Relaxed);
@@ -1072,8 +1083,8 @@ impl Kernel {
             .cloned()
             .unwrap_or_else(|| Snapshot::empty(ino));
         self.stats.commits.fetch_add(1, Ordering::Relaxed);
-        let verified = self.verify_now(&mut st, libfs, ino, snap)?;
-        st.snapshots.insert((ino, libfs.0), verified.image);
+        let image = self.verify_now(&mut st, libfs, ino, snap)?;
+        st.snapshots.insert((ino, libfs.0), image);
         Ok(())
     }
 

@@ -583,23 +583,21 @@ impl DirLogPage<'_> {
     }
 }
 
-/// Visit every page of a directory's multi-tailed log, tail by tail in
-/// chain order, reading each page from the device exactly once. `f` may
-/// stop the walk by returning an error.
+/// Follow a directory's multi-tailed log, tail by tail in chain order:
+/// `visit(tail, page)` reads the page however it needs to and returns the
+/// page's next-page pointer, or an error that stops the walk.
 ///
 /// Returns an error string on structural corruption: a page pointer outside
 /// the data region, or a page linked twice (a pointer cycle, or two chains
-/// sharing a page) — detected at the repeated link, before the page is read
-/// again.
-pub fn walk_dir_pages(
-    dev: &Arc<PmemDevice>,
+/// sharing a page) — detected at the repeated link, before `visit` sees the
+/// page again.
+pub fn walk_dir_chain(
     geom: &Geometry,
     inode: &RawInode,
-    mut f: impl FnMut(DirLogPage<'_>) -> Result<(), String>,
+    mut visit: impl FnMut(usize, u64) -> Result<u64, String>,
 ) -> Result<(), String> {
     let ntails = (inode.ntails as usize).min(NDIRECT);
     let mut seen = std::collections::HashSet::new();
-    let mut buf = [0u8; PAGE_SIZE];
     for tail in 0..ntails {
         let mut page = inode.direct[tail];
         while page != 0 {
@@ -609,18 +607,35 @@ pub fn walk_dir_pages(
             if !seen.insert(page) {
                 return Err(format!("dir log page cycle (page {page} linked twice)"));
             }
-            dev.read(geom.page_offset(page), &mut buf)
-                .map_err(|e| e.to_string())?;
-            let visit = DirLogPage {
-                tail,
-                page,
-                bytes: &buf,
-            };
-            page = visit.next();
-            f(visit)?;
+            page = visit(tail, page)?;
         }
     }
     Ok(())
+}
+
+/// Visit every page of a directory's multi-tailed log, tail by tail in
+/// chain order, reading each page from the device exactly once. `f` may
+/// stop the walk by returning an error; structural corruption is reported
+/// as by [`walk_dir_chain`].
+pub fn walk_dir_pages(
+    dev: &Arc<PmemDevice>,
+    geom: &Geometry,
+    inode: &RawInode,
+    mut f: impl FnMut(DirLogPage<'_>) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut buf = [0u8; PAGE_SIZE];
+    walk_dir_chain(geom, inode, |tail, page| {
+        dev.read(geom.page_offset(page), &mut buf)
+            .map_err(|e| e.to_string())?;
+        let visit = DirLogPage {
+            tail,
+            page,
+            bytes: &buf,
+        };
+        let next = visit.next();
+        f(visit)?;
+        Ok(next)
+    })
 }
 
 /// Walk every dentry record of a directory's multi-tailed log, calling `f`

@@ -22,9 +22,16 @@
 //! the new parent is not a descendant of the child (no cycles, §4.6 case 2)
 //! and the global rename lease is held (§4.6 case 1).
 //!
+//! **What is read** — the inode record, every live child's commit marker
+//! and type, and of a directory's log only what may differ from the
+//! verified image the verification runs against: the granules whose write
+//! flags were set since that image's own capture of them (DESIGN.md §14,
+//! "Granule write flags"). A page the image cannot vouch for is read whole.
+//!
 //! On failure the controller rolls the inode back to its acquire-time
 //! snapshot (§2.1 step ⑧, the "roll back" policy).
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -60,6 +67,11 @@ pub struct Snapshot {
     /// Verified children at acquire time (directories), shared with the
     /// shadow table's baseline.
     pub children: Children,
+    /// The verification whose accepted bytes these are (see [`Captures`]);
+    /// 0 when none is — a fresh grant, a read of PM — and the snapshot is
+    /// then no base: the next verification reads every log page whole and
+    /// checks every live record.
+    pub(crate) capture: u64,
 }
 
 impl Snapshot {
@@ -73,6 +85,7 @@ impl Snapshot {
             inode_bytes: vec![0u8; format::INODE_SIZE as usize],
             pages: Vec::new(),
             children: Children::default(),
+            capture: 0,
         }
     }
 }
@@ -80,25 +93,75 @@ impl Snapshot {
 /// One dentry record's bytes.
 pub type Record = [u8; DENTRY_SIZE as usize];
 
-/// What a successful verification hands back to the controller.
+/// What a successful verification hands back to the controller: what it
+/// found, and — applied to the snapshot it ran against by
+/// [`Verified::image`] — the image of the bytes it accepted.
 #[derive(Debug)]
 pub(crate) struct Verified {
-    /// The inode record or a log page differs from the snapshot the
-    /// verification ran against (a freed inode always counts as changed).
+    /// The inode record or a log granule differs from the snapshot the
+    /// verification ran against, or the log's pages do (a freed inode
+    /// always counts as changed).
     pub changed: bool,
-    /// The bytes the verifier just read and accepted — the inode record
-    /// and, for a directory, every log page — with the children baseline
-    /// it installed: exactly what [`take_snapshot`] would read back.
-    pub image: Snapshot,
     /// For a directory whose log kept its shape (same pages, chains and
     /// page headers) and changed in at most a quarter of its records:
     /// every changed dentry slot, by device offset, with its bytes in the
     /// snapshot, in log order.
     pub slots: Option<Vec<(u64, Record)>>,
+    inode_bytes: [u8; format::INODE_SIZE as usize],
+    /// The log in chain order; empty for anything but a live directory.
+    pages: Vec<(u64, Captured)>,
+    /// The children baseline the verification installed.
+    children: Children,
+    capture: u64,
+}
+
+impl Verified {
+    fn of_record(changed: bool, rec: [u8; format::INODE_SIZE as usize]) -> Verified {
+        Verified {
+            changed,
+            slots: None,
+            inode_bytes: rec,
+            pages: Vec::new(),
+            children: Children::default(),
+            capture: 0,
+        }
+    }
+
+    /// The verified image — exactly what [`take_snapshot`] would read back,
+    /// with the children baseline just installed — made by patching `snap`,
+    /// the snapshot the verification ran against: its log pages are moved,
+    /// not copied, and only the granules that differ are overwritten. The
+    /// generation and delta stay `snap`'s for the caller to set.
+    pub(crate) fn image(self, snap: Snapshot) -> Snapshot {
+        let mut held = snap.pages;
+        let pages = self
+            .pages
+            .into_iter()
+            .map(|(page, captured)| match captured {
+                Captured::Patched(i, granules) => {
+                    let mut bytes = std::mem::take(&mut held[i].1);
+                    for (g, now) in granules {
+                        bytes[g * GRANULE..(g + 1) * GRANULE].copy_from_slice(&now);
+                    }
+                    (page, bytes)
+                }
+                Captured::Whole(bytes) => (page, bytes),
+            })
+            .collect();
+        let mut inode_bytes = snap.inode_bytes;
+        inode_bytes.copy_from_slice(&self.inode_bytes);
+        Snapshot {
+            inode_bytes,
+            pages,
+            children: self.children,
+            capture: self.capture,
+            ..snap
+        }
+    }
 }
 
 /// Capture the snapshot of `ino` from PM: one read of the inode record,
-/// one of each directory log page.
+/// one of each directory log page. Never verified, so no base.
 pub(crate) fn take_snapshot(
     device: &Arc<PmemDevice>,
     geom: &Geometry,
@@ -124,6 +187,7 @@ pub(crate) fn take_snapshot(
         inode_bytes: rec.to_vec(),
         pages,
         children: shadow.children_of(ino),
+        capture: 0,
     })
 }
 
@@ -235,111 +299,248 @@ fn check_file_pages(
     Ok(())
 }
 
-/// A directory's log as one verification read it: page number and image,
-/// tail by tail in chain order.
-type LogPages = Vec<(u64, Vec<u8>)>;
+/// Which verification last took each directory-log page's granule write
+/// flags (DESIGN.md §14, "Granule write flags"). A take clears the flags,
+/// so what they say is news only to the verification that took them: a
+/// verified image may trust a page's clear flags only while its own capture
+/// is still the page's last.
+pub(crate) struct Captures {
+    /// Page number → id of the last capture (0 = none).
+    last: Vec<u64>,
+    next: u64,
+}
 
-/// Parse and structurally validate a directory's live dentries. Every log
-/// page is read once; the images are returned with the live set.
-fn parse_dir(
-    device: &Arc<PmemDevice>,
-    geom: &Geometry,
-    ino: u64,
-    inode: &RawInode,
-) -> FsResult<(HashMap<String, u64>, LogPages)> {
-    let mut live: HashMap<String, u64> = HashMap::new();
-    let mut dup: Option<String> = None;
-    let mut bad: Option<String> = None;
-    let mut check = |d: RawDentry| {
-        if !d.is_live() || bad.is_some() || dup.is_some() {
-            return;
+impl Captures {
+    /// Nothing captured yet on a device of `pages` pages.
+    pub(crate) fn new(pages: u64) -> Captures {
+        Captures {
+            last: vec![0; pages as usize],
+            next: 1,
         }
-        if d.marker as usize > format::DENTRY_NAME_CAP {
-            bad = Some(format!("dentry marker {} exceeds name cap", d.marker));
-            return;
-        }
-        if d.name_has_nul() {
-            bad = Some(format!(
-                "partially persisted dentry at {:#x} (NUL inside name)",
-                d.offset
-            ));
-            return;
-        }
-        let name = match d.name_str() {
-            Some(n) => n.to_string(),
-            None => {
-                bad = Some(format!("non-UTF-8 dentry name at {:#x}", d.offset));
-                return;
-            }
-        };
-        if d.ino == 0 || d.ino > geom.max_inodes {
-            bad = Some(format!("dentry '{name}' has out-of-range ino {}", d.ino));
-            return;
-        }
-        if live.insert(name.clone(), d.ino).is_some() {
-            dup = Some(name);
-        }
-    };
-    // Log pages must be allocated data pages: walk_dir_pages range-checks
-    // each pointer before reading through it, the bitmap test is here. A
-    // structural error ends the walk and outranks any record complaint.
-    let mut pages = LogPages::new();
-    format::walk_dir_pages(device, geom, inode, |p| {
-        if !page_allocated(device, geom, p.page) {
-            return Err(format!("dir log page {} not allocated", p.page));
-        }
-        p.dentries(&mut check);
-        pages.push((p.page, p.bytes.to_vec()));
-        Ok(())
-    })
-    .map_err(|e| fail(ino, e))?;
-
-    if let Some(b) = bad {
-        return Err(fail(ino, b));
-    }
-    if let Some(name) = dup {
-        return Err(fail(ino, format!("duplicate live dentry '{name}'")));
     }
 
-    // The directory's size field counts live entries.
-    if inode.size != live.len() as u64 {
-        let mut names: Vec<&str> = live.keys().map(|s| s.as_str()).collect();
-        names.sort_unstable();
-        return Err(fail(
-            ino,
-            format!(
-                "dir size {} != live entries {} [{}]",
-                inode.size,
-                live.len(),
-                names.join(", ")
-            ),
+    /// A capture id no verification has used.
+    fn draw(&mut self) -> u64 {
+        let id = self.next;
+        self.next += 1;
+        id
+    }
+
+    /// `capture` takes `page`'s flags; returns the capture that took them
+    /// before. (The chain walk range-checks every page first.)
+    fn record(&mut self, page: u64, capture: u64) -> u64 {
+        std::mem::replace(&mut self.last[page as usize], capture)
+    }
+}
+
+/// One directory-log page as a verification captured it.
+#[derive(Debug)]
+enum Captured {
+    /// A page of the snapshot whose flags the snapshot's own capture took
+    /// last: its index in [`Snapshot::pages`] and the granules that differ
+    /// from it, with their bytes now. Only flagged granules were read.
+    Patched(usize, Vec<(usize, Record)>),
+    /// Any other page, read whole.
+    Whole(Vec<u8>),
+}
+
+/// A log page's granules are its header and its dentry records, in order.
+const GRANULE: usize = pmem::GRANULE;
+const _: () =
+    assert!(GRANULE == DENTRY_SIZE as usize && GRANULE == format::DIRPAGE_FIRST_DENTRY as usize);
+
+/// The structural checks of a live dentry record the verifier has not
+/// accepted before; returns its name.
+fn check_record(geom: &Geometry, d: &RawDentry) -> Result<String, String> {
+    if d.marker as usize > format::DENTRY_NAME_CAP {
+        return Err(format!("dentry marker {} exceeds name cap", d.marker));
+    }
+    if d.name_has_nul() {
+        return Err(format!(
+            "partially persisted dentry at {:#x} (NUL inside name)",
+            d.offset
         ));
     }
+    let name = d
+        .name_str()
+        .ok_or_else(|| format!("non-UTF-8 dentry name at {:#x}", d.offset))?;
+    if d.ino == 0 || d.ino > geom.max_inodes {
+        return Err(format!("dentry '{name}' has out-of-range ino {}", d.ino));
+    }
+    Ok(name.to_string())
+}
 
-    // Every live target must be a committed inode with a well-formed type —
-    // this is what catches the §4.2 partially persisted *inode*.
-    for (name, &child) in &live {
-        let cbase = geom.inode_offset(child);
-        let mut hdr = [0u8; 12];
-        device
-            .read(cbase, &mut hdr)
-            .map_err(|e| fail(ino, e.to_string()))?;
-        let cmarker = u64::from_le_bytes(hdr[..8].try_into().expect("8"));
-        if cmarker != child {
-            return Err(fail(
-                ino,
-                format!("dentry '{name}' references uncommitted inode {child}"),
-            ));
+/// What one verification captured of a directory's log, compared with the
+/// snapshot it runs against.
+#[derive(Debug, Default)]
+struct DirLog {
+    /// The id this capture recorded on every page it took.
+    capture: u64,
+    /// The log in chain order.
+    pages: Vec<(u64, Captured)>,
+    /// A page header differs from the snapshot's.
+    header_changed: bool,
+    /// The log holds a page the snapshot does not: it changed shape, and
+    /// no slot list is kept.
+    reshaped: bool,
+    /// Until the log is found reshaped: every dentry granule that differs
+    /// from the snapshot, by device offset, with the snapshot's bytes, in
+    /// log order.
+    diffs: Vec<(u64, Record)>,
+    /// Live records of the baseline that are gone: name, target.
+    removed: Vec<(String, u64)>,
+    /// Live records not in the baseline, checked: name, target.
+    added: Vec<(String, u64)>,
+    /// The first record that failed its checks, in log order.
+    bad: Option<String>,
+}
+
+impl DirLog {
+    /// Account for granule `g` of `page`: `now` as just read, `then` as the
+    /// snapshot holds it (`None`: not a page of the snapshot). Against a
+    /// base the records that changed move the live set; against no base
+    /// (`base` false) every live record is new.
+    fn granule(
+        &mut self,
+        geom: &Geometry,
+        base: bool,
+        page: u64,
+        g: usize,
+        now: &[u8],
+        then: Option<&[u8]>,
+    ) -> bool {
+        const HOLE: Record = [0u8; GRANULE];
+        let now: &Record = now.try_into().expect("one granule");
+        let then: &Record = then.map_or(&HOLE, |t| t.try_into().expect("one granule"));
+        let differs = now != then;
+        if g == 0 {
+            self.header_changed |= differs;
+            return differs;
         }
-        let ctype = u32::from_le_bytes(hdr[8..12].try_into().expect("4"));
-        if InodeType::from_raw(ctype).is_none() {
-            return Err(fail(
-                ino,
-                format!("child {child} has malformed type {ctype}"),
-            ));
+        let off = page * PAGE_SIZE as u64 + (g * GRANULE) as u64;
+        if differs && !self.reshaped {
+            self.diffs.push((off, *then));
+        }
+        let prior = if base { then } else { &HOLE };
+        if now == prior {
+            return differs;
+        }
+        let before = format::decode_dentry(prior, off);
+        if before.is_live() {
+            let name = before.name_str().unwrap_or_default().to_string();
+            self.removed.push((name, before.ino));
+        }
+        let after = format::decode_dentry(now, off);
+        if after.is_live() && self.bad.is_none() {
+            match check_record(geom, &after) {
+                Ok(name) => self.added.push((name, after.ino)),
+                Err(reason) => self.bad = Some(reason),
+            }
+        }
+        differs
+    }
+}
+
+/// Walk a directory's log and capture it against `snap` (DESIGN.md §14):
+/// every page's granule write flags are taken before it is read. A page
+/// the snapshot holds, when the snapshot is a verified image whose own
+/// capture took the page's flags last, is read only where flagged and
+/// compared with the image there; any other page is read whole. Every page
+/// must be an allocated data page.
+fn capture_dir_log(
+    device: &Arc<PmemDevice>,
+    geom: &Geometry,
+    captures: &mut Captures,
+    ino: u64,
+    inode: &RawInode,
+    snap: &Snapshot,
+) -> FsResult<DirLog> {
+    let base = snap.capture != 0;
+    let held: HashMap<u64, usize> = snap
+        .pages
+        .iter()
+        .enumerate()
+        .map(|(i, (page, _))| (*page, i))
+        .collect();
+    let mut log = DirLog {
+        capture: captures.draw(),
+        ..DirLog::default()
+    };
+    let mut buf = [0u8; PAGE_SIZE];
+    // A structural error ends the walk and outranks any record complaint.
+    format::walk_dir_chain(geom, inode, |_, page| {
+        let flags = device.take_written(page).map_err(|e| e.to_string())?;
+        let last = captures.record(page, log.capture);
+        if !page_allocated(device, geom, page) {
+            return Err(format!("dir log page {page} not allocated"));
+        }
+        let at = geom.page_offset(page);
+        let image = held.get(&page).map(|&i| (i, &snap.pages[i].1[..]));
+        let then = |g: usize| image.map(|(_, bytes)| &bytes[g * GRANULE..(g + 1) * GRANULE]);
+        match image {
+            Some((i, bytes)) if base && last == snap.capture => {
+                let mut patch = Vec::new();
+                let mut rest = flags;
+                while rest != 0 {
+                    // One read per run of flagged granules.
+                    let lo = rest.trailing_zeros() as usize;
+                    let hi = lo + (rest >> lo).trailing_ones() as usize;
+                    let run = lo * GRANULE..hi * GRANULE;
+                    device
+                        .read(at + run.start as u64, &mut buf[run])
+                        .map_err(|e| e.to_string())?;
+                    for g in lo..hi {
+                        let now = &buf[g * GRANULE..(g + 1) * GRANULE];
+                        if log.granule(geom, base, page, g, now, then(g)) {
+                            patch.push((g, now.try_into().expect("one granule")));
+                        }
+                    }
+                    rest = if hi == 32 { 0 } else { rest & (u32::MAX << hi) };
+                }
+                let header = if flags & 1 != 0 {
+                    &buf[..8]
+                } else {
+                    &bytes[..8]
+                };
+                log.pages.push((page, Captured::Patched(i, patch)));
+                Ok(u64::from_le_bytes(header.try_into().expect("8")))
+            }
+            _ => {
+                log.reshaped |= image.is_none();
+                let mut whole = vec![0u8; PAGE_SIZE];
+                device.read(at, &mut whole).map_err(|e| e.to_string())?;
+                for g in 0..pmem::GRANULES_PER_PAGE {
+                    let now = &whole[g * GRANULE..(g + 1) * GRANULE];
+                    log.granule(geom, base, page, g, now, then(g));
+                }
+                let next = u64::from_le_bytes(whole[..8].try_into().expect("8"));
+                log.pages.push((page, Captured::Whole(whole)));
+                Ok(next)
+            }
+        }
+    })
+    .map_err(|e| fail(ino, e))?;
+    if base {
+        // The live records of base pages no longer in the log are gone.
+        let linked: HashSet<u64> = log.pages.iter().map(|(page, _)| *page).collect();
+        for (page, bytes) in snap.pages.iter().filter(|(p, _)| !linked.contains(p)) {
+            for g in 1..pmem::GRANULES_PER_PAGE {
+                let off = page * PAGE_SIZE as u64 + (g * GRANULE) as u64;
+                let rec = bytes[g * GRANULE..(g + 1) * GRANULE]
+                    .try_into()
+                    .expect("one granule");
+                let d = format::decode_dentry(rec, off);
+                if d.is_live() {
+                    let name = d.name_str().unwrap_or_default().to_string();
+                    log.removed.push((name, d.ino));
+                }
+            }
         }
     }
-    Ok((live, pages))
+    if let Some(reason) = log.bad.take() {
+        return Err(fail(ino, reason));
+    }
+    Ok(log)
 }
 
 /// Recursively reclaim the verified subtree of a freed inode. Fails if any
@@ -379,6 +580,8 @@ fn reclaim_freed_subtree(
 /// the result to the kernel's ground truth: children removed by name must
 /// be deleted (with their verified subtree) or renamed away, children added
 /// by name are connected or — §4.1 — relocated under the three checks.
+/// `names` are the names whose mapping differs between `old` and `live`,
+/// each once; no other name needs a look.
 #[allow(clippy::too_many_arguments)]
 fn apply_children_diff(
     device: &Arc<PmemDevice>,
@@ -390,16 +593,22 @@ fn apply_children_diff(
     ino: u64,
     old: &HashMap<String, u64>,
     live: &HashMap<String, u64>,
+    names: &[&str],
 ) -> FsResult<()> {
-    let old_inos: HashSet<u64> = old.values().copied().collect();
-    let new_inos: HashSet<u64> = live.values().copied().collect();
+    // Whether an inode is listed at all, under any name: built on first
+    // use only, since most changes never ask.
+    let (old_inos, new_inos) = (OnceCell::new(), OnceCell::new());
+    let listed = |set: &OnceCell<HashSet<u64>>, map: &HashMap<String, u64>, child: u64| {
+        set.get_or_init(|| map.values().copied().collect())
+            .contains(&child)
+    };
 
     // Children removed by name.
-    for (name, &child) in old {
-        if live.get(name) == Some(&child) {
+    for &name in names {
+        let Some(&child) = old.get(name) else {
             continue;
-        }
-        if new_inos.contains(&child) {
+        };
+        if listed(&new_inos, live, child) {
             // Same-directory rename: the inode is still here under
             // another name.
             continue;
@@ -441,11 +650,11 @@ fn apply_children_diff(
     }
 
     // Children added by name.
-    for (name, &child) in live {
-        if old.get(name) == Some(&child) {
+    for &name in names {
+        let Some(&child) = live.get(name) else {
             continue;
-        }
-        if old_inos.contains(&child) {
+        };
+        if listed(&old_inos, old, child) {
             // Same-directory rename; identity unchanged.
             continue;
         }
@@ -516,47 +725,6 @@ fn apply_children_diff(
     Ok(())
 }
 
-/// Compare a directory's record and log, as a verification just read them,
-/// with the snapshot it ran against, 128 bytes at a time: the log pages
-/// split evenly into records, the first being the page header. Returns
-/// whether anything differs and, when the log kept its shape and at most a
-/// quarter of its records changed, the changed dentry slots (see
-/// [`Verified::slots`]).
-fn diff_dir(rec: &[u8], snap: &Snapshot, pages: &LogPages) -> (bool, Option<Vec<(u64, Record)>>) {
-    let record_changed = rec[..] != snap.inode_bytes[..];
-    let tails = I_NTAILS as usize..I_NTAILS as usize + 4;
-    let heads = I_DIRECT as usize..I_DIRECT as usize + 8 * NDIRECT;
-    let same_shape = pages.len() == snap.pages.len()
-        && rec[tails.clone()] == snap.inode_bytes[tails]
-        && rec[heads.clone()] == snap.inode_bytes[heads]
-        && pages.iter().zip(&snap.pages).all(|((p, _), (q, _))| p == q);
-    if !same_shape {
-        return (true, None);
-    }
-    let cap = pages.len() * DENTRIES_PER_PAGE as usize / 4;
-    let mut slots = Vec::new();
-    for ((page, now), (_, then)) in pages.iter().zip(&snap.pages) {
-        if now == then {
-            continue;
-        }
-        let records = now
-            .chunks_exact(DENTRY_SIZE as usize)
-            .zip(then.chunks_exact(DENTRY_SIZE as usize));
-        for (i, (now, then)) in records.enumerate() {
-            if now == then {
-                continue;
-            }
-            if i == 0 || slots.len() == cap {
-                // A relinked page, or too much to be worth replaying.
-                return (true, None);
-            }
-            let off = page * PAGE_SIZE as u64 + i as u64 * DENTRY_SIZE;
-            slots.push((off, then.try_into().expect("one record")));
-        }
-    }
-    (record_changed || !slots.is_empty(), Some(slots))
-}
-
 /// The verification engine. On success the kernel's ground truth (shadow
 /// entries, parent pointers, children baselines) is updated; on failure an
 /// error describes the violation and the caller rolls back.
@@ -584,18 +752,6 @@ pub(crate) fn verify_and_apply(
         .read(geom.inode_offset(ino), &mut rec)
         .map_err(|e| fail(ino, e.to_string()))?;
     let inode = format::decode_inode(&rec);
-    let verified = |changed, pages, children, slots| Verified {
-        changed,
-        image: Snapshot {
-            ino,
-            generation: 0,
-            delta: None,
-            inode_bytes: rec.to_vec(),
-            pages,
-            children,
-        },
-        slots,
-    };
 
     // A freed inode: the LibFS deleted it. Legitimate only if a (verified)
     // parent no longer references it — which that parent's own verification
@@ -609,7 +765,7 @@ pub(crate) fn verify_and_apply(
             }
             reclaim_freed_subtree(device, geom, st, ino, ino)?;
         }
-        return Ok(verified(true, Vec::new(), Children::default(), None));
+        return Ok(Verified::of_record(true, rec));
     }
 
     if !inode.is_committed(ino) {
@@ -663,7 +819,7 @@ pub(crate) fn verify_and_apply(
                 }
                 check_file_pages(device, geom, ino, &inode)?;
             }
-            Ok(verified(changed, Vec::new(), Children::default(), None))
+            Ok(Verified::of_record(changed, rec))
         }
         InodeType::Directory => {
             // No reader gives the reserved words a meaning; one left
@@ -671,26 +827,146 @@ pub(crate) fn verify_and_apply(
             if !inode.reserved_clear() {
                 return Err(fail(ino, "directory with a non-zero reserved word"));
             }
-            let (live, pages) = parse_dir(device, geom, ino, &inode)?;
-            let old = &*snap.children;
+            let log = capture_dir_log(device, geom, &mut st.captures, ino, &inode, snap)?;
+            let live = live_set(device, geom, ino, &inode, snap, &log)?;
+            let old = &snap.children;
 
-            // Names that map as before need no second look; only a changed
-            // children set is diffed against the baseline.
-            if live != *old {
+            // Only the names whose mapping moved, each once, are diffed
+            // against the baseline; an unchanged live set stays the
+            // baseline it was.
+            let names: Vec<&str> = if Arc::ptr_eq(&live, old) {
+                Vec::new()
+            } else if snap.capture != 0 {
+                let touched = log.removed.iter().chain(&log.added);
+                let mut names: Vec<&str> = touched.map(|(name, _)| name.as_str()).collect();
+                names.sort_unstable();
+                names.dedup();
+                names.retain(|&name| old.get(name) != live.get(name));
+                names
+            } else {
+                let gone = old
+                    .iter()
+                    .filter(|&(name, child)| live.get(name) != Some(child));
+                let new = live.keys().filter(|&name| !old.contains_key(name));
+                gone.map(|(name, _)| name)
+                    .chain(new)
+                    .map(String::as_str)
+                    .collect()
+            };
+            let live = if names.is_empty() {
+                old.clone()
+            } else {
                 if !mode::can_write(inode.mode, inode.uid, uid) {
                     return Err(fail(ino, "directory modified without write permission"));
                 }
-                apply_children_diff(device, geom, config, lease, st, libfs, ino, old, &live)?;
-            }
+                apply_children_diff(
+                    device, geom, config, lease, st, libfs, ino, old, &live, &names,
+                )?;
+                live
+            };
+            st.shadow.set_children(ino, live.clone());
 
-            // Byte-compare what was just read against the snapshot: the
+            // What differs from the snapshot, granule by granule: the
             // controller advances the inode's content generation on any
             // difference (a live set that merely *looks* the same — slots
             // moved, tombstones added — is a difference).
-            let (changed, slots) = diff_dir(&rec, snap, &pages);
-            let live = Children::new(live);
-            st.shadow.set_children(ino, live.clone());
-            Ok(verified(changed, pages, live, slots))
+            let record_changed = rec[..] != snap.inode_bytes[..];
+            let tails = I_NTAILS as usize..I_NTAILS as usize + 4;
+            let heads = I_DIRECT as usize..I_DIRECT as usize + 8 * NDIRECT;
+            let same_pages = log.pages.len() == snap.pages.len()
+                && log
+                    .pages
+                    .iter()
+                    .zip(&snap.pages)
+                    .all(|((p, _), (q, _))| p == q);
+            let same_shape = same_pages
+                && !log.header_changed
+                && rec[tails.clone()] == snap.inode_bytes[tails]
+                && rec[heads.clone()] == snap.inode_bytes[heads];
+            let cap = log.pages.len() * DENTRIES_PER_PAGE as usize / 4;
+            Ok(Verified {
+                changed: record_changed || !same_shape || !log.diffs.is_empty(),
+                slots: (same_shape && log.diffs.len() <= cap).then_some(log.diffs),
+                inode_bytes: rec,
+                pages: log.pages,
+                children: live,
+                capture: log.capture,
+            })
         }
     }
+}
+
+/// A directory's live set after a verification captured its log: the
+/// baseline — the snapshot's children when it is a verified image, nothing
+/// otherwise — minus the records gone, plus the records new. Checks that no
+/// name is live twice, that the record's size counts the live entries, and
+/// that every live target is a committed inode with a well-formed type.
+fn live_set(
+    device: &Arc<PmemDevice>,
+    geom: &Geometry,
+    ino: u64,
+    inode: &RawInode,
+    snap: &Snapshot,
+    log: &DirLog,
+) -> FsResult<Children> {
+    let base = snap.capture != 0;
+    let live = if base && log.removed.is_empty() && log.added.is_empty() {
+        snap.children.clone()
+    } else {
+        let mut live = if base {
+            (*snap.children).clone()
+        } else {
+            HashMap::with_capacity(log.added.len())
+        };
+        for (name, _) in &log.removed {
+            live.remove(name);
+        }
+        for (name, child) in &log.added {
+            if live.insert(name.clone(), *child).is_some() {
+                return Err(fail(ino, format!("duplicate live dentry '{name}'")));
+            }
+        }
+        Arc::new(live)
+    };
+
+    // The directory's size field counts live entries.
+    if inode.size != live.len() as u64 {
+        let mut names: Vec<&str> = live.keys().map(|s| s.as_str()).collect();
+        names.sort_unstable();
+        return Err(fail(
+            ino,
+            format!(
+                "dir size {} != live entries {} [{}]",
+                inode.size,
+                live.len(),
+                names.join(", ")
+            ),
+        ));
+    }
+
+    // Every live target must be a committed inode with a well-formed type —
+    // this is what catches the §4.2 partially persisted *inode*. Another
+    // LibFS may have written any of them since, so every one is read.
+    for (name, &child) in live.iter() {
+        let cbase = geom.inode_offset(child);
+        let mut hdr = [0u8; 12];
+        device
+            .read(cbase, &mut hdr)
+            .map_err(|e| fail(ino, e.to_string()))?;
+        let cmarker = u64::from_le_bytes(hdr[..8].try_into().expect("8"));
+        if cmarker != child {
+            return Err(fail(
+                ino,
+                format!("dentry '{name}' references uncommitted inode {child}"),
+            ));
+        }
+        let ctype = u32::from_le_bytes(hdr[8..12].try_into().expect("4"));
+        if InodeType::from_raw(ctype).is_none() {
+            return Err(fail(
+                ino,
+                format!("child {child} has malformed type {ctype}"),
+            ));
+        }
+    }
+    Ok(live)
 }

@@ -521,6 +521,32 @@ fn returning_a_number_another_libfs_holds_never_frees_it() {
     assert!(report.is_consistent(), "fsck: {:?}", report.issues);
 }
 
+/// A committed number nobody holds — a file its creator released — used to
+/// go back into the pool when any registered LibFS returned it, and the
+/// next `grant_inodes_mapped` handed it out to be initialised over the live
+/// file. An uncommitted number nobody holds (one recycled in a LibFS-local
+/// pool) still goes back.
+#[test]
+fn returning_a_released_committed_number_never_frees_it() {
+    let (k, a, _m, child, _page) = setup_one_child();
+    k.release(a, ROOT_INO).unwrap();
+    k.release(a, child).unwrap();
+    assert!(!k.owns(a, child));
+    let (b, _mb) = k.register_libfs(0);
+    k.return_inodes(b, vec![child]);
+    assert!(
+        k.ino_provider().is_allocated(child).unwrap(),
+        "B freed A's released file {child}"
+    );
+
+    let spare = k.grant_inodes(a, 1).unwrap()[0];
+    k.release(a, spare).unwrap();
+    k.return_inodes(b, vec![spare]);
+    assert!(!k.ino_provider().is_allocated(spare).unwrap());
+    let report = trio::fsck::fsck(k.device()).unwrap();
+    assert!(report.is_consistent(), "fsck: {:?}", report.issues);
+}
+
 /// `fresh_mapping` used to check neither registration nor ownership, and
 /// it forgets what the kernel knows about the inode: any id could wipe the
 /// generation (and delta) another LibFS's next revival relies on.

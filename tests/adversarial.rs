@@ -282,8 +282,10 @@ fn scribbling_on_an_unowned_directory_never_becomes_the_baseline() {
 
 /// A record *before* anything the releasing LibFS appended is tampered with
 /// while the directory is owned, in place and without changing the live
-/// set's size: the byte comparison the generation rests on reads every page
-/// on every release, so there is no "already verified prefix" to hide in.
+/// set's size. A release reads only the granules written since the image it
+/// verifies against, but the tampering store flagged its granule like any
+/// other store (DESIGN.md §14, "Granule write flags"), so there is no
+/// "already verified prefix" to hide in.
 #[test]
 fn tampering_with_an_old_record_in_place_is_still_caught() {
     let (kernel, attacker) = setup();
@@ -499,4 +501,60 @@ fn a_forged_reserved_word_on_a_directory_is_rejected() {
     a.check_dir_index("/d").unwrap_or_else(|e| panic!("{e}"));
     let report = trio::fsck::fsck(kernel.device()).unwrap();
     assert!(report.is_consistent(), "{report:?}");
+}
+
+/// A hostile LibFS links a log page of one directory into the chain of
+/// another it also holds, and forges a record on that page. The first
+/// release accepts the page (its live records are legal there) and so takes
+/// the page's granule write flags; the second directory's release must not
+/// read the cleared flags as "nothing written since my image": the last
+/// capture of the page was not its own, so it reads the page whole and finds
+/// the forged record's name live twice (DESIGN.md §14, "Granule write
+/// flags").
+#[test]
+fn a_log_page_linked_into_two_directories_is_read_by_both() {
+    // r0..r3 take one tail each; `dup` lands on tail 0's page again.
+    let (kernel, _a, b, x) = replay_setup(|a| {
+        touch(a, "/d/dup");
+        a.mkdir("/y").unwrap();
+        a.commit_path("/").unwrap();
+        a.release_path("/y").unwrap();
+    });
+    let (geom, dev) = (kernel.geometry(), kernel.device());
+    let y = b.stat("/y").unwrap().ino;
+    b.stat("/d").unwrap();
+    let page = format::read_inode(dev, geom, x).unwrap().direct[1];
+    let dup = record_of(&kernel, x, "dup");
+    assert_ne!(dup / PAGE, page, "dup lives on another page");
+    let raw = format::read_inode(dev, geom, x).unwrap();
+    let mut resident = 0;
+    format::walk_dir_pages(dev, geom, &raw, |p| {
+        if p.page == page {
+            p.dentries(|d| resident += u64::from(d.is_live()));
+        }
+        Ok(())
+    })
+    .unwrap();
+    // Forge `dup` in the page's first hole, naming `dup`'s own target.
+    let hole = (0..format::DENTRIES_PER_PAGE)
+        .map(|s| page * PAGE + format::DIRPAGE_FIRST_DENTRY + s * format::DENTRY_SIZE)
+        .find(|&off| dev.read_u16(off + format::D_MARKER).unwrap() == 0)
+        .expect("a hole");
+    let target = dev.read_u64(dup + format::D_INO).unwrap();
+    dev.write_u64(hole + format::D_INO, target).unwrap();
+    dev.write_u64(hole + format::D_SEQ, 1 << 20).unwrap();
+    dev.write(hole + format::D_NAME, b"dup").unwrap();
+    dev.write_u16(hole + format::D_MARKER, 3).unwrap();
+    // Link the page as `/y`'s only log page, sized to what is live there.
+    let ybase = geom.inode_offset(y);
+    dev.write_u64(ybase + format::I_DIRECT, page).unwrap();
+    dev.write_u64(ybase + format::I_SIZE, resident + 1).unwrap();
+    b.release_path("/y")
+        .expect("every live record on the page is legal in /y");
+    let before = dev.stats().snapshot().bytes_read;
+    expect_verification_failure(b.release_path("/d"), "a page another capture took");
+    assert!(
+        dev.stats().snapshot().bytes_read - before >= PAGE,
+        "the shared page was not read"
+    );
 }

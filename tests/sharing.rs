@@ -958,3 +958,61 @@ fn a_number_another_application_holds_is_not_reused() {
     b.unmount().unwrap();
     assert_fsck_clean(&k);
 }
+
+/// The same turn seen from the releasing side (DESIGN.md §14, "Granule write
+/// flags"): after warm-up, releasing `/` — the turn only resolved names in
+/// it — reads less than 1 KiB, and releasing `/dir100` reads the inode
+/// record, the granules the turn wrote, each resident's 12-byte header and
+/// slack for the per-page bitmap test. A release that re-read the whole log
+/// read 4365 B and 17844 B here.
+#[test]
+fn release_reads_only_written_granules() {
+    let (k, a, b) = two_apps(Config::arckfs_plus());
+    a.mkdir("/dir100").unwrap();
+    for i in 0..100 {
+        touch(&a, &format!("/dir100/r{i}"));
+    }
+    let dir = a.stat("/dir100").unwrap().ino;
+    hand_over(&a, "/dir100");
+    let turn = |fs: &LibFs| {
+        for n in 0..4 {
+            touch(fs, &format!("/dir100/n{n}"));
+        }
+        for n in 0..4 {
+            fs.unlink(&format!("/dir100/n{n}")).unwrap();
+        }
+    };
+    let apps = [&b, &a];
+    for t in 0..6 {
+        turn(apps[t % 2]);
+        hand_over(apps[t % 2], "/dir100");
+    }
+    for t in 0..6 {
+        let fs = apps[t % 2];
+        let released = dir_image(&k, dir).1;
+        turn(fs);
+        let changed = changed_records(&released, &dir_image(&k, dir).1);
+        assert!(
+            changed > 0 && changed <= 8,
+            "turn {t}: {changed} records changed"
+        );
+        let before = bytes_read(&k);
+        fs.release_path("/dir100").unwrap();
+        let cost = bytes_read(&k) - before;
+        let slack = 64;
+        let bound = format::INODE_SIZE + changed * format::DENTRY_SIZE + 100 * 12 + slack;
+        assert!(
+            cost <= bound,
+            "turn {t}: releasing /dir100 read {cost} B for {changed} written granules (bound {bound})"
+        );
+        let before = bytes_read(&k);
+        fs.release_path("/").unwrap();
+        let root_cost = bytes_read(&k) - before;
+        assert!(root_cost < 1024, "turn {t}: releasing / read {root_cost} B");
+    }
+    a.unmount().unwrap();
+    let expect: Vec<String> = sorted((0..100).map(|i| format!("r{i}")).collect());
+    assert_eq!(names(&b, "/dir100"), expect);
+    b.unmount().unwrap();
+    assert_fsck_clean(&k);
+}
