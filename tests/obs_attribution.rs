@@ -5,11 +5,23 @@
 //! readable as a `sfences/op` difference of 1.0 on the `create` row —
 //! device-wide totals could never say which operation gained the fence.
 
+use std::sync::{Mutex, MutexGuard};
+
 use arckfs_repro::obs;
 use arckfs_repro::{
     arckfs,
     vfs::{FileSystem, FsExt},
 };
+
+/// The obs enable flag and tables are process-global, and the test harness
+/// runs this file's tests on parallel threads: one test's `enabled_scope`
+/// exit or `reset` would disable or wipe another's spans, and any test's
+/// operations would land in another's rows. Every test holds this lock.
+static OBS: Mutex<()> = Mutex::new(());
+
+fn obs_exclusive() -> MutexGuard<'static, ()> {
+    OBS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Run `n` creates under `config` and return the obs `create` row.
 fn create_row(config: arckfs::Config, n: u64) -> obs::KindReport {
@@ -29,6 +41,7 @@ fn create_row(config: arckfs::Config, n: u64) -> obs::KindReport {
 
 #[test]
 fn fence_fix_adds_exactly_one_sfence_per_create() {
+    let _obs = obs_exclusive();
     const N: u64 = 64;
     let (off, on) = obs::enabled_scope(|| {
         let off = create_row(arckfs::Config::arckfs_plus().with_fix("4.2", false), N);
@@ -64,6 +77,7 @@ fn fence_fix_adds_exactly_one_sfence_per_create() {
 /// counters surface coherently through [`vfs::FsStats`].
 #[test]
 fn delegated_bytes_attributed_only_on_completion() {
+    let _obs = obs_exclusive();
     let mut cfg = arckfs::Config::arckfs_plus();
     cfg.delegation_threads = 2;
     cfg.delegation_min = 8192;
@@ -101,6 +115,7 @@ fn delegated_bytes_attributed_only_on_completion() {
 
 #[test]
 fn report_json_exposes_attribution() {
+    let _obs = obs_exclusive();
     const N: u64 = 16;
     let row = obs::enabled_scope(|| create_row(arckfs::Config::arckfs_plus(), N));
     obs::reset();
