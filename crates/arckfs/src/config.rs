@@ -51,13 +51,12 @@ pub struct Config {
     pub page_batch: usize,
     /// Low watermark (total items) for the LibFS resource pools: a pool
     /// slot drained for surplus release keeps this many items (divided
-    /// across slots). The preset constructors honor `ARCKFS_POOL_LOW`.
+    /// across slots).
     pub pool_low: usize,
     /// High watermark (total items) for the LibFS resource pools: a
     /// recycle that leaves a slot above its share of this limit releases
     /// the surplus back to the kernel, so unlink storms no longer grow the
-    /// pools without bound. The preset constructors honor
-    /// `ARCKFS_POOL_HIGH`.
+    /// pools without bound.
     pub pool_high: usize,
     /// Data writes of at least this many bytes go through the delegation
     /// path (non-temporal stores), as in OdinFS-style I/O delegation.
@@ -65,42 +64,24 @@ pub struct Config {
     /// Delegation worker threads streaming large writes to PM in the
     /// background (0 = inline non-temporal stores). Writes of at least
     /// [`Config::delegation_min`] bytes are shipped to the pool. Each
-    /// worker owns one submission ring (DESIGN.md §10); the preset
-    /// constructors honor `ARCKFS_DELEG_RINGS`.
+    /// worker owns one submission ring (DESIGN.md §10).
     pub delegation_threads: usize,
     /// Minimum write size handed to the delegation pool.
     pub delegation_min: usize,
     /// Slots per delegation submission ring; a full ring is backpressure
-    /// (the submitter yields), never unbounded growth. The preset
-    /// constructors honor `ARCKFS_DELEG_SQ_DEPTH`.
+    /// (the submitter yields), never unbounded growth.
     pub deleg_sq_depth: usize,
     /// Jobs a delegation worker drains per batch — and thus how many
-    /// non-temporal store streams share one amortized `sfence`. The
-    /// preset constructors honor `ARCKFS_DELEG_BATCH`.
+    /// non-temporal store streams share one amortized `sfence`.
     pub deleg_batch: usize,
 
     /// Lock-free path-resolution (dentry) cache (`crate::dcache`). On by
     /// default; off leaves resolution byte-for-byte on the authoritative
-    /// bucket-index path for A/B comparison. The preset constructors honor
-    /// the `ARCKFS_DCACHE` environment variable (`0` disables) so CI can
-    /// run the full suite on both paths without code changes.
+    /// bucket-index path for A/B comparison (tests that cover both paths
+    /// build both configs).
     pub dcache: bool,
     /// Number of direct-mapped dentry-cache slots.
     pub dcache_slots: usize,
-}
-
-/// Preset default for [`Config::dcache`]: on, unless `ARCKFS_DCACHE=0`.
-fn dcache_env_default() -> bool {
-    std::env::var("ARCKFS_DCACHE").map_or(true, |v| v != "0")
-}
-
-/// Preset default for a numeric pool or delegation knob, from the
-/// environment.
-fn usize_env(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 impl Config {
@@ -119,20 +100,14 @@ impl Config {
             dir_buckets: 128,
             ino_batch: 64,
             page_batch: 256,
-            pool_low: usize_env("ARCKFS_POOL_LOW", 64),
-            pool_high: usize_env("ARCKFS_POOL_HIGH", 1024),
+            pool_low: 64,
+            pool_high: 1024,
             ntstore_threshold: 4096,
-            delegation_threads: usize_env("ARCKFS_DELEG_RINGS", 0),
+            delegation_threads: 0,
             delegation_min: 512 * 1024,
-            deleg_sq_depth: usize_env(
-                "ARCKFS_DELEG_SQ_DEPTH",
-                crate::delegate::DelegationPool::DEFAULT_SQ_DEPTH,
-            ),
-            deleg_batch: usize_env(
-                "ARCKFS_DELEG_BATCH",
-                crate::delegate::DelegationPool::DEFAULT_BATCH,
-            ),
-            dcache: dcache_env_default(),
+            deleg_sq_depth: crate::delegate::DelegationPool::DEFAULT_SQ_DEPTH,
+            deleg_batch: crate::delegate::DelegationPool::DEFAULT_BATCH,
+            dcache: true,
             dcache_slots: 4096,
         }
     }

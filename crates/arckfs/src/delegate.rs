@@ -28,13 +28,11 @@
 //! decrement, or a crash after [`Ticket::wait`] returned could lose
 //! delegated bytes (found by the schedmc/crashmc sweep).
 //!
-//! Completions are pollable: [`Ticket::wait`] spins briefly on the
-//! completion count before parking on the condvar (poll-vs-park is
-//! counted), and [`Ticket::try_complete`] is the non-blocking variant for
-//! open-loop submission. Tickets are `#[must_use]` and debug-assert
-//! completion before drop: silently dropping one used to discard both
-//! durability and any §4.3-style revocation fault carried in the
-//! completion.
+//! [`Ticket::wait`] spins briefly on the completion count before parking
+//! on the condvar (poll-vs-park is counted). Tickets are `#[must_use]`
+//! and debug-assert completion before drop: silently dropping one used to
+//! discard both durability and any §4.3-style revocation fault carried in
+//! the completion.
 //!
 //! With zero workers configured the pool degrades to inline non-temporal
 //! stores, which is also the configuration the deterministic bug tests
@@ -250,7 +248,7 @@ struct PoolShared {
 /// Dropping a ticket without consuming it would silently discard both the
 /// durability guarantee and any fault carried in the completion (the
 /// §4.3-style revocation error would vanish), so tickets must be waited
-/// or polled to completion; debug builds assert it.
+/// to completion; debug builds assert it.
 #[must_use = "a delegated write is only durable once the ticket is waited; \
               dropping it also discards any delegation fault"]
 pub struct Ticket {
@@ -297,18 +295,6 @@ impl Ticket {
         self.finish()
     }
 
-    /// Non-blocking completion poll for open-loop submission: returns the
-    /// write's result if every chunk has completed, or hands the ticket
-    /// back untouched.
-    pub fn try_complete(self) -> Result<FsResult<()>, Ticket> {
-        if self.done.remaining.load(Ordering::SeqCst) == 0 {
-            self.shared.counters.poll_waits.fetch_add(1, Ordering::Relaxed);
-            Ok(self.finish())
-        } else {
-            Err(self)
-        }
-    }
-
     fn finish(self) -> FsResult<()> {
         match self.done.error.lock().take() {
             Some(e) => Err(e),
@@ -322,7 +308,7 @@ impl Drop for Ticket {
         debug_assert!(
             self.done.remaining.load(Ordering::SeqCst) == 0,
             "Ticket dropped with an incomplete delegated write — call \
-             wait() (or poll try_complete()) before dropping"
+             wait() before dropping"
         );
     }
 }
@@ -505,7 +491,7 @@ impl DelegationPool {
     }
 
     /// A pool with `workers` rings of `sq_depth` slots, draining up to
-    /// `drain_batch` jobs per fence (the `ARCKFS_DELEG_*` knobs).
+    /// `drain_batch` jobs per fence.
     pub fn with_opts(workers: usize, sq_depth: usize, drain_batch: usize) -> DelegationPool {
         let shared = Arc::new(PoolShared {
             rings: (0..workers)
@@ -802,27 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn try_complete_polls_without_blocking() {
-        let pool = DelegationPool::new(2);
-        let m = mapping(4 << 20);
-        let data = vec![0x5au8; 700 * 1024];
-        let mut ticket = pool.submit(&m, 0, &data).unwrap();
-        loop {
-            match ticket.try_complete() {
-                Ok(result) => {
-                    result.unwrap();
-                    break;
-                }
-                Err(back) => {
-                    ticket = back;
-                    std::thread::yield_now();
-                }
-            }
-        }
-        assert_eq!(pool.delegated_bytes(), 700 * 1024);
-    }
-
-    #[test]
     fn submit_after_shutdown_fails_cleanly() {
         let pool = DelegationPool::new(2);
         let m = mapping(1 << 20);
@@ -858,10 +823,49 @@ mod tests {
         let data = vec![9u8; 600 * 1024];
         let ticket = pool.submit(&m, 0, &data).unwrap();
         pool.drain();
-        // After drain, completion is immediate.
-        match ticket.try_complete() {
-            Ok(r) => r.unwrap(),
-            Err(_) => panic!("drain() must quiesce all in-flight chunks"),
+        // After drain, completion is immediate: the wait's first poll
+        // finds every chunk posted and never parks.
+        ticket.wait().unwrap();
+        let snap = pool.snapshot();
+        assert_eq!(
+            (snap.poll_waits, snap.park_waits),
+            (1, 0),
+            "drain() must quiesce all in-flight chunks"
+        );
+    }
+
+    /// A drain batch issues one fence for all its jobs. The worker is held
+    /// at its fence point on a first one-job batch while `k` more jobs
+    /// queue, so after the release it drains exactly `ceil(k / batch)`
+    /// full batches: fences count batches, not jobs — and at batch 1 they
+    /// count jobs.
+    #[test]
+    fn each_drain_batch_fences_once() {
+        const K: u64 = 16;
+        for batch in [1usize, 4, 8] {
+            let pool = DelegationPool::with_opts(1, 64, batch);
+            let m = mapping(1 << 20);
+            let gate = crate::inject::arm("delegate.drain.batch_fence");
+            let mut tickets = vec![pool.submit(&m, 0, &[1u8; 4096]).unwrap()];
+            // The worker has popped the first job once its batch is
+            // counted; it cannot pop again before the gate releases it.
+            while pool.snapshot().batches == 0 {
+                std::thread::yield_now();
+            }
+            for i in 1..=K {
+                tickets.push(pool.submit(&m, i * 4096, &[2u8; 4096]).unwrap());
+            }
+            gate.release();
+            for t in tickets {
+                t.wait().unwrap();
+            }
+            let snap = pool.snapshot();
+            assert_eq!(snap.batch_jobs, K + 1);
+            assert_eq!(snap.batches, 1 + K.div_ceil(batch as u64), "batch {batch}");
+            assert_eq!(snap.batch_fences, snap.batches, "batch {batch}");
+            if batch == 1 {
+                assert_eq!(snap.batch_fences, snap.batch_jobs);
+            }
         }
     }
 

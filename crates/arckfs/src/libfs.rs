@@ -277,7 +277,7 @@ impl LibFs {
     }
 
     /// Current pool occupancy `(inode numbers, pages)` — observability for
-    /// the watermark tests and the `alloc_scale` bench.
+    /// the watermark tests.
     pub fn pool_sizes(&self) -> (usize, usize) {
         (self.ino_pool.len(), self.page_pool.len())
     }
@@ -1954,8 +1954,7 @@ impl FileSystem for LibFs {
         let _span = obs::span(obs::OpKind::Fsync, self.kernel.device().stats());
         // §2.2: data and metadata writes persist synchronously. Delegated
         // writes are quiesced: every waited ticket is already durable, but
-        // open-loop submitters (`Ticket::try_complete`) may still have
-        // chunks in the rings.
+        // another thread's write may still have chunks in the rings.
         self.delegation.drain();
         Ok(())
     }

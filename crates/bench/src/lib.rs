@@ -13,12 +13,16 @@
 //! | `fio_data` | §5.1–§5.2 — data performance and scalability |
 //! | `leveldb_bench` | §5.3 — LevelDB db_bench |
 //! | `table1_ablation` | Table 1 — per-patch overhead |
-//! | `dcache_depth` | dentry-cache ablation — path-depth sweep (not a paper figure) |
+//! | `customizations` | §2.2 — the two example LibFS customizations |
+//! | `design_ablation` | §2.2 — multi-tailed log and bucket-count ablation |
 //!
-//! All binaries honour two environment variables:
+//! The timed binaries honour two environment variables:
 //! `BENCH_MILLIS` (per-cell duration, default 300) and
 //! `BENCH_THREADS` (comma-separated thread counts for measured runs,
-//! default `1,2,4`).
+//! default `1,2,4`); the fixed-iteration ones (`customizations`,
+//! `leveldb_bench`, `table4_sharing`) read `BENCH_ITERS`. Apart from the
+//! `schedmc` CLI's `ARCKFS_SCHEDMC_DEEP`, these are the only environment
+//! variables read under `crates/` (`ci.sh` checks it).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -180,20 +184,6 @@ pub fn per_op(stats_after: &FsStats, stats_before: &FsStats, ops: u64) -> OpStat
             .shared_lock_acqs
             .saturating_sub(stats_before.shared_lock_acqs) as f64 / ops,
     }
-}
-
-/// Fraction of an operation's wall-clock spent in inherently serial PM
-/// persistence, derived from the obs latency histogram and attribution:
-/// per-op flush/fence counts priced by the device's latency model over
-/// the mean measured latency.
-pub fn pm_serial_fraction(row: &obs::KindReport, lat: &pmem::LatencyModel) -> f64 {
-    let mean_ns = row.latency.mean();
-    if mean_ns <= 0.0 {
-        return 0.0;
-    }
-    let serial_ns = row.clwb_per_op() * lat.clwb.as_nanos() as f64
-        + row.sfences_per_op() * lat.sfence.as_nanos() as f64;
-    (serial_ns / mean_ns).clamp(0.0, 1.0)
 }
 
 /// Structural model inputs for a (file system, FxMark workload) pair.

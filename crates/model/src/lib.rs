@@ -81,15 +81,6 @@ pub struct OpStats {
     pub lock_acqs: f64,
 }
 
-/// Predicted store fences per operation when `batch_ops` operations share
-/// `fences_per_batch` ordering points (a delegation drain batch fences
-/// once for all its jobs). Fences an implementation still issues outside
-/// the batch add on top, so measured columns converge to this plus a
-/// constant residual.
-pub fn amortized_fences(fences_per_batch: f64, batch_ops: usize) -> f64 {
-    fences_per_batch / batch_ops.max(1) as f64
-}
-
 /// A calibrated per-(file-system, workload) operation profile.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct OpProfile {
@@ -151,113 +142,6 @@ impl OpProfile {
         }
     }
 
-    /// Like [`OpProfile::estimate`], but anchored on a **measured**
-    /// serialized fraction instead of the structural constants alone.
-    ///
-    /// `pm_serial_fraction` is the share of the operation's wall-clock
-    /// spent in inherently ordered persistence work (cache-line flushes
-    /// and store fences). The benchmark harness derives it organically
-    /// from the obs attribution tables: per-op `clwb`/`sfence` counts
-    /// (from the span deltas) priced by the device's `LatencyModel`,
-    /// divided by the span latency histogram's mean. Persistence done
-    /// under a shared lock serializes other threads, so it raises σ —
-    /// scaled down by the partition count for partitioned locks, and not
-    /// at all for private objects or lock-free reads.
-    pub fn estimate_measured(
-        t1_us: f64,
-        sharing: SharingLevel,
-        locks: LockStructure,
-        stats: OpStats,
-        pm_serial_fraction: f64,
-    ) -> OpProfile {
-        let mut p = OpProfile::estimate(t1_us, sharing, locks, stats);
-        let pm = pm_serial_fraction.clamp(0.0, 1.0);
-        let covered = match (sharing, locks) {
-            (SharingLevel::Private, _) => 0.0,
-            (_, LockStructure::SingleLock { .. }) => pm,
-            (_, LockStructure::Partitioned { partitions, .. }) => {
-                pm / partitions.max(1) as f64
-            }
-            (_, LockStructure::LockFree) => 0.0,
-        };
-        p.sigma = p.sigma.max(SIGMA_FLOOR + covered);
-        p
-    }
-
-    /// Profile for a **delegated data operation** (§2.2/§5.2's I/O
-    /// delegation), so the 48-thread USL projection covers the data path
-    /// and not just metadata.
-    ///
-    /// Structure: submitters contend only on the per-ring enqueue word, so
-    /// the data path behaves like a shared object partitioned over `rings`
-    /// submission queues, with `worker_fraction` the share of the op spent
-    /// in the serialized enqueue/complete protocol (measured as the
-    /// submit-side overhead divided by the whole op, typically small). The
-    /// fence column is the amortization rule applied to the drain batch:
-    /// `chunks_per_op` non-temporal store streams sharing one `sfence` per
-    /// `drain_batch` jobs, plus the caller's size-commit fence.
-    pub fn delegated_data(
-        t1_us: f64,
-        rings: usize,
-        chunks_per_op: f64,
-        drain_batch: usize,
-        worker_fraction: f64,
-    ) -> OpProfile {
-        let stats = OpStats {
-            flushes: 0.0,
-            fences: amortized_fences(chunks_per_op, drain_batch) + 1.0,
-            syscalls: 0.0,
-            lock_acqs: chunks_per_op,
-        };
-        OpProfile::estimate(
-            t1_us,
-            SharingLevel::SharedDir,
-            LockStructure::Partitioned {
-                partitions: rings.max(1),
-                covered_fraction: worker_fraction.clamp(0.0, 1.0),
-            },
-            stats,
-        )
-    }
-
-    /// Profile for a **ranged write to one shared file** (ISSUE 7's
-    /// extent-tree + range-lock data path), so the 48-thread projection
-    /// covers FxMark's DWOM shape: N writers, disjoint byte ranges, one
-    /// file.
-    ///
-    /// Structure: with range locks the writers serialize only on the
-    /// per-inode interval table (a short critical section) and on the
-    /// shared size/extent metadata — a shared object partitioned over
-    /// `ranges` concurrently-held intervals, with `serial_fraction` the
-    /// **measured** share of the op spent under the table or the meta
-    /// lock (the `shared_file` bench derives it from the lock-acquisition
-    /// counters and the span latencies). A whole-file lock is this same
-    /// profile with `ranges == 1` and the lock-covered fraction as the
-    /// serial share.
-    pub fn ranged_write(
-        t1_us: f64,
-        ranges: usize,
-        fences_per_op: f64,
-        serial_fraction: f64,
-    ) -> OpProfile {
-        let stats = OpStats {
-            flushes: 1.0,
-            fences: fences_per_op,
-            syscalls: 0.0,
-            lock_acqs: 1.0,
-        };
-        OpProfile::estimate_measured(
-            t1_us,
-            SharingLevel::SharedDir,
-            LockStructure::Partitioned {
-                partitions: ranges.max(1),
-                covered_fraction: serial_fraction.clamp(0.0, 1.0),
-            },
-            stats,
-            serial_fraction,
-        )
-    }
-
     /// Modelled throughput at `threads`, in operations per second.
     pub fn throughput(&self, threads: usize) -> f64 {
         let n = threads as f64;
@@ -298,14 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn amortized_fences_scale_with_batch() {
-        assert_eq!(amortized_fences(3.0, 1), 3.0);
-        assert_eq!(amortized_fences(3.0, 8), 0.375);
-        // Degenerate batch sizes never divide by zero.
-        assert_eq!(amortized_fences(3.0, 0), 3.0);
-    }
-
-    #[test]
     fn single_thread_matches_t1() {
         let p = OpProfile {
             t1_us: 2.0,
@@ -313,35 +189,6 @@ mod tests {
             kappa: 0.001,
         };
         assert!((p.throughput(1) - 500_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn measured_serial_fraction_raises_sigma() {
-        let locks = LockStructure::SingleLock {
-            covered_fraction: 0.1,
-        };
-        let base = OpProfile::estimate(1.0, SharingLevel::SharedDir, locks, stats());
-        let meas =
-            OpProfile::estimate_measured(1.0, SharingLevel::SharedDir, locks, stats(), 0.6);
-        assert!(
-            meas.sigma > base.sigma,
-            "a dominant measured PM-serial fraction must dominate the guess"
-        );
-        // Partitioned locks dilute the measured fraction.
-        let part = LockStructure::Partitioned {
-            partitions: 64,
-            covered_fraction: 0.6,
-        };
-        let pm = OpProfile::estimate_measured(1.0, SharingLevel::SharedDir, part, stats(), 0.64);
-        assert!(pm.sigma < 0.02, "sigma={} should be diluted by 64", pm.sigma);
-        // Private objects ignore it entirely.
-        let priv_ = OpProfile::estimate_measured(1.0, SharingLevel::Private, locks, stats(), 0.9);
-        let priv_base = OpProfile::estimate(1.0, SharingLevel::Private, locks, stats());
-        assert_eq!(priv_.sigma, priv_base.sigma);
-        // And it never exceeds a full serialization.
-        let capped =
-            OpProfile::estimate_measured(1.0, SharingLevel::SharedDir, locks, stats(), 7.0);
-        assert!(capped.sigma <= 1.0 + SIGMA_FLOOR);
     }
 
     #[test]
@@ -422,43 +269,6 @@ mod tests {
         );
         let ratio = plus.throughput(48) / arckfs.throughput(48);
         assert!((0.90..1.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn delegated_data_projection_rewards_rings_and_batch() {
-        // One ring, no drain batching: every chunk pays its own fence and
-        // all submitters funnel through one queue.
-        let narrow = OpProfile::delegated_data(50.0, 1, 16.0, 1, 0.4);
-        // Eight rings, drain batch 8: same work, amortized ordering.
-        let wide = OpProfile::delegated_data(50.0, 8, 16.0, 8, 0.4);
-        let x48_narrow = narrow.throughput(48);
-        let x48_wide = wide.throughput(48);
-        assert!(
-            x48_wide > 2.0 * x48_narrow,
-            "rings+batch must lift the 48-thread data projection: {x48_wide} vs {x48_narrow}"
-        );
-        // The fence column reflects the amortization rule exactly.
-        assert!(wide.kappa < narrow.kappa);
-        // Single-thread cost is untouched by the structure.
-        assert!((narrow.throughput(1) - wide.throughput(1)).abs() < 1.0);
-    }
-
-    #[test]
-    fn ranged_write_projection_rewards_range_locks() {
-        // The legacy path: one whole-file lock covering most of the op.
-        let whole = OpProfile::ranged_write(3.0, 1, 1.0, 0.8);
-        // Range locks: eight disjoint writers, the same measured serial
-        // work diluted over the interval table.
-        let ranged = OpProfile::ranged_write(3.0, 8, 1.0, 0.8);
-        let x48_whole = whole.throughput(48);
-        let x48_ranged = ranged.throughput(48);
-        assert!(
-            x48_ranged > 4.0 * x48_whole,
-            "range locks must lift the 48-thread shared-file projection: \
-             {x48_ranged} vs {x48_whole}"
-        );
-        // Single-thread cost is untouched by the structure.
-        assert!((whole.throughput(1) - ranged.throughput(1)).abs() < 1.0);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! The allocator keeps a durable bitmap on the device (one bit per managed
 //! page) and volatile free lists rebuilt from the bitmap at mount/recovery.
 //!
-//! The page range is split into N contiguous **shards** (N from
-//! `ARCKFS_ALLOC_SHARDS`, default `min(cores, 8)`), each with its own lock
+//! The page range is split into N contiguous **shards** (N from the
+//! kernel configuration, default `min(cores, 8)`), each with its own lock
 //! and free list. A thread allocates from its home shard (thread-id hash, or
 //! an explicit hint) and falls back to **stealing** when the home shard runs
 //! dry, so independent threads touch independent locks and the allocator
@@ -36,19 +36,12 @@ use std::time::Instant;
 
 use crate::device::{PmemDevice, PmemError, PmemResult};
 
-/// Pick the shard count: `ARCKFS_ALLOC_SHARDS` if set (≥ 1), else
-/// `min(available cores, 8)`.
+/// The default shard count: `min(available cores, 8)`.
 pub fn default_alloc_shards() -> usize {
-    match std::env::var("ARCKFS_ALLOC_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8),
-    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
 }
 
 thread_local! {
@@ -107,8 +100,7 @@ struct Shard {
     first: u64,
     /// Number of pages in this shard's range.
     count: u64,
-    /// Times this shard's lock was taken (the contention metric the
-    /// `alloc_scale` bench asserts on).
+    /// Times this shard's lock was taken (the contention metric).
     lock_acqs: AtomicU64,
     /// Pages taken from this shard by *non-home* threads (the shard is the
     /// steal victim). Per-victim counters show whether one hot home
@@ -148,7 +140,7 @@ pub struct AllocShardSnapshot {
 }
 
 /// Point-in-time allocator counters, for the obs JSON `alloc` block and the
-/// `alloc_scale` bench.
+/// contention tests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AllocStatsSnapshot {
     /// Per-shard occupancy and lock counters.
@@ -194,11 +186,6 @@ pub struct ShardedPageAllocator {
     allocs: AtomicU64,
     frees: AtomicU64,
 }
-
-/// The pre-sharding name; shard count 1 is behaviour-identical to the old
-/// single-lock allocator, and every constructor defaults the shard count
-/// from the environment, so existing call sites keep working unchanged.
-pub type PageAllocator = ShardedPageAllocator;
 
 impl ShardedPageAllocator {
     /// Bytes of bitmap needed to manage `page_count` pages.
@@ -654,10 +641,10 @@ mod tests {
     use crate::PAGE_SIZE;
     use std::collections::HashSet;
 
-    fn mk() -> PageAllocator {
+    fn mk() -> ShardedPageAllocator {
         let dev = PmemDevice::new(64 * PAGE_SIZE);
         // Bitmap at offset 0, managing pages 4..36.
-        PageAllocator::format(dev, 0, 4, 32).unwrap()
+        ShardedPageAllocator::format(dev, 0, 4, 32).unwrap()
     }
 
     #[test]
@@ -698,12 +685,12 @@ mod tests {
     #[test]
     fn recovery_rebuilds_free_list() {
         let dev = PmemDevice::new(64 * PAGE_SIZE);
-        let a = PageAllocator::format(dev.clone(), 0, 4, 32).unwrap();
+        let a = ShardedPageAllocator::format(dev.clone(), 0, 4, 32).unwrap();
         let kept = a.alloc_extent(5).unwrap();
         let dropped = a.alloc_extent(3).unwrap();
         a.free_extent(&dropped).unwrap();
         // "Remount": rebuild from the durable bitmap.
-        let b = PageAllocator::recover(dev, 0, 4, 32).unwrap();
+        let b = ShardedPageAllocator::recover(dev, 0, 4, 32).unwrap();
         assert_eq!(b.allocated_count(), 5);
         assert_eq!(b.free_count(), 27);
         for &p in &kept {
@@ -719,14 +706,14 @@ mod tests {
     #[test]
     fn recovery_after_crash_sees_persisted_bits() {
         let dev = PmemDevice::new_tracked(64 * PAGE_SIZE);
-        let a = PageAllocator::format(dev.clone(), 0, 4, 32).unwrap();
+        let a = ShardedPageAllocator::format(dev.clone(), 0, 4, 32).unwrap();
         let pages = a.alloc_extent(4).unwrap();
         // Crash: the bitmap updates were clwb'd and fenced by alloc_extent,
         // so every crash image shows them allocated.
         let mut rng = rand::rngs::mock::StepRng::new(0, 1);
         let img = dev.sample_crash_image(&mut rng).unwrap();
         let rec_dev = PmemDevice::from_image(&img);
-        let b = PageAllocator::recover(rec_dev, 0, 4, 32).unwrap();
+        let b = ShardedPageAllocator::recover(rec_dev, 0, 4, 32).unwrap();
         for &p in &pages {
             assert!(b.is_allocated(p).unwrap());
         }
@@ -735,7 +722,7 @@ mod tests {
     #[test]
     fn concurrent_alloc_is_disjoint() {
         let dev = PmemDevice::new(1024 * PAGE_SIZE);
-        let a = PageAllocator::format(dev, 0, 1, 512).unwrap();
+        let a = ShardedPageAllocator::format(dev, 0, 1, 512).unwrap();
         let sets: Vec<Vec<u64>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| s.spawn(|| (0..64).map(|_| a.alloc().unwrap()).collect::<Vec<_>>()))
@@ -753,10 +740,10 @@ mod tests {
 
     #[test]
     fn bitmap_bytes_math() {
-        assert_eq!(PageAllocator::bitmap_bytes(0), 0);
-        assert_eq!(PageAllocator::bitmap_bytes(1), 1);
-        assert_eq!(PageAllocator::bitmap_bytes(8), 1);
-        assert_eq!(PageAllocator::bitmap_bytes(9), 2);
+        assert_eq!(ShardedPageAllocator::bitmap_bytes(0), 0);
+        assert_eq!(ShardedPageAllocator::bitmap_bytes(1), 1);
+        assert_eq!(ShardedPageAllocator::bitmap_bytes(8), 1);
+        assert_eq!(ShardedPageAllocator::bitmap_bytes(9), 2);
     }
 
     #[test]
@@ -881,6 +868,41 @@ mod tests {
                 assert!(b.is_allocated(p).unwrap());
             }
         }
+    }
+
+    /// Eight threads, each pinned to its home shard through the hint, churn
+    /// alloc/free pairs. Every pair takes its home shard's lock exactly
+    /// twice (one take, one push), whatever the interleaving, so the
+    /// busiest shard's acquisitions are a count, not a timing: at 8 shards
+    /// each shard sees one thread's pairs, exactly 1/8 of what the single
+    /// shard sees, and perfect pinning never steals.
+    #[test]
+    fn hint_pinned_threads_split_lock_acquisitions_by_the_shard_count() {
+        const THREADS: usize = 8;
+        const PAIRS: u64 = 200;
+        let churn = |shards: usize| {
+            let dev = PmemDevice::new(PAGE_SIZE);
+            let a = ShardedPageAllocator::format_with_shards(dev, 0, 0, 4096, shards).unwrap();
+            std::thread::scope(|s| {
+                for t in 0..THREADS {
+                    let a = &a;
+                    s.spawn(move || {
+                        for _ in 0..PAIRS {
+                            let pages = a.alloc_extent_hinted(t, 4).unwrap();
+                            a.free_extent(&pages).unwrap();
+                        }
+                    });
+                }
+            });
+            a.stats()
+        };
+        let one = churn(1);
+        let eight = churn(8);
+        let ops = THREADS as u64 * PAIRS;
+        assert_eq!(one.max_shard_lock_acqs(), 2 * ops);
+        assert_eq!(eight.max_shard_lock_acqs() * 8, one.max_shard_lock_acqs());
+        assert_eq!(eight.lock_acqs(), one.lock_acqs());
+        assert_eq!((one.alloc_steals, eight.alloc_steals), (0, 0));
     }
 
     /// Hammer same-byte bitmap bits from 4 threads: thread `t` churns shard

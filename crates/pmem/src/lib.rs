@@ -45,8 +45,7 @@ pub mod tracker;
 
 pub use alloc::{
     default_alloc_shards, set_thread_shard_hint, thread_shard_hint, thread_shard_override,
-    AllocShardSnapshot,
-    AllocStatsSnapshot, PageAllocator, ShardedPageAllocator,
+    AllocShardSnapshot, AllocStatsSnapshot, ShardedPageAllocator,
 };
 pub use device::{Mode, PmemDevice, PmemError, PmemResult};
 pub use latency::LatencyModel;

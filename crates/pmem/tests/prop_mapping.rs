@@ -1,6 +1,6 @@
 //! Property tests for generation-tagged mappings and the page allocator.
 
-use pmem::{Mapping, MappingRegistry, PageAllocator, PmemDevice, ShardedPageAllocator, PAGE_SIZE};
+use pmem::{Mapping, MappingRegistry, PmemDevice, ShardedPageAllocator, PAGE_SIZE};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +39,7 @@ proptest! {
     #[test]
     fn allocator_never_double_allocates(ops in proptest::collection::vec(any::<bool>(), 1..200)) {
         let dev = PmemDevice::new(256 * PAGE_SIZE);
-        let alloc = PageAllocator::format(dev, 0, 4, 128).unwrap();
+        let alloc = ShardedPageAllocator::format(dev, 0, 4, 128).unwrap();
         let mut held: Vec<u64> = Vec::new();
         let mut seen = HashSet::new();
         for take in ops {

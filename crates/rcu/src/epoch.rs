@@ -61,6 +61,13 @@ impl std::fmt::Debug for Retired {
     }
 }
 
+/// What one collector saw: the epoch it advanced to, and the oldest epoch
+/// a reader had pinned when it looked.
+struct Scan {
+    now: u64,
+    oldest_pin: Option<u64>,
+}
+
 /// An epoch-based RCU domain.
 ///
 /// Construct with [`Rcu::new`] and share via `Arc`. Each ArckFS+ directory
@@ -193,13 +200,30 @@ impl Rcu {
     /// Advance the global epoch and run every destructor whose grace period
     /// has elapsed. Returns the number of destructors run.
     pub fn try_collect(self: &Arc<Self>) -> usize {
-        self.global.fetch_add(1, Ordering::SeqCst);
-        let horizon = match self.min_pinned() {
-            // A retiree at epoch E is safe when E < min_pinned - 1.
-            Some(min) => min.saturating_sub(1),
-            // No readers at all: everything retired before the (just
-            // advanced) epoch is safe.
-            None => self.global.load(Ordering::SeqCst),
+        let scan = self.scan();
+        self.collect(scan)
+    }
+
+    /// Advance the global epoch and find the oldest reader pin.
+    fn scan(self: &Arc<Self>) -> Scan {
+        let now = self.global.fetch_add(1, Ordering::SeqCst) + 1;
+        Scan {
+            now,
+            oldest_pin: self.min_pinned(),
+        }
+    }
+
+    /// Run every destructor `scan` proves safe: those retired below the
+    /// oldest pin minus one, and never at or above `scan.now`. A reader the
+    /// scan missed pins at `scan.now` or later, so it can only hold entries
+    /// retired that late. The bound must not be re-read from the global
+    /// epoch after the scan: a concurrent collector can advance it past
+    /// such a reader's pin in between, which freed entries the reader was
+    /// still traversing.
+    fn collect(&self, scan: Scan) -> usize {
+        let horizon = match scan.oldest_pin {
+            Some(min) => min.min(scan.now).saturating_sub(1),
+            None => scan.now,
         };
         let ready: Vec<Retired> = {
             let mut r = self.retired.lock();
@@ -373,6 +397,29 @@ mod tests {
         b.defer(move || r2.store(true, Ordering::SeqCst));
         // Domain `a`'s guard must not block domain `b`'s reclamation.
         b.synchronize();
+        assert!(ran.load(Ordering::SeqCst));
+    }
+
+    /// Collector A scans while no reader is pinned; a reader then pins and
+    /// an entry it reads is retired; collector B advances the epoch past
+    /// the reader's pin before A runs what its scan allowed. A must not run
+    /// the reader's entry.
+    #[test]
+    fn a_collector_overtaken_by_another_spares_a_later_reader() {
+        let rcu = Rcu::new();
+        let ran = Arc::new(AtomicBool::new(false));
+        let scan_a = rcu.scan();
+        let g = rcu.read_guard();
+        let r2 = ran.clone();
+        rcu.defer(move || r2.store(true, Ordering::SeqCst));
+        rcu.try_collect();
+        rcu.collect(scan_a);
+        assert!(
+            !ran.load(Ordering::SeqCst),
+            "destructor ran while a reader pinned after the scan held it"
+        );
+        drop(g);
+        rcu.synchronize();
         assert!(ran.load(Ordering::SeqCst));
     }
 

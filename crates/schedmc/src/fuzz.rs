@@ -62,7 +62,7 @@ use rand::{Rng, SeedableRng};
 use trio::{Kernel, KernelConfig};
 use vfs::{Fd, FileSystem, FsError, FsResult, OpenFlags};
 
-use crate::{env_u64, fatal_op_error, FailureKind, Op, DEVICE_LEN};
+use crate::{fatal_op_error, FailureKind, Op, DEVICE_LEN, QUIESCE_GRACE};
 
 /// First tenant uid; tenant `k` mounts as `TENANT_UID_BASE + k`.
 pub const TENANT_UID_BASE: u32 = 100;
@@ -342,15 +342,15 @@ pub struct FuzzOpts {
 }
 
 impl FuzzOpts {
-    /// The deterministic CI smoke: exec-bounded (`ARCKFS_FUZZ_EXECS`,
-    /// default 24), seeded (`ARCKFS_FUZZ_SEED`), no wall-clock dependence
-    /// in the loop, full vocabulary.
+    /// The deterministic CI smoke: 24 executions, seed `0xf12f`, no
+    /// wall-clock dependence in the loop, full vocabulary.
     pub fn smoke() -> FuzzOpts {
         let mut config = Config::arckfs_plus();
-        // Delegation rings stay OFF here — their free-running worker
-        // threads race the quiesce grace deadline, and the smoke's
-        // same-seed determinism contract can't survive that (the nightly
-        // leg turns them on; it makes no determinism claim).
+        // Delegation rings stay OFF here (the preset's `delegation_threads`
+        // is 0) — their free-running worker threads race the quiesce grace
+        // deadline, and the smoke's same-seed determinism contract can't
+        // survive that (the nightly leg turns them on; it makes no
+        // determinism claim).
         // Small pools, so a 10–50-op program crosses the kernel's batched
         // grant and surplus-return paths.
         config.page_batch = 16;
@@ -358,8 +358,8 @@ impl FuzzOpts {
         config.pool_low = 8;
         config.pool_high = 64;
         FuzzOpts {
-            seed: env_u64("ARCKFS_FUZZ_SEED", 0xf12f),
-            max_execs: Some(env_u64("ARCKFS_FUZZ_EXECS", 24)),
+            seed: 0xf12f,
+            max_execs: Some(24),
             budget: None,
             program_min: 10,
             program_max: 50,
@@ -368,7 +368,7 @@ impl FuzzOpts {
             crash_period: 6,
             crash_exhaustive_limit: 32,
             crash_samples: 6,
-            grace: Duration::from_millis(env_u64("ARCKFS_SCHEDMC_GRACE_MS", 50)),
+            grace: QUIESCE_GRACE,
             max_steps: 4096,
             promote_after: 4,
             corpus_seeds: 4,
@@ -377,17 +377,13 @@ impl FuzzOpts {
         }
     }
 
-    /// The nightly deep leg: wall-clock budgeted
-    /// (`ARCKFS_FUZZ_BUDGET_MS`, default two minutes), unbounded execs,
-    /// more crash samples, delegation rings on (the smoke leaves them off
-    /// to keep its determinism contract).
+    /// The nightly deep leg: a two-minute wall-clock budget, unbounded
+    /// execs, more crash samples, delegation rings on (the smoke leaves
+    /// them off to keep its determinism contract).
     pub fn nightly() -> FuzzOpts {
         let mut opts = FuzzOpts::smoke();
         opts.max_execs = None;
-        opts.budget = Some(Duration::from_millis(env_u64(
-            "ARCKFS_FUZZ_BUDGET_MS",
-            120_000,
-        )));
+        opts.budget = Some(Duration::from_secs(120));
         opts.crash_period = 4;
         opts.crash_samples = 12;
         opts.promote_after = 8;
@@ -1014,14 +1010,6 @@ fn run_program(program: &[FuzzOp], plan: Plan<'_>, opts: &FuzzOpts) -> FuzzRun {
                 out.coverage.insert((point.clone(), fp));
             }
             stall.note(chosen, point);
-        }
-        if std::env::var("ARCKFS_FUZZ_TRACE").is_ok() {
-            eprintln!(
-                "D{:03} runnable={:?} chosen={}",
-                out.schedule.len(),
-                runnable,
-                chosen
-            );
         }
         out.schedule.push(chosen);
         let stepped = ctl.step(chosen);

@@ -301,8 +301,16 @@ pub fn setup(fs: &LibFs) -> FsResult<()> {
 
 // ---- options ---------------------------------------------------------------
 
+/// How long [`Controller::quiesce`] lets a granted participant run
+/// before classifying it blocked. A wall-clock stand-in for a progress
+/// argument: on a loaded or two-core host a shorter grace reports false
+/// `[deadlock]`/`[diverged]` schedules (10 ms did). It goes once every
+/// wait a participant can block in parks at a schedule point.
+pub const QUIESCE_GRACE: Duration = Duration::from_millis(50);
+
 /// Exploration parameters. [`ExploreOpts::quick`] and [`ExploreOpts::deep`]
-/// read the `ARCKFS_SCHEDMC_*` environment knobs documented in the README.
+/// are the two fixed presets; a caller that wants other values sets the
+/// fields.
 #[derive(Debug, Clone)]
 pub struct ExploreOpts {
     /// Maximum preemptions per schedule (CHESS-style bound).
@@ -328,46 +336,33 @@ pub struct ExploreOpts {
     pub config: Config,
 }
 
-pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 impl ExploreOpts {
     /// The CI quick mode: preemption bound 2, seeded, time-budgeted to
     /// finish in well under a minute on the fully patched config.
     pub fn quick() -> ExploreOpts {
         ExploreOpts {
-            preemption_bound: env_u64("ARCKFS_SCHEDMC_BOUND", 2) as usize,
-            max_schedules: env_u64("ARCKFS_SCHEDMC_MAX_SCHEDULES", 256) as usize,
+            preemption_bound: 2,
+            max_schedules: 256,
             max_steps: 64,
-            grace: Duration::from_millis(env_u64("ARCKFS_SCHEDMC_GRACE_MS", 50)),
+            grace: QUIESCE_GRACE,
             crash_oracle: true,
             crash_exhaustive_limit: 32,
-            crash_samples: env_u64("ARCKFS_SCHEDMC_SAMPLES", 8) as usize,
-            seed: env_u64("ARCKFS_SCHEDMC_SEED", 0xa5c3),
-            budget: Some(Duration::from_millis(env_u64(
-                "ARCKFS_SCHEDMC_BUDGET_MS",
-                45_000,
-            ))),
+            crash_samples: 8,
+            seed: 0xa5c3,
+            budget: Some(Duration::from_secs(45)),
             config: Config::arckfs_plus(),
         }
     }
 
-    /// The deep sweep (`ARCKFS_SCHEDMC_DEEP=1`): higher bound, more
-    /// schedules and crash samples, five-minute default budget.
+    /// The deep sweep (`ARCKFS_SCHEDMC_DEEP=1` on the CLI): higher bound,
+    /// more schedules and crash samples, a five-minute budget.
     pub fn deep() -> ExploreOpts {
         ExploreOpts {
-            preemption_bound: env_u64("ARCKFS_SCHEDMC_BOUND", 3) as usize,
-            max_schedules: env_u64("ARCKFS_SCHEDMC_MAX_SCHEDULES", 4096) as usize,
+            preemption_bound: 3,
+            max_schedules: 4096,
             crash_exhaustive_limit: 64,
-            crash_samples: env_u64("ARCKFS_SCHEDMC_SAMPLES", 16) as usize,
-            budget: Some(Duration::from_millis(env_u64(
-                "ARCKFS_SCHEDMC_BUDGET_MS",
-                300_000,
-            ))),
+            crash_samples: 16,
+            budget: Some(Duration::from_secs(300)),
             ..ExploreOpts::quick()
         }
     }
@@ -1219,7 +1214,7 @@ mod tests {
             preemption_bound: 2,
             max_schedules: 64,
             max_steps: 64,
-            grace: Duration::from_millis(50),
+            grace: QUIESCE_GRACE,
             crash_oracle: false,
             crash_exhaustive_limit: 16,
             crash_samples: 4,

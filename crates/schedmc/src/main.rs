@@ -7,8 +7,10 @@
 //!
 //! `schedmc fuzz` runs the coverage-guided fuzzing campaign instead
 //! ([`schedmc::fuzz`]): the deterministic exec-bounded smoke by default
-//! (`ARCKFS_FUZZ_EXECS`, `ARCKFS_FUZZ_SEED`), the wall-clock-budgeted
-//! nightly depth at `ARCKFS_SCHEDMC_DEEP=2` (`ARCKFS_FUZZ_BUDGET_MS`).
+//! ([`FuzzOpts::smoke`]), the wall-clock-budgeted nightly depth at
+//! `ARCKFS_SCHEDMC_DEEP=2` ([`FuzzOpts::nightly`]). `ARCKFS_SCHEDMC_DEEP`
+//! is the only variable any crate outside the bench harness reads: it
+//! picks a preset, every other parameter is fixed in code.
 //! After the campaign it re-runs the exhaustive bound-2 pair sweep on the
 //! same time budget as a coverage baseline, writes both blocks to
 //! `results/obs_fuzz.json`, and exits non-zero unless the campaign found

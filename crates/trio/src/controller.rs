@@ -49,8 +49,8 @@ pub struct KernelConfig {
     /// syscall at a few hundred ns).
     pub syscall_cost: Duration,
     /// Shard count for the page allocator and the inode-number pool.
-    /// `0` means "auto": `ARCKFS_ALLOC_SHARDS` if set, else
-    /// `min(cores, 8)` (see [`pmem::default_alloc_shards`]).
+    /// `0` means "auto": `min(cores, 8)` (see
+    /// [`pmem::default_alloc_shards`]).
     pub alloc_shards: usize,
 }
 

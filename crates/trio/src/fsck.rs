@@ -815,8 +815,8 @@ pub fn logical_snapshot(
 /// Collapse [`logical_snapshot`] into one stable `u64` — the crash-state
 /// fingerprint `crashmc` and the `schedmc` fuzzer use as a coverage
 /// signal. Equal logical states hash equal by construction; physical
-/// placement differences (e.g. recovering under a different
-/// `ARCKFS_ALLOC_SHARDS` than the image crashed at) never enter the hash.
+/// placement differences (e.g. recovering under a different allocator
+/// shard count than the image crashed at) never enter the hash.
 pub fn logical_fingerprint(device: &Arc<PmemDevice>) -> Result<u64, String> {
     let geom = format::read_superblock(device)?;
     let snap = logical_snapshot(device, &geom)?;

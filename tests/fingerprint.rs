@@ -76,7 +76,7 @@ fn equal_states_hash_equal() {
 
 #[test]
 fn fingerprint_stable_across_shard_counts() {
-    // Crash at one ARCKFS_ALLOC_SHARDS value, recover at another — the
+    // Crash at one allocator shard count, recover at another — the
     // single-shard configuration included: the recovered allocator
     // re-partitions the bitmap into different shard ranges and reclaims
     // leaked grants, but the logical namespace — and therefore the

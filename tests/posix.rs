@@ -1,7 +1,8 @@
 //! POSIX-surface conformance, run identically against every file system in
 //! the evaluation (ArckFS, ArckFS+, the verify-per-op profile, and all
 //! seven kernel baselines). The benchmark comparisons are only meaningful
-//! if all systems implement the same semantics.
+//! if all systems implement the same semantics. ArckFS+ also runs with its
+//! dentry cache off, so both resolution paths answer every case.
 
 use std::sync::Arc;
 
@@ -12,9 +13,14 @@ use vfs::{FileSystem, FsError, FsExt, OpenFlags};
 const DEV: usize = 48 << 20;
 
 fn all_file_systems() -> Vec<Arc<dyn FileSystem>> {
+    let uncached = Config {
+        dcache: false,
+        ..Config::arckfs_plus()
+    };
     let mut out: Vec<Arc<dyn FileSystem>> = vec![
         arckfs::new_fs(DEV, Config::arckfs()).unwrap().1,
         arckfs::new_fs(DEV, Config::arckfs_plus()).unwrap().1,
+        arckfs::new_fs(DEV, uncached).unwrap().1,
         arckfs::new_fs(DEV, Config::verify_per_op()).unwrap().1,
     ];
     for p in Profile::all() {

@@ -1,7 +1,8 @@
 //! Property tests of the whole file system against an in-memory oracle:
 //! arbitrary operation sequences must produce identical observable state on
-//! ArckFS and ArckFS+, match the oracle, pass kernel verification at
-//! unmount, and leave a crash-consistent device.
+//! ArckFS and ArckFS+ (with its dentry cache on and off), match the oracle,
+//! pass kernel verification at unmount, and leave a crash-consistent
+//! device.
 
 use std::collections::HashMap;
 
@@ -145,7 +146,9 @@ proptest! {
 
     #[test]
     fn arckfs_plus_matches_oracle(ops in proptest::collection::vec(op_strategy(), 0..60)) {
-        run_sequence(Config::arckfs_plus(), &ops);
+        for dcache in [true, false] {
+            run_sequence(Config { dcache, ..Config::arckfs_plus() }, &ops);
+        }
     }
 
     /// Single-threaded, the buggy ArckFS behaves identically — all six

@@ -29,7 +29,7 @@ fn opts(config: Config) -> ExploreOpts {
         // The same wall-clock stop-gap as `ExploreOpts::quick` (ci.sh
         // header): at 10 ms a delegated write that a worker thread had not
         // finished yet was classified blocked and the schedule "diverged".
-        grace: Duration::from_millis(50),
+        grace: schedmc::QUIESCE_GRACE,
         crash_oracle: false,
         crash_exhaustive_limit: 32,
         crash_samples: 8,
@@ -159,9 +159,7 @@ fn crash_oracle_rediscovers_missing_fence() {
 /// miss (generation check) — never resolve wrongly.
 #[test]
 fn dcache_fill_vs_rename_exonerated() {
-    let mut cfg = Config::arckfs_plus();
-    cfg.dcache = true; // force on even under ARCKFS_DCACHE=0 CI runs
-    let report = explore(&[Op::OpenAt, Op::Rename], &opts(cfg));
+    let report = explore(&[Op::OpenAt, Op::Rename], &opts(Config::arckfs_plus()));
     assert!(!report.truncated);
     assert!(
         report.points_hit.get("dcache.fill.publish").copied() >= Some(1),
@@ -674,10 +672,8 @@ fn reconfirm_window(cfg: Config, ops: [Op; 2], vocab: [FuzzOpKind; 2], window: &
 /// The PR-3 dcache-fill-vs-rename exoneration, at fuzz depth.
 #[test]
 fn dcache_fill_vs_rename_reconfirmed_at_fuzz_depth() {
-    let mut cfg = Config::arckfs_plus();
-    cfg.dcache = true;
     reconfirm_window(
-        cfg,
+        Config::arckfs_plus(),
         [Op::OpenAt, Op::Rename],
         [FuzzOpKind::OpenAt, FuzzOpKind::Rename],
         "dcache.fill.publish",

@@ -25,7 +25,16 @@ fn is_acceptable(e: &FsError) -> bool {
 
 #[test]
 fn mixed_ops_stress_shared_dir() {
-    let (kernel, fs) = arckfs::new_fs(DEV, Config::arckfs_plus()).unwrap();
+    for dcache in [true, false] {
+        mixed_ops_stress(Config {
+            dcache,
+            ..Config::arckfs_plus()
+        });
+    }
+}
+
+fn mixed_ops_stress(config: Config) {
+    let (kernel, fs) = arckfs::new_fs(DEV, config).unwrap();
     fs.mkdir("/s").unwrap();
     let faults = Arc::new(AtomicU64::new(0));
 
@@ -75,8 +84,14 @@ fn mixed_ops_stress_shared_dir() {
 fn concurrent_release_storm_with_fixes_never_faults() {
     // §4.3's pattern at scale: writers keep creating while another thread
     // keeps releasing the directory. With all patches on, no operation may
-    // fault — it either completes or transparently re-acquires.
-    let (kernel, fs) = arckfs::new_fs(DEV, Config::arckfs_plus()).unwrap();
+    // fault — it either completes or transparently re-acquires. The
+    // dentry cache is off here, so every lookup takes the locked walk;
+    // `dcache_coherence.rs` runs the same storm with it on.
+    let config = Config {
+        dcache: false,
+        ..Config::arckfs_plus()
+    };
+    let (kernel, fs) = arckfs::new_fs(DEV, config).unwrap();
     fs.mkdir("/hot").unwrap();
     fs.commit_path("/").unwrap();
 

@@ -18,9 +18,19 @@ const DEV: usize = 96 << 20;
 fn fss() -> Vec<Arc<dyn FileSystem>> {
     vec![
         arckfs::new_fs(DEV, Config::arckfs_plus()).unwrap().1,
+        arckfs::new_fs(DEV, delegating()).unwrap().1,
         arckfs::new_fs(DEV, Config::arckfs()).unwrap().1,
         KernelFs::new(DEV, Profile::nova()),
     ]
+}
+
+/// ArckFS+ with four delegation rings taking every write of a block or
+/// more, so the workloads' writers submit through the rings concurrently.
+fn delegating() -> Config {
+    let mut config = Config::arckfs_plus();
+    config.delegation_threads = 4;
+    config.delegation_min = 4096;
+    config
 }
 
 #[test]
@@ -160,6 +170,36 @@ fn delegated_writes_interleave_with_inline() {
     assert_eq!(&buf[4..9], b"patch");
     assert_eq!(&buf[9..], &[0xAB; 7]);
     fs.close(fd).unwrap();
+}
+
+#[test]
+fn shared_file_overwrites_take_range_locks_only() {
+    // FxMark DWOM's lock discipline, as counts: every 4 KiB overwrite of a
+    // prefilled shared file crosses the interval table, and none takes a
+    // whole-object (shared) lock.
+    const BLOCKS: u64 = 64;
+    let (_k, fs) = arckfs::new_fs(DEV, Config::arckfs_plus()).unwrap();
+    let fd = fs.open("/shared", vfs::OpenFlags::rw().create()).unwrap();
+    for b in 0..BLOCKS {
+        fs.write_at(fd, &[0x6d; 4096], b * 4096).unwrap();
+    }
+    fs.reset_stats();
+    for i in 0..4 * BLOCKS {
+        let b = (i * 37) % BLOCKS;
+        fs.write_at(fd, &[i as u8; 4096], b * 4096).unwrap();
+    }
+    let stats = fs.stats();
+    fs.close(fd).unwrap();
+    assert!(
+        stats.range_lock_acqs >= 4 * BLOCKS,
+        "every write must cross the interval table: {} for {} writes",
+        stats.range_lock_acqs,
+        4 * BLOCKS
+    );
+    assert_eq!(
+        stats.shared_lock_acqs, 0,
+        "an overwrite takes no whole-object lock"
+    );
 }
 
 #[test]
