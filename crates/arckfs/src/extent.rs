@@ -11,11 +11,11 @@
 //! fsck residue — the §4.2 commit-marker protocol applied to the block
 //! map.
 //!
-//! Records are append-only and **later records win**: a copy-on-write
-//! tail remap first appends the superseding record (readers switch
-//! atomically on its `len` publish), then shrinks the superseded run —
-//! a crash between the two steps leaves both records, which resolve to
-//! the same bytes.
+//! Records are append-only; a record's run only ever shrinks (truncate
+//! decommits a run's tail by a single-field `len` store), and should two
+//! records ever cover one block, the later one wins at reload. Data
+//! blocks are never remapped: every write lands in the page already
+//! mapped (`crate::file`, "Commit rule").
 //!
 //! The chain is mirrored in a DRAM cache inside the [`MemInode`] (the
 //! paper's auxiliary-state discipline): lookups take a read lock over a
@@ -33,6 +33,7 @@ use trio::format::{
 use vfs::FsResult;
 
 use crate::dir::map_fault;
+use crate::file::zero_bytes;
 use crate::inode::MemInode;
 use crate::libfs::LibFs;
 
@@ -77,24 +78,9 @@ impl ExtentCache {
 }
 
 impl LibFs {
-    /// Store zeroes over a freshly allocated page, unflushed: the partial
-    /// write that follows flushes the lines it covers, and nothing past
-    /// them is readable until a later write (and its flush) lands there.
-    pub(crate) fn zero_fill(&self, mapping: &Mapping, page: u64) -> FsResult<()> {
-        let off = page * PAGE_SIZE as u64;
-        let zeroes = [0u8; 1024];
-        for i in 0..4 {
-            mapping.write(off + i * 1024, &zeroes).map_err(map_fault)?;
-        }
-        Ok(())
-    }
-
     /// Zero a freshly allocated page through the mapping and flush it.
     pub(crate) fn zero_page(&self, mapping: &Mapping, page: u64) -> FsResult<()> {
-        self.zero_fill(mapping, page)?;
-        mapping
-            .clwb(page * PAGE_SIZE as u64, PAGE_SIZE)
-            .map_err(map_fault)
+        zero_bytes(mapping, page * PAGE_SIZE as u64, PAGE_SIZE)
     }
 
     /// Rebuild the DRAM mirror from the on-PM chain if it is not loaded.
@@ -145,6 +131,24 @@ impl LibFs {
         Ok(())
     }
 
+    /// Answer `query` from the loaded cache, loading it first if needed.
+    fn extent_read<T>(
+        &self,
+        file: &MemInode,
+        mapping: &Mapping,
+        query: impl Fn(&ExtentCache) -> T,
+    ) -> FsResult<T> {
+        {
+            let cache = file.extents.read();
+            if cache.loaded {
+                return Ok(query(&cache));
+            }
+        }
+        let mut cache = file.extents.write();
+        self.extent_load(&mut cache, file, mapping)?;
+        Ok(query(&cache))
+    }
+
     /// The data page mapped at block `idx`, or 0 for a hole.
     pub(crate) fn extent_lookup(
         &self,
@@ -152,15 +156,22 @@ impl LibFs {
         mapping: &Mapping,
         idx: u64,
     ) -> FsResult<u64> {
-        {
-            let cache = file.extents.read();
-            if cache.loaded {
-                return Ok(cache.map.get(&idx).copied().unwrap_or(0));
-            }
-        }
-        let mut cache = file.extents.write();
-        self.extent_load(&mut cache, file, mapping)?;
-        Ok(cache.map.get(&idx).copied().unwrap_or(0))
+        self.extent_read(file, mapping, |c| c.map.get(&idx).copied().unwrap_or(0))
+    }
+
+    /// The mapped `(block, page)` pairs of blocks `first..=last`, in block
+    /// order — found through the cache's map, so the cost is what is
+    /// mapped, not the span.
+    pub(crate) fn extent_mapped(
+        &self,
+        file: &MemInode,
+        mapping: &Mapping,
+        first: u64,
+        last: u64,
+    ) -> FsResult<Vec<(u64, u64)>> {
+        self.extent_read(file, mapping, |c| {
+            c.map.range(first..=last).map(|(&b, &p)| (b, p)).collect()
+        })
     }
 
     /// Append one committed record to the chain (write lock held),
@@ -288,55 +299,6 @@ impl LibFs {
             i = j;
         }
         Ok(())
-    }
-
-    /// Copy-on-write remap of the file's tail block `idx` from its
-    /// current page to `new_page` (whose contents the caller has already
-    /// written and persisted). Appends the superseding record first —
-    /// readers switch on its marker publish — then shrinks the superseded
-    /// run, so every crash point resolves to a consistent mapping.
-    ///
-    /// Returns `false` (mapping untouched) when the block is not the last
-    /// block of its covering record; the caller falls back to the
-    /// in-place write.
-    pub(crate) fn extent_remap_tail(
-        &self,
-        file: &MemInode,
-        mapping: &Mapping,
-        idx: u64,
-        new_page: u64,
-    ) -> FsResult<bool> {
-        let mut cache = file.extents.write();
-        self.extent_load(&mut cache, file, mapping)?;
-        // Latest record covering idx.
-        let Some(pos) = cache
-            .recs
-            .iter()
-            .rposition(|r| r.file_block <= idx && idx < r.file_block + r.len)
-        else {
-            return Ok(false);
-        };
-        if cache.recs[pos].file_block + cache.recs[pos].len - 1 != idx {
-            return Ok(false); // mid-run: cannot split with one shrink
-        }
-        self.extent_append_rec(&mut cache, file, mapping, idx, new_page, 1)?;
-        // Shrink the superseded run (to zero = dead record). Single-field,
-        // crash-atomic; a crash before it leaves both records, resolved by
-        // later-wins at reload.
-        let old = cache.recs[pos];
-        let off = old.slot_off();
-        mapping
-            .write_u64(off + E_LEN, old.len - 1)
-            .map_err(map_fault)?;
-        mapping.clwb(off + E_LEN, 8).map_err(map_fault)?;
-        mapping.sfence();
-        if old.len == 1 {
-            cache.recs.remove(pos);
-        } else {
-            cache.recs[pos].len -= 1;
-        }
-        cache.map.insert(idx, new_page);
-        Ok(true)
     }
 
     /// Decommit every block at or beyond `first_dead` (truncate), returning

@@ -8,13 +8,25 @@
 //! go through non-temporal stores, modelling ArckFS's OdinFS-style I/O
 //! delegation for large transfers.
 //!
+//! ## Commit rule
+//!
+//! Every write, appends included, lands in place: store the bytes,
+//! `clwb`, `sfence`, then publish the size word — the commit. A crash
+//! before the size persists leaves the old size, so the file reads as
+//! before the call. Bytes past EOF are don't-care: whatever makes a
+//! byte readable without writing it first — an extending write or
+//! `fallocate` over a gap, a growing `truncate`, a fresh page under a
+//! partial write — zeroes and flushes that byte before the fence that
+//! precedes its commit.
+//!
 //! ## Locking
 //!
 //! Every data operation acquires only the byte ranges it touches from the
 //! per-inode [`crate::range_lock::RangeLockTable`]: disjoint-range writers
 //! run fully parallel, truncate and the §4.3 release quiesce take the
-//! whole file, and appends revalidate the EOF under their acquired range
-//! (closing the TOCTOU `fix_append_atomic` names). Delegated chunks
+//! whole file, and a write that reaches the EOF holds the range from it
+//! and revalidates the EOF under the acquisition (closing the TOCTOU
+//! `fix_append_atomic` names). Delegated chunks
 //! (DESIGN.md §10) inherit the submitter's range ownership: tickets are
 //! joined before the range guard drops. `MemInode::rw` is not a data-path
 //! lock; it only orders the release quiesce against `remove_in_dir`.
@@ -42,6 +54,29 @@ use crate::range_lock::{Range, RangeGuard};
 /// typed, testable condition.
 pub(crate) const EXTENT_MAX_BLOCKS: u64 = 1 << 32;
 
+/// Where a write lands: its byte span and the EOF read under its held
+/// range ([`LibFs::extend_guard`]).
+struct Landing {
+    offset: u64,
+    end: u64,
+    eof: u64,
+}
+
+/// Store zeroes over `len` bytes at device offset `at` and flush them; the
+/// caller fences before whatever commits them.
+pub(crate) fn zero_bytes(mapping: &Mapping, at: u64, len: usize) -> FsResult<()> {
+    const ZEROES: [u8; 1024] = [0; 1024];
+    let mut done = 0;
+    while done < len {
+        let n = (len - done).min(ZEROES.len());
+        mapping
+            .write(at + done as u64, &ZEROES[..n])
+            .map_err(map_fault)?;
+        done += n;
+    }
+    mapping.clwb(at, len).map_err(map_fault)
+}
+
 impl LibFs {
     /// §4.3 state check, run once the range is held: the patched release
     /// takes the whole-file range before unmapping, so an `Acquired`
@@ -65,16 +100,19 @@ impl LibFs {
         Ok(g)
     }
 
-    /// The data page backing block `idx` for a write of `n` bytes into
-    /// it. A hole gets a freshly allocated page mapped by a crash-atomic
-    /// extent record; when the write is partial the page is zero-filled
-    /// first, so the bytes around it read as zeroes.
+    /// The data page backing block `idx` for the write `w`. A hole gets a
+    /// freshly allocated page mapped by a crash-atomic extent record, zeroed
+    /// where the write would otherwise expose what the page held before:
+    /// wholly when the block lies inside the file (its record commits the
+    /// page readable before the write's bytes land), else only the bytes
+    /// before the write, which end up below the new EOF. An append that
+    /// starts a fresh page zeroes nothing.
     fn file_block_for_write(
         &self,
         file: &MemInode,
         mapping: &Mapping,
         idx: u64,
-        n: usize,
+        w: &Landing,
     ) -> FsResult<u64> {
         let page = self.extent_lookup(file, mapping, idx)?;
         if page != 0 {
@@ -84,10 +122,15 @@ impl LibFs {
             return Err(FsError::FileTooBig { block: idx });
         }
         let page = self.alloc_page()?;
-        self.extent_insert(file, mapping, idx, page)?;
-        if n < PAGE_SIZE {
-            self.zero_fill(mapping, page)?;
+        let block = idx * PAGE_SIZE as u64;
+        if block < w.eof {
+            zero_bytes(mapping, page * PAGE_SIZE as u64, PAGE_SIZE)?;
+            mapping.sfence(); // the zeroes are durable before the record
+        } else if w.offset > block {
+            let before = (w.offset - block) as usize;
+            zero_bytes(mapping, page * PAGE_SIZE as u64, before)?;
         }
+        self.extent_insert(file, mapping, idx, page)?;
         Ok(page)
     }
 
@@ -190,65 +233,77 @@ impl LibFs {
         if total == 0 {
             return Ok(0);
         }
-        let _g = self.write_guard(file, Range::of(offset, total))?;
-        let mapping = file.mapping_handle();
+        let (_g, mapping, w) = self.extend_guard(file, Some(offset), total)?;
         self.point("file.write.core");
-        self.file_write_vectored_body(file, &mapping, bufs, offset, total)?;
+        self.file_write_vectored_body(file, &mapping, bufs, &w)?;
         Ok(total)
     }
 
-    /// Take the range an append of `len` bytes will land in: snapshot the
-    /// EOF, lock `[EOF, EOF + len)`, and **revalidate** the EOF under the
-    /// acquisition, retrying on a lost race — so two concurrent appenders
-    /// can never snapshot the same end-of-file and overlap, without a
-    /// file-wide lock. Returns the held range, the mapping, and the offset.
-    fn append_guard<'a>(
+    /// Take the range a write of `len` bytes lands in — at `at`, or at the
+    /// EOF for an append (`None`) — together with the gap between the EOF
+    /// and the write: lock `[min(EOF, offset), offset + len)` and
+    /// **revalidate** the EOF under the acquisition, retrying on a lost
+    /// race. Two concurrent appenders can never snapshot the same EOF and
+    /// overlap, and while a write reaching the EOF holds its range no
+    /// other writer can move the EOF — all without a file-wide lock.
+    fn extend_guard<'a>(
         &self,
         file: &'a MemInode,
+        at: Option<u64>,
         len: usize,
-    ) -> FsResult<(RangeGuard<'a>, Mapping, u64)> {
+    ) -> FsResult<(RangeGuard<'a>, Mapping, Landing)> {
+        // A positional write first guesses that it starts within the file.
+        let mut eof = match at {
+            Some(offset) => offset,
+            None => self.file_size(file, &file.mapping_handle())?,
+        };
         loop {
-            let offset = self.file_size(file, &file.mapping_handle())?;
-            self.point("file.append.offset_read");
-            let g = self.write_guard(file, Range::of(offset, len))?;
-            let mapping = file.mapping_handle();
-            if self.file_size(file, &mapping)? == offset {
-                return Ok((g, mapping, offset));
+            let offset = at.unwrap_or(eof);
+            if at.is_none() {
+                self.point("file.append.offset_read");
             }
-            // Lost the EOF race: `g` drops, retry at the new end.
+            let start = offset.min(eof);
+            let end = offset.saturating_add(len as u64);
+            let g = self.write_guard(file, Range::of(start, (end - start) as usize))?;
+            let mapping = file.mapping_handle();
+            let now = self.file_size(file, &mapping)?;
+            if at.unwrap_or(now) == offset && now.min(offset) == start {
+                let w = Landing {
+                    offset,
+                    end,
+                    eof: now,
+                };
+                return Ok((g, mapping, w));
+            }
+            // Lost the EOF race or guessed wrong: `g` drops, retry from the
+            // EOF just read.
+            eof = now;
         }
     }
 
-    /// `O_APPEND` write through the copy-on-write tail. Returns the offset
-    /// the data landed at. (The pre-`fix_append_atomic` baseline — offset
-    /// from a size read taken before any exclusion, the TOCTOU schedmc
-    /// flushed out — lives in the `FileSystem` entry points.)
-    pub(crate) fn file_append(&self, file: &MemInode, data: &[u8]) -> FsResult<u64> {
-        let (_g, mapping, offset) = self.append_guard(file, data.len())?;
-        self.point("file.write.core");
-        self.file_write_cow(file, &mapping, data, offset)?;
-        Ok(offset)
-    }
-
-    /// Vectored `O_APPEND` write: the whole gather lands at end-of-file as
-    /// one unit, under the same EOF discipline as [`LibFs::file_append`].
+    /// `O_APPEND` write, scalar or vectored: the whole gather lands at
+    /// end-of-file as one unit and commits by its size publication alone.
+    /// Returns the offset the data landed at. With `fix_append_atomic`
+    /// off, the offset comes from a size read taken before any exclusion
+    /// — the original artifact's TOCTOU, which schedmc flushes out.
     pub(crate) fn file_append_vectored(&self, file: &MemInode, bufs: &[&[u8]]) -> FsResult<u64> {
         let total: usize = bufs.iter().map(|b| b.len()).sum();
-        if !self.config.fix_append_atomic {
-            // Buggy baseline: EOF snapshot outside the exclusion.
+        let at = if self.config.fix_append_atomic {
+            None
+        } else {
             let offset = self.file_size(file, &file.mapping_handle())?;
             self.point("file.append.offset_read");
-            self.file_write_vectored(file, bufs, offset)?;
-            return Ok(offset);
-        }
-        let (_g, mapping, offset) = self.append_guard(file, total)?;
+            Some(offset)
+        };
+        let (_g, mapping, w) = self.extend_guard(file, at, total)?;
         self.point("file.write.core");
-        self.file_write_vectored_body(file, &mapping, bufs, offset, total)?;
-        Ok(offset)
+        self.file_write_vectored_body(file, &mapping, bufs, &w)?;
+        Ok(w.offset)
     }
 
     /// Store, fence, and size-publish a gather with its range already
-    /// held and the release check done: one delegation batch (or one span
+    /// held and the release check done: zero the mapped gap the write
+    /// leaves past the old EOF, then one delegation batch (or one span
     /// loop), one trailing fence, one size publication for the whole
     /// vector.
     fn file_write_vectored_body(
@@ -256,9 +311,10 @@ impl LibFs {
         file: &MemInode,
         mapping: &Mapping,
         bufs: &[&[u8]],
-        offset: u64,
-        total: usize,
+        w: &Landing,
     ) -> FsResult<()> {
+        self.file_zero_mapped(file, mapping, w.eof, w.offset)?;
+        let total = (w.end - w.offset) as usize;
         if total >= self.config.delegation_min && self.delegation.workers() > 0 {
             // One submit batch across every iovec, one join.
             let mut tickets = Vec::new();
@@ -266,9 +322,9 @@ impl LibFs {
             // every outstanding ticket below, or the workers would keep
             // streaming into pages the caller believes failed.
             let mut first_err: Option<FsError> = None;
-            let mut pos = offset;
+            let mut pos = w.offset;
             for buf in bufs {
-                if let Err(e) = self.file_delegate_span(file, mapping, buf, pos, &mut tickets) {
+                if let Err(e) = self.file_delegate_span(file, mapping, buf, pos, w, &mut tickets) {
                     first_err = Some(e);
                     break;
                 }
@@ -287,73 +343,46 @@ impl LibFs {
             }
         } else {
             let use_nt = total >= self.config.ntstore_threshold;
-            let mut pos = offset;
+            let mut pos = w.offset;
             for buf in bufs {
-                self.file_write_span(file, mapping, buf, pos, use_nt)?;
+                self.file_write_span(file, mapping, buf, pos, w, use_nt)?;
                 pos += buf.len() as u64;
             }
         }
         mapping.sfence();
-        self.file_publish_size(file, mapping, offset + total as u64)
+        self.file_publish_size(file, mapping, w.end)
     }
 
-    /// Write with a copy-on-write tail (DESIGN.md §11): when the write
-    /// starts mid-page in a mapped block, the committed prefix is copied
-    /// into a fresh page, the new bytes are written there, and the extent
-    /// record is atomically remapped — so a crash at any point leaves
-    /// either the old tail or a fully-written new one, never a partially
-    /// appended page. Falls back to the in-place write when the block is
-    /// a hole (or sits mid-run).
-    fn file_write_cow(
+    /// Zero and flush the mapped bytes of `[from, to)` — bytes past EOF
+    /// that a size publication is about to make readable — and fence
+    /// them, so they are durable before any commit that follows. Walks
+    /// only the blocks the extent cache maps, so a gap of any length
+    /// costs what is mapped in it. The caller holds the range.
+    fn file_zero_mapped(
         &self,
         file: &MemInode,
         mapping: &Mapping,
-        data: &[u8],
-        offset: u64,
+        from: u64,
+        to: u64,
     ) -> FsResult<()> {
-        let in_place = |data: &[u8], offset: u64| {
-            self.file_write_vectored_body(file, mapping, &[data], offset, data.len())
-        };
-        let in_page = (offset % PAGE_SIZE as u64) as usize;
-        if in_page == 0 || data.is_empty() {
-            return in_place(data, offset);
+        if from >= to {
+            return Ok(());
         }
-        let idx = offset / PAGE_SIZE as u64;
-        let old_page = self.extent_lookup(file, mapping, idx)?;
-        if old_page == 0 {
-            return in_place(data, offset);
+        let ps = PAGE_SIZE as u64;
+        let mapped = self.extent_mapped(file, mapping, from / ps, (to - 1) / ps)?;
+        if mapped.is_empty() {
+            return Ok(());
         }
-
-        let n = (PAGE_SIZE - in_page).min(data.len());
-        let new_page = self.alloc_page()?;
-        let new_base = new_page * PAGE_SIZE as u64;
-        // Committed prefix, then the new bytes, then a zeroed remainder.
-        let mut content = vec![0u8; PAGE_SIZE];
-        mapping
-            .read(old_page * PAGE_SIZE as u64, &mut content[..in_page])
-            .map_err(map_fault)?;
-        content[in_page..in_page + n].copy_from_slice(&data[..n]);
-        mapping.write(new_base, &content).map_err(map_fault)?;
-        mapping.clwb(new_base, PAGE_SIZE).map_err(map_fault)?;
+        for &(idx, page) in &mapped {
+            let lo = from.max(idx * ps);
+            let hi = to.min((idx + 1) * ps);
+            zero_bytes(mapping, page * ps + lo % ps, (hi - lo) as usize)?;
+        }
+        // The window: zeroes stored and flushed, not yet fenced; no size
+        // publication may overtake them.
+        self.point("file.write.zero_gap");
         mapping.sfence();
-        // The commit window: new page fully persisted, mapping not yet
-        // switched. A crash here leaves the old tail intact.
-        self.point("file.write.cow_tail");
-        if !self.extent_remap_tail(file, mapping, idx, new_page)? {
-            // Mid-run block: cannot split with one shrink. In-place write
-            // (new bytes only land past the committed prefix, which stays
-            // untouched, so prefix-or-nothing still holds through the size
-            // publication order).
-            self.recycle_pages(vec![new_page]);
-            return in_place(data, offset);
-        }
-        self.recycle_pages(vec![old_page]);
-        self.count_cow_tail();
-        if n < data.len() {
-            in_place(&data[n..], offset + n as u64)
-        } else {
-            self.file_publish_size(file, mapping, offset + n as u64)
-        }
+        Ok(())
     }
 
     /// Walk one contiguous span page by page: resolve (or allocate) each
@@ -364,6 +393,7 @@ impl LibFs {
         mapping: &Mapping,
         data: &[u8],
         offset: u64,
+        w: &Landing,
         mut chunk: impl FnMut(u64, &[u8]) -> FsResult<()>,
     ) -> FsResult<()> {
         let mut done = 0usize;
@@ -371,7 +401,7 @@ impl LibFs {
             let pos = offset + done as u64;
             let in_page = (pos % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - in_page).min(data.len() - done);
-            let page = self.file_block_for_write(file, mapping, pos / PAGE_SIZE as u64, n)?;
+            let page = self.file_block_for_write(file, mapping, pos / PAGE_SIZE as u64, w)?;
             chunk(
                 page * PAGE_SIZE as u64 + in_page as u64,
                 &data[done..done + n],
@@ -390,9 +420,10 @@ impl LibFs {
         mapping: &Mapping,
         data: &[u8],
         offset: u64,
+        w: &Landing,
         use_nt: bool,
     ) -> FsResult<()> {
-        self.file_for_each_chunk(file, mapping, data, offset, |at, chunk| {
+        self.file_for_each_chunk(file, mapping, data, offset, w, |at, chunk| {
             if use_nt {
                 // Non-temporal stores bypass the cache and need no clwb.
                 mapping.ntstore(at, chunk).map_err(map_fault)?;
@@ -415,9 +446,10 @@ impl LibFs {
         mapping: &Mapping,
         data: &[u8],
         offset: u64,
+        w: &Landing,
         tickets: &mut Vec<crate::delegate::Ticket>,
     ) -> FsResult<()> {
-        self.file_for_each_chunk(file, mapping, data, offset, |at, chunk| {
+        self.file_for_each_chunk(file, mapping, data, offset, w, |at, chunk| {
             tickets.push(self.delegation.submit(mapping, at, chunk)?);
             Ok(())
         })
@@ -425,9 +457,10 @@ impl LibFs {
 
     /// Preallocate backing pages for `[offset, offset + len)` through the
     /// sharded allocator and extend the file size over the region (which
-    /// therefore reads as zeroes until written). Each run of holes is
-    /// reserved as contiguous extent records where the pool delivers
-    /// contiguous pages.
+    /// therefore reads as zeroes until written: fresh pages are zeroed
+    /// whole, and mapped bytes past the old EOF are zeroed before the size
+    /// moves). Each run of holes is reserved as contiguous extent records
+    /// where the pool delivers contiguous pages.
     pub(crate) fn file_fallocate(&self, file: &MemInode, offset: u64, len: u64) -> FsResult<()> {
         if len == 0 {
             return Ok(());
@@ -445,8 +478,8 @@ impl LibFs {
                 })
             }
         };
-        let _g = self.write_guard(file, Range::of(offset, len as usize))?;
-        let mapping = file.mapping_handle();
+        let (_g, mapping, w) = self.extend_guard(file, Some(offset), len as usize)?;
+        self.file_zero_mapped(file, &mapping, w.eof, w.end)?;
 
         let mut idx = offset / PAGE_SIZE as u64;
         while idx <= last {
@@ -467,12 +500,14 @@ impl LibFs {
             mapping.sfence();
             self.extent_insert_run(file, &mapping, first_hole, &pages)?;
         }
-        self.file_publish_size(file, &mapping, offset + len)
+        self.file_publish_size(file, &mapping, w.end)
     }
 
     /// Truncate (shrink or extend-with-holes) to `size`, holding the whole
-    /// file. Freed pages return to the LibFS's local pool. This is the
-    /// DWTL workload's operation.
+    /// file. Freed pages return to the LibFS's local pool. A shrink leaves
+    /// the boundary page's tail as it is (past EOF, don't-care); a grow
+    /// zeroes what is still mapped in `[old, size)`. This is the DWTL
+    /// workload's operation.
     pub(crate) fn file_truncate(&self, file: &MemInode, size: u64) -> FsResult<()> {
         let _g = self.write_guard(file, Range::all())?;
         let mapping = file.mapping_handle();
@@ -489,18 +524,8 @@ impl LibFs {
             let freed =
                 self.extent_truncate_blocks(file, &mapping, size.div_ceil(PAGE_SIZE as u64))?;
             self.recycle_pages(freed);
-            // Zero the tail of the boundary page: bytes past the new end
-            // must read as zero if the file is later re-extended (POSIX).
-            let in_page = (size % PAGE_SIZE as u64) as usize;
-            if in_page != 0 {
-                let page = self.extent_lookup(file, &mapping, size / PAGE_SIZE as u64)?;
-                if page != 0 {
-                    let off = page * PAGE_SIZE as u64 + in_page as u64;
-                    let zeroes = vec![0u8; PAGE_SIZE - in_page];
-                    mapping.write(off, &zeroes).map_err(map_fault)?;
-                    mapping.clwb(off, zeroes.len()).map_err(map_fault)?;
-                }
-            }
+        } else {
+            self.file_zero_mapped(file, &mapping, old, size)?;
         }
         let _m = file.meta.lock();
         let field = self.geom.inode_offset(file.ino) + I_SIZE;

@@ -83,8 +83,6 @@ pub struct LibFs {
     range_lock_acqs: AtomicU64,
     /// Extent records appended or coalesced into per-file chains.
     extent_inserts: AtomicU64,
-    /// Copy-on-write tail remaps performed by range-locked appends.
-    cow_tail_copies: AtomicU64,
     /// Lock-free path-resolution cache (`crate::dcache`), consulted by
     /// [`LibFs::lookup_child`] when [`Config::dcache`] is on.
     pub(crate) dcache: crate::dcache::Dcache,
@@ -138,7 +136,6 @@ impl LibFs {
             shared_lock_acqs: AtomicU64::new(0),
             range_lock_acqs: AtomicU64::new(0),
             extent_inserts: AtomicU64::new(0),
-            cow_tail_copies: AtomicU64::new(0),
             dcache,
             delegation: crate::delegate::DelegationPool::with_opts(
                 deleg_rings,
@@ -191,10 +188,6 @@ impl LibFs {
 
     pub(crate) fn count_extent_insert(&self) {
         self.extent_inserts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_cow_tail(&self) {
-        self.cow_tail_copies.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Publish a namespace mutation of `dir` to the dentry cache: bump the
@@ -1780,7 +1773,7 @@ impl LibFs {
             deleg_parks: deleg.park_waits,
             range_lock_acqs: self.range_lock_acqs.load(Ordering::Relaxed),
             extent_inserts: self.extent_inserts.load(Ordering::Relaxed),
-            cow_tail_copies: self.cow_tail_copies.load(Ordering::Relaxed),
+            cow_tail_copies: 0,
         }
     }
 }
@@ -1876,16 +1869,7 @@ impl FileSystem for LibFs {
             // O_APPEND: every write lands at end-of-file regardless of the
             // requested offset, as in POSIX.
             if entry.flags.append {
-                if self.config.fix_append_atomic {
-                    return self.file_append(&mi, buf).map(|_| buf.len());
-                }
-                // Buggy original: the EOF offset is snapshotted *before*
-                // the write takes its range, so two concurrent appenders
-                // can read the same size and overlap.
-                let mapping = mi.mapping_handle();
-                let offset = self.file_size(&mi, &mapping)?;
-                self.point("file.append.offset_read");
-                return self.file_write_vectored(&mi, &[buf], offset);
+                return self.file_append_vectored(&mi, &[buf]).map(|_| buf.len());
             }
             self.file_write_vectored(&mi, &[buf], offset)
         })
@@ -1898,18 +1882,7 @@ impl FileSystem for LibFs {
             if !entry.flags.write {
                 return Err(FsError::BadAccessMode);
             }
-            if self.config.fix_append_atomic {
-                // The EOF is revalidated under the acquired range (see
-                // `file_append`).
-                return self.file_append(&mi, buf);
-            }
-            // Buggy original: offset snapshot races the range acquisition
-            // inside the write — the TOCTOU schedmc found.
-            let mapping = mi.mapping_handle();
-            let offset = self.file_size(&mi, &mapping)?;
-            self.point("file.append.offset_read");
-            self.file_write_vectored(&mi, &[buf], offset)?;
-            Ok(offset)
+            self.file_append_vectored(&mi, &[buf])
         })
     }
 
@@ -2156,7 +2129,6 @@ impl FileSystem for LibFs {
         self.shared_lock_acqs.store(0, Ordering::Relaxed);
         self.range_lock_acqs.store(0, Ordering::Relaxed);
         self.extent_inserts.store(0, Ordering::Relaxed);
-        self.cow_tail_copies.store(0, Ordering::Relaxed);
         self.dcache.reset_counters();
     }
 }

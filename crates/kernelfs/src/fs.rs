@@ -444,7 +444,17 @@ impl FileSystem for KernelFs {
                 pages.push(0);
             }
             if pages[idx] == 0 {
-                pages[idx] = self.alloc_page()?;
+                let page = self.alloc_page()?;
+                if n < PAGE_SIZE {
+                    // A recycled page still holds its old bytes; the ones
+                    // this write does not cover must read as zeroes.
+                    let at = page * PAGE_SIZE as u64;
+                    self.device
+                        .write(at, &[0u8; PAGE_SIZE])
+                        .and_then(|_| self.device.clwb(at, PAGE_SIZE))
+                        .map_err(|e| FsError::Internal(e.to_string()))?;
+                }
+                pages[idx] = page;
             }
             let base = pages[idx] * PAGE_SIZE as u64 + in_page as u64;
             let chunk = &buf[done..done + n];

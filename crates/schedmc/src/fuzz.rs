@@ -43,7 +43,10 @@
 //!
 //! `size_monotone` is refuted by any `truncate` that shrinks across a
 //! durable boundary, so it demotes itself in a full-vocabulary campaign —
-//! exactly the lifecycle working as designed. `commit_before_link` is the
+//! exactly the lifecycle working as designed. A shrink in a run that
+//! truncates demotes it even once promoted (a campaign whose first
+//! `promote_after` runs happened not to shrink would otherwise fail on
+//! the refuter doing its job). `commit_before_link` is the
 //! §4.2 ordering and promotes; a later violation would be a real bug.
 //!
 //! Every failure carries the program, the executed schedule, and the run
@@ -79,6 +82,14 @@ const MAX_FUZZ_FAILURES: usize = 8;
 pub const INV_SIZE_MONOTONE: &str = "size_monotone";
 /// Mined invariant: a visible link implies a committed target inode.
 pub const INV_COMMIT_BEFORE_LINK: &str = "commit_before_link";
+
+/// The op whose legitimate effect refutes a mined invariant: `truncate`
+/// shrinks a durable size on purpose. A violation in a run whose program
+/// includes it demotes the invariant even after promotion; without it, a
+/// promoted invariant's violation fails the campaign.
+fn designated_refuter(name: &str) -> Option<FuzzOpKind> {
+    (name == INV_SIZE_MONOTONE).then_some(FuzzOpKind::Truncate)
+}
 
 // ---- op vocabulary ---------------------------------------------------------
 
@@ -402,9 +413,11 @@ pub enum InvariantStatus {
     /// Still on probation: violations demote, enough clean runs promote.
     Candidate,
     /// Held for [`FuzzOpts::promote_after`] runs; now a first-class
-    /// oracle — violations fail the campaign.
+    /// oracle — violations fail the campaign, unless the run executed the
+    /// invariant's designated refuter (then it is demoted).
     Promoted,
-    /// Refuted while on probation; recorded, never enforced.
+    /// Refuted while on probation, or by its designated refuter after
+    /// promotion; recorded, never enforced.
     Demoted,
 }
 
@@ -1234,8 +1247,12 @@ pub fn fuzz(opts: &FuzzOpts) -> FuzzReport {
                 if st.example.is_none() {
                     st.example = Some(detail.clone());
                 }
+                // The candidate's designated refuter, run by the program
+                // itself, explains the violation: demote, whatever the status.
+                let refuted = designated_refuter(name)
+                    .is_some_and(|kind| program.iter().any(|op| op.kind == kind));
                 match st.status {
-                    InvariantStatus::Promoted => {
+                    InvariantStatus::Promoted if !refuted => {
                         report.failures.push(FuzzFailure {
                             kind: FailureKind::InvariantViolated,
                             detail: format!("promoted invariant '{name}' violated: {detail}"),
@@ -1244,7 +1261,9 @@ pub fn fuzz(opts: &FuzzOpts) -> FuzzReport {
                             seed: run_seed,
                         });
                     }
-                    InvariantStatus::Candidate => st.status = InvariantStatus::Demoted,
+                    InvariantStatus::Promoted | InvariantStatus::Candidate => {
+                        st.status = InvariantStatus::Demoted
+                    }
                     InvariantStatus::Demoted => {}
                 }
             } else {

@@ -1137,7 +1137,7 @@ pub fn explore_delegate_pairs(opts: &ExploreOpts) -> ExploreReport {
 
 /// Explore every unordered pair involving a ranged-data op
 /// ([`Op::RANGED`]: the disjoint vectored writer and the preallocator), so
-/// the `file.write.{range_lock,extent_insert,cow_tail}` points arbitrate
+/// the `file.write.{range_lock,extent_insert,zero_gap}` points arbitrate
 /// against every other op. Same preemption bound and budget semantics as
 /// [`explore_vocabulary`].
 pub fn explore_range_pairs(opts: &ExploreOpts) -> ExploreReport {

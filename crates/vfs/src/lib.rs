@@ -257,7 +257,8 @@ pub struct FsStats {
     pub range_lock_acqs: u64,
     /// Extent records appended (or coalesced) into per-file extent chains.
     pub extent_inserts: u64,
-    /// Copy-on-write tail remaps performed by range-locked appends.
+    /// Always 0: appends commit in place by the size word and no data
+    /// block is ever remapped. Kept because benchmark reports read it.
     pub cow_tail_copies: u64,
 }
 

@@ -257,7 +257,7 @@ fn exhaustive_enumeration_agrees_with_sampling_on_a_small_window() {
     device.persist_all();
 
     // Park a buggy create mid-window, keeping the pending-store set small.
-    let gate = arckfs::inject::arm("dentry.marker_flushed");
+    let gate = arckfs::inject::arm_on(&device, "dentry.marker_flushed");
     let fs2 = fs.clone();
     let h = std::thread::spawn(move || {
         fs2.create("/exhaustive-check-victim-with-a-long-name")
@@ -279,5 +279,47 @@ fn exhaustive_enumeration_agrees_with_sampling_on_a_small_window() {
         assert!(ex.fatal_states > 0, "the §4.2 window must be visible");
     } else {
         assert!(sampled.fatal_states > 0);
+    }
+}
+
+/// A completed partial write into a freshly allocated page must not let a
+/// crash surface what the page held before: every byte the file size
+/// covers but the write did not is a durable zero. The pages come from
+/// unlinked files full of `0xAB`, so a lost zero shows. Two shapes: a
+/// write past the EOF of a new file, and a write filling a hole inside a
+/// sparse file.
+#[test]
+fn a_partial_write_into_a_recycled_page_never_surfaces_old_bytes() {
+    // (the byte that makes the file sparse, if any; the write under test)
+    let cases = [(None, (3000, b'x')), (Some((9003, b'z')), (6096, b'y'))];
+    for (sparse, (at, byte)) in cases {
+        let device = PmemDevice::new_tracked(DEV);
+        let (_k, fs) = arckfs::new_fs_on(device.clone(), Config::arckfs_plus()).unwrap();
+        for i in 0..8 {
+            fs.write_file(&format!("/old{i}"), &vec![0xABu8; 4 * 4096])
+                .unwrap();
+        }
+        for i in 0..8 {
+            fs.unlink(&format!("/old{i}")).unwrap();
+        }
+        let fd = fs.create("/f").unwrap();
+        let mut want = vec![0u8; at as usize + 1];
+        if let Some((end, b)) = sparse {
+            fs.write_at(fd, &[b], end).unwrap();
+            want.resize(end as usize + 1, 0);
+            want[end as usize] = b;
+        }
+        device.persist_all(); // only the write under test is in flight
+        fs.write_at(fd, &[byte], at).unwrap();
+        want[at as usize] = byte;
+        for seed in 0..40 {
+            let recovered = crashmc::recover_one(&device, seed).unwrap();
+            let kernel = Kernel::recover(recovered, KernelConfig::arckfs_plus()).unwrap();
+            let fs2 = LibFs::mount(kernel, Config::arckfs_plus(), 0).unwrap();
+            let got = fs2.read_file("/f").unwrap();
+            let leaked = got.iter().filter(|b| **b == 0xAB).count();
+            assert_eq!(leaked, 0, "write at {at}, seed {seed}: old bytes surfaced");
+            assert_eq!(got, want, "write at {at}, seed {seed}");
+        }
     }
 }

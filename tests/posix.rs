@@ -168,6 +168,17 @@ fn truncate_everywhere() {
         let mut buf = [0xAAu8; 64];
         fs.read_at(fd, &mut buf, 8000).unwrap();
         assert_eq!(buf, [0u8; 64], "{name}: re-extended region reads zero");
+        let data = fs.read_file("/t").unwrap();
+        assert!(data[..5000].iter().all(|b| *b == 9), "{name}");
+        assert!(data[5000..].iter().all(|b| *b == 0), "{name}: grown tail");
+        // A mid-page shrink, then a grow by a write past the EOF: the
+        // shrunk page's tail still holds 9s and must read zero.
+        fs.truncate(fd, 100).unwrap();
+        fs.write_at(fd, b"e", 10_000).unwrap();
+        let data = fs.read_file("/t").unwrap();
+        assert_eq!(data.len(), 10_001, "{name}");
+        assert!(data[..100].iter().all(|b| *b == 9), "{name}");
+        assert!(data[100..10_000].iter().all(|b| *b == 0), "{name}: gap");
         fs.close(fd).unwrap();
     });
 }

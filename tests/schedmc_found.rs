@@ -387,7 +387,14 @@ fn torn_write_recovers_prefix_or_nothing(rings: usize, gate_point: &str) -> u64 
     device.persist_all(); // the baseline tree is fully durable
 
     let payload = vec![0xc7u8; 24 * 1024]; // 6 pages: a genuinely torn window
-    let gate = inject::arm(gate_point);
+
+    // Delegation workers fire their drain point with no device; the inline
+    // point is armed for this device only, so parallel tests pass it.
+    let gate = if rings == 0 {
+        inject::arm_on(&device, gate_point)
+    } else {
+        inject::arm(gate_point)
+    };
     let fs2 = Arc::clone(&fs);
     let p2 = payload.clone();
     let writer = std::thread::spawn(move || fs2.write_file("/d/w", &p2));
@@ -490,21 +497,28 @@ fn range_lock_points_are_swept() {
     assert!(report.is_clean(), "{:?}", report.failures);
 }
 
-/// A ranged writer against an appender: the append lands mid-page on a
-/// committed extent block, so the copy-on-write tail commit window is
-/// scheduled through — and still linearizes.
+/// The gap-zeroing window of an extending write, raced by an appender:
+/// `/d/f0` holds five bytes, so a ranged writer at 4 KiB and a
+/// preallocation at 1 KiB both zero the mapped tail of block 0 before
+/// their size moves. Both pairs are fully enumerated at bound 2, the
+/// window is scheduled through, and every schedule linearizes.
 #[test]
-fn cow_tail_point_is_swept() {
-    let mut o = opts(Config::arckfs_plus());
-    o.max_schedules = 4096;
-    let report = explore(&[Op::WriteRanged, Op::Append], &o);
-    assert!(!report.truncated, "bound-2 space must be fully enumerated");
-    assert!(
-        report.points_hit.contains_key("file.write.cow_tail"),
-        "a mid-page append over a committed extent must take the COW path: {:?}",
-        report.points_hit
-    );
-    assert!(report.is_clean(), "{:?}", report.failures);
+fn gap_zeroing_point_is_swept() {
+    for pair in [[Op::WriteRanged, Op::Append], [Op::Append, Op::Fallocate]] {
+        let mut o = opts(Config::arckfs_plus());
+        o.max_schedules = 4096;
+        let report = explore(&pair, &o);
+        assert!(
+            !report.truncated,
+            "{pair:?}: bound-2 space must be fully enumerated"
+        );
+        assert!(
+            report.points_hit.contains_key("file.write.zero_gap"),
+            "{pair:?}: an extending write over a mapped gap must zero it: {:?}",
+            report.points_hit
+        );
+        assert!(report.is_clean(), "{pair:?}: {:?}", report.failures);
+    }
 }
 
 /// A ranged writer against the preallocator on the same file: the
@@ -535,7 +549,7 @@ fn torn_ranged_write_preserves_committed_ranges(gate_point: &str) {
     fs.sync().unwrap();
     device.persist_all(); // the committed range is fully durable
 
-    let gate = inject::arm(gate_point);
+    let gate = inject::arm_on(&device, gate_point);
     let fs2 = Arc::clone(&fs);
     let writer = std::thread::spawn(move || {
         let torn = vec![0x22u8; 8 * 1024];
@@ -582,6 +596,75 @@ fn torn_ranged_write_preserves_committed_ranges(gate_point: &str) {
     );
     assert!(full[16 * 1024..].iter().all(|b| *b == 0x22));
     fs.close(fd).unwrap();
+}
+
+/// A torn in-place append: a file with a durable 100-byte prefix, an
+/// appender of 5000 bytes parked after its first chunk — stored into the
+/// prefix's own page, past the EOF. Every sampled crash state passes fsck
+/// and keeps the prefix at the old size (the size word is the commit).
+/// The torn bytes past the EOF are don't-care, and whatever later makes
+/// them readable zeroes them: a growing truncate on one recovered state,
+/// an extending write on another.
+#[test]
+fn torn_in_place_append_keeps_the_committed_prefix() {
+    let device = PmemDevice::new_tracked(8 << 20);
+    let cfg = Config::arckfs_plus();
+    let (_k, fs) = arckfs::new_fs_on(device.clone(), cfg.clone()).unwrap();
+    let prefix = vec![0x11u8; 100];
+    fs.write_file("/log", &prefix).unwrap();
+    device.persist_all();
+
+    let fd = fs.open("/log", vfs::OpenFlags::empty().write()).unwrap();
+    let gate = inject::arm_on(&device, "file.write.chunk");
+    let fs2 = Arc::clone(&fs);
+    let appender = std::thread::spawn(move || fs2.append(fd, &[0x22u8; 5000]));
+    assert!(
+        gate.wait_reached(Duration::from_secs(5)),
+        "the appender must park after its first chunk"
+    );
+
+    let report = crashmc::check_sampled(&device, 40, 0x5a).unwrap();
+    assert!(report.is_consistent(), "mid-append: {report:?}");
+    let mount = |seed| {
+        let recovered = crashmc::recover_one(&device, seed).unwrap();
+        let kernel = Kernel::recover(recovered, KernelConfig::arckfs_plus()).unwrap();
+        let fsr = LibFs::mount(kernel, cfg.clone(), 0).unwrap();
+        assert_eq!(fsr.stat("/log").unwrap().size, 100, "seed {seed}: old size");
+        assert_eq!(fsr.read_file("/log").unwrap(), prefix, "seed {seed}");
+        fsr
+    };
+    for seed in 0..8 {
+        mount(seed);
+    }
+
+    let grown = mount(11);
+    let gfd = grown.open("/log", vfs::OpenFlags::rw()).unwrap();
+    grown.truncate(gfd, 8192).unwrap();
+    let data = grown.read_file("/log").unwrap();
+    assert_eq!(&data[..100], &prefix[..]);
+    assert!(
+        data[100..].iter().all(|b| *b == 0),
+        "truncate grow reads zeroes"
+    );
+
+    let extended = mount(12);
+    let efd = extended.open("/log", vfs::OpenFlags::rw()).unwrap();
+    extended.write_at(efd, b"w", 6000).unwrap();
+    let data = extended.read_file("/log").unwrap();
+    assert_eq!(data.len(), 6001);
+    assert_eq!(&data[..100], &prefix[..]);
+    assert!(
+        data[100..6000].iter().all(|b| *b == 0),
+        "the gap reads zeroes"
+    );
+
+    gate.release();
+    assert_eq!(appender.join().unwrap().unwrap(), 100);
+    let report = crashmc::check_durable(&device).unwrap();
+    assert!(report.is_consistent(), "post-completion: {report:?}");
+    let full = fs.read_file("/log").unwrap();
+    assert_eq!(full.len(), 5100);
+    assert!(full[100..].iter().all(|b| *b == 0x22));
 }
 
 #[test]

@@ -203,6 +203,55 @@ fn shared_file_overwrites_take_range_locks_only() {
 }
 
 #[test]
+fn an_append_commits_by_its_size_word_alone() {
+    // A 256-byte append at a mid-page EOF over a mapped tail block: the
+    // bytes, one fence, the size word, one fence. No page is allocated
+    // (every page the data path allocates is stored before it is mapped,
+    // so one would show as a 4 KiB store) and no extent record is written.
+    let (k, fs) = arckfs::new_fs(DEV, Config::arckfs_plus()).unwrap();
+    let fd = fs.create("/log").unwrap();
+    fs.append(fd, &[0x4c; 1000]).unwrap();
+    fs.reset_stats();
+    let before = k.device().stats().snapshot();
+    assert_eq!(fs.append(fd, &[0x4d; 256]).unwrap(), 1000);
+    let pm = k.device().stats().snapshot().delta(&before);
+    assert_eq!(pm.sfences, 2, "{pm:?}");
+    assert_eq!(pm.bytes_written, 256 + 8, "{pm:?}");
+    assert_eq!(fs.stats().extent_inserts, 0);
+
+    // From size 0, 1024 such appends fill 64 pages: one insert each.
+    fs.truncate(fd, 0).unwrap();
+    fs.reset_stats();
+    for i in 0..1024u64 {
+        assert_eq!(fs.append(fd, &[i as u8; 256]).unwrap(), i * 256);
+    }
+    assert_eq!(fs.stats().extent_inserts, 64);
+    fs.close(fd).unwrap();
+}
+
+#[test]
+fn a_write_far_past_the_eof_zeroes_only_what_is_mapped() {
+    // The gap walk visits mapped blocks only: a write 1 TiB past the EOF of
+    // a one-block file zeroes that block's tail and the fresh page's head,
+    // and stores nothing for the 2^28 unmapped blocks between.
+    let (k, fs) = arckfs::new_fs(DEV, Config::arckfs_plus()).unwrap();
+    let fd = fs.create("/far").unwrap();
+    fs.write_at(fd, &[7; 100], 0).unwrap();
+    let before = k.device().stats().snapshot();
+    let off = (1u64 << 40) + 100;
+    fs.write_at(fd, b"x", off).unwrap();
+    let pm = k.device().stats().snapshot().delta(&before);
+    assert!(pm.bytes_written <= 4096 + 64, "{pm:?}");
+    assert_eq!(fs.stat("/far").unwrap().size, off + 1);
+    let mut buf = [1u8; 200];
+    assert_eq!(fs.read_at(fd, &mut buf, 0).unwrap(), 200);
+    assert!(buf[..100].iter().all(|b| *b == 7) && buf[100..].iter().all(|b| *b == 0));
+    assert_eq!(fs.read_at(fd, &mut buf, off - 199).unwrap(), 200);
+    assert!(buf[..199].iter().all(|b| *b == 0) && buf[199] == b'x');
+    fs.close(fd).unwrap();
+}
+
+#[test]
 fn fxmark_data_workloads_run_on_every_fs() {
     use fxmark::data::{run_data_workload, DataWorkload};
     for fs in fss() {
