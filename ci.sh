@@ -36,7 +36,7 @@
 # QUIESCE_GRACE, 50 ms). That is a timeout standing in for a progress
 # argument: on a loaded or two-core host a grace that is too short
 # reports false [deadlock]/[diverged] schedules (10 ms did). ROADMAP
-# item 8(b) owns the real fix — decide "blocked" from what the participant
+# item 12(b) owns the real fix — decide "blocked" from what the participant
 # waits on, not from a clock.
 #
 # The fuzz step (DESIGN.md §13) runs the coverage-guided crash/schedule

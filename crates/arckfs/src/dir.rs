@@ -621,9 +621,10 @@ impl LibFs {
         }
         // Core state: commit the new dentry with the full §4.2 protocol,
         // then tombstone the old one. A crash between the two leaves both
-        // names pointing at the inode — the same partially-applied rename
-        // a crash inside the unpatched compose admits; recovery keeps
-        // both, fsck reports neither as structural damage.
+        // names pointing at the inode; every reader's name resolution
+        // keeps the newer record (`trio::format::DirResolver`), so the
+        // rename recovers as done, and the next rebuild tombstones the
+        // old name.
         let seq = dir.next_seq();
         let off = self.reserve_dentry_slot(dir, &mapping)?;
         self.write_dentry_core(&mapping, off, new_name, meta.ino, seq)?;

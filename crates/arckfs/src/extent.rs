@@ -240,7 +240,10 @@ impl LibFs {
         Ok(())
     }
 
-    /// Map block `idx` to freshly allocated `page`. Coalesces with the
+    /// Map block `idx` to freshly allocated `page`, unless it is mapped
+    /// already: the caller saw the hole under the read lock, and a writer of
+    /// other bytes of the block may have filled it since. Returns the page
+    /// that backs the block — `page`, or the one found. Coalesces with the
     /// chain's last record when both the block and the page extend it
     /// contiguously (a single-field `len` bump, still crash-atomic).
     pub(crate) fn extent_insert(
@@ -249,9 +252,12 @@ impl LibFs {
         mapping: &Mapping,
         idx: u64,
         page: u64,
-    ) -> FsResult<()> {
+    ) -> FsResult<u64> {
         let mut cache = file.extents.write();
         self.extent_load(&mut cache, file, mapping)?;
+        if let Some(&mapped) = cache.map.get(&idx) {
+            return Ok(mapped);
+        }
         if let Some(last) = cache.recs.last_mut() {
             if last.file_block + last.len == idx && last.page + last.len == page {
                 self.point("file.write.extent_insert");
@@ -264,41 +270,46 @@ impl LibFs {
                 last.len += 1;
                 cache.map.insert(idx, page);
                 self.count_extent_insert();
-                return Ok(());
+                return Ok(page);
             }
         }
-        self.extent_append_rec(&mut cache, file, mapping, idx, page, 1)
+        self.extent_append_rec(&mut cache, file, mapping, idx, page, 1)?;
+        Ok(page)
     }
 
-    /// Preallocate a contiguous run of `pages` for blocks starting at
-    /// `first_block` as one record (the `fallocate` path).
+    /// Preallocate `pages` for the blocks starting at `first_block`, each
+    /// contiguous run as one record (the `fallocate` path). A block mapped
+    /// since the caller saw the hole keeps its page, as in
+    /// [`LibFs::extent_insert`]; returns the pages left unused.
     pub(crate) fn extent_insert_run(
         &self,
         file: &MemInode,
         mapping: &Mapping,
         first_block: u64,
         pages: &[u64],
-    ) -> FsResult<()> {
+    ) -> FsResult<Vec<u64>> {
         let mut cache = file.extents.write();
         self.extent_load(&mut cache, file, mapping)?;
+        let (mut todo, mut spare) = (Vec::with_capacity(pages.len()), Vec::new());
+        for (block, &page) in (first_block..).zip(pages) {
+            if cache.map.contains_key(&block) {
+                spare.push(page);
+            } else {
+                todo.push((block, page));
+            }
+        }
         let mut i = 0usize;
-        while i < pages.len() {
-            // Longest contiguous page run starting at i.
+        while i < todo.len() {
+            // Longest run of consecutive blocks on consecutive pages.
             let mut j = i + 1;
-            while j < pages.len() && pages[j] == pages[j - 1] + 1 {
+            while j < todo.len() && todo[j] == (todo[j - 1].0 + 1, todo[j - 1].1 + 1) {
                 j += 1;
             }
-            self.extent_append_rec(
-                &mut cache,
-                file,
-                mapping,
-                first_block + i as u64,
-                pages[i],
-                (j - i) as u64,
-            )?;
+            let (block, page) = todo[i];
+            self.extent_append_rec(&mut cache, file, mapping, block, page, (j - i) as u64)?;
             i = j;
         }
-        Ok(())
+        Ok(spare)
     }
 
     /// Decommit every block at or beyond `first_dead` (truncate), returning

@@ -106,7 +106,10 @@ impl LibFs {
     /// wholly when the block lies inside the file (its record commits the
     /// page readable before the write's bytes land), else only the bytes
     /// before the write, which end up below the new EOF. An append that
-    /// starts a fresh page zeroes nothing.
+    /// starts a fresh page zeroes nothing. A writer of other bytes of the
+    /// block may map it between the lookup and the insert; the page it
+    /// mapped is then the one written, and the fresh one goes back to the
+    /// pool (DESIGN.md §11, "One page per block").
     fn file_block_for_write(
         &self,
         file: &MemInode,
@@ -130,8 +133,14 @@ impl LibFs {
             let before = (w.offset - block) as usize;
             zero_bytes(mapping, page * PAGE_SIZE as u64, before)?;
         }
-        self.extent_insert(file, mapping, idx, page)?;
-        Ok(page)
+        // The window: the hole was seen under the extent read lock, the
+        // insert takes the write lock.
+        self.point("file.write.hole_fill");
+        let mapped = self.extent_insert(file, mapping, idx, page)?;
+        if mapped != page {
+            self.recycle_pages(vec![page]);
+        }
+        Ok(mapped)
     }
 
     /// The file's current size. With the §4.3 patch, read operations use
@@ -498,7 +507,10 @@ impl LibFs {
                 continue;
             }
             mapping.sfence();
-            self.extent_insert_run(file, &mapping, first_hole, &pages)?;
+            let spare = self.extent_insert_run(file, &mapping, first_hole, &pages)?;
+            if !spare.is_empty() {
+                self.recycle_pages(spare);
+            }
         }
         self.file_publish_size(file, &mapping, w.end)
     }

@@ -2,7 +2,6 @@
 //! the inode release protocol (§4.3), and the multi-inode rename
 //! orchestration (§3.2's Rules (1)–(3), §4.1, §4.6).
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,22 +30,6 @@ use crate::inode::{BucketArray, DirState, InodeState, MemInode, Tail};
 struct FdEntry {
     ino: u64,
     flags: OpenFlags,
-}
-
-/// Result of a read-only pass over a directory's persistent dentry log
-/// ([`LibFs::scan_dir_log`]): everything needed to (re)build the auxiliary
-/// index without touching any existing in-memory state.
-struct DirScan {
-    /// Winning entry per live name: `(name, child ino, log offset)`.
-    live: Vec<(String, u64, u64)>,
-    /// Offsets of losing duplicates that still need a repair tombstone.
-    stale: Vec<u64>,
-    /// Offsets of tombstoned slots available for reuse.
-    reusable: Vec<u64>,
-    /// Per-tail append positions rebuilt from the page chains.
-    tails: Vec<crate::inode::Tail>,
-    /// Highest dentry sequence number observed in the log.
-    max_seq: u64,
 }
 
 /// A per-application ArckFS LibFS instance.
@@ -409,7 +392,7 @@ impl LibFs {
         table: Option<&mut BucketArray>,
         tails: &mut [MutexGuard<'_, Tail>],
     ) -> FsResult<()> {
-        let raw = format::read_inode(self.kernel.device(), &self.geom, mi.ino)
+        let mut raw = format::read_inode(self.kernel.device(), &self.geom, mi.ino)
             .map_err(|e| FsError::Internal(e.to_string()))?;
         if !raw.is_committed(mi.ino) {
             return Err(if raw.marker == 0 {
@@ -435,7 +418,10 @@ impl LibFs {
             };
             max_seq = match replayed {
                 Some(seq) => seq,
-                None => self.rebuild_revived(mi, &raw, &grant.mapping, table, tails)?,
+                None => {
+                    let ds = mi.dir_state().expect("a directory");
+                    self.rebuild_dir_index(ds, mi.ino, &mut raw, &grant.mapping, table, tails)?
+                }
             };
         }
         mi.cached_size.store(raw.size, Ordering::SeqCst);
@@ -447,51 +433,65 @@ impl LibFs {
         Ok(())
     }
 
-    /// Rebuild a revived directory's index from a scan of its whole log,
-    /// splicing into the existing DirState. Returns the highest dentry
-    /// sequence number in the log.
-    fn rebuild_revived(
+    /// Rebuild directory `ino`'s index in `ds` — held exclusively through
+    /// `table` and `tails` — from a scan of its whole log, tombstoning the
+    /// live records name resolution retired. When that leaves the size word
+    /// off the live count (a forged second name for an inode, which the
+    /// verifier counted), the count is stored and left in `raw`, so the
+    /// next release verifies. Returns the highest dentry sequence number in
+    /// the log: this LibFS numbers its own records above it, or a name it
+    /// creates would rank below an older tombstone of the same name.
+    fn rebuild_dir_index(
         &self,
-        mi: &MemInode,
-        raw: &format::RawInode,
+        ds: &DirState,
+        ino: u64,
+        raw: &mut format::RawInode,
         mapping: &Mapping,
         table: &mut BucketArray,
         tails: &mut [MutexGuard<'_, Tail>],
     ) -> FsResult<u64> {
-        let ds = mi.dir_state().expect("a directory");
-        let scan = self.scan_dir_log(raw)?;
-        for off in &scan.stale {
-            self.tombstone_dentry_core(mapping, *off)?;
+        let (res, log_tails) = self.scan_dir_log(ino, raw)?;
+        for &off in &res.losers {
+            self.tombstone_dentry_core(mapping, off)?;
+        }
+        let live = res.live.len() as u64;
+        if !res.losers.is_empty() && raw.size != live {
+            // Unfenced, as in `persist_dir_size`.
+            let field = self.geom.inode_offset(ino) + I_SIZE;
+            mapping.write_u64(field, live).map_err(map_fault)?;
+            mapping.clwb(field, 8).map_err(map_fault)?;
+            raw.size = live;
         }
         let old: Vec<_> = table
             .iter_mut()
             .flat_map(|bucket| bucket.get_mut().drain(..).map(|(_, r)| r))
             .collect();
+        // A fresh DirState has nothing to free.
+        let deferred = self.config.fix_dir_bucket_rcu && !old.is_empty();
         let arena = ds.arena.clone();
         let free_old = move || {
             for r in old {
                 let _ = arena.free(r);
             }
         };
-        if self.config.fix_dir_bucket_rcu {
+        if deferred {
             // One deferred destructor for the whole index, not one per
             // entry: same grace period, a thousandth of the bookkeeping.
             self.rcu.defer(free_old);
         } else {
             free_old();
         }
-        let live = scan.live.len() as u64;
-        for (name, child, off) in scan.live {
-            self.index_insert(ds, table, name, child, off);
+        for e in res.live {
+            self.index_insert(ds, table, e.name, e.ino, e.offset);
         }
         ds.live.store(live, Ordering::SeqCst);
-        let mut reusable = scan.reusable;
-        reusable.extend(&scan.stale);
+        let mut reusable = res.reusable;
+        reusable.extend(&res.losers);
         *ds.free_slots.lock() = reusable;
-        for (guard, rebuilt) in tails.iter_mut().zip(scan.tails) {
+        for (guard, rebuilt) in tails.iter_mut().zip(log_tails) {
             **guard = rebuilt;
         }
-        Ok(scan.max_seq)
+        Ok(res.max_seq)
     }
 
     /// Add `name → child` at log offset `off` to an index held exclusively.
@@ -544,7 +544,7 @@ impl LibFs {
     /// for the delta's `from` image — this LibFS released it at that
     /// generation — so replaying each changed slot's transition, its bytes
     /// then (`before`) to its bytes now (read once through `mapping`),
-    /// leaves it exactly what [`LibFs::rebuild_revived`] would build.
+    /// leaves it exactly what [`LibFs::rebuild_dir_index`] would build.
     ///
     /// Returns the highest sequence number the changed slots hold, or
     /// `None`, having changed nothing, for anything outside the plain
@@ -554,8 +554,9 @@ impl LibFs {
     /// offset; a name that is not UTF-8; a new name already held
     /// elsewhere, or new twice; a record the rebuild's
     /// name resolution might rank differently — a new live record not
-    /// numbered above every record this LibFS released with, or a new
-    /// tombstone not outranked by the new live record of its name.
+    /// numbered above every record this LibFS released with, a new
+    /// tombstone not outranked by the new live record of its name, or a new
+    /// live record for an inode that is live under another name too.
     fn replay_revived(
         &self,
         mi: &MemInode,
@@ -569,6 +570,7 @@ impl LibFs {
         let floor = mi.seq.load(Ordering::SeqCst);
         let mut max_seq = 0;
         let mut removed = Vec::new(); // (bucket, arena ref)
+        let mut removed_inos = Vec::new();
         let mut added: Vec<(String, u64, u64, u64)> = Vec::new(); // (name, ino, off, seq)
         let mut tombs: Vec<(u64, Option<String>, u64)> = Vec::new(); // (off, name, seq)
         let mut appended: Vec<(usize, u64)> = Vec::new(); // (tail, next slot)
@@ -601,6 +603,7 @@ impl LibFs {
                 match self.index_find(ds, table, name) {
                     Some((b, i, hit)) if hit.log_off == off => {
                         removed.push((b, table[b].get_mut()[i].1));
+                        removed_inos.push(hit.ino);
                     }
                     _ => return Ok(None),
                 }
@@ -633,6 +636,22 @@ impl LibFs {
             if still_held(name, table) || added.iter().any(|(n, _, _, s)| n == name && s <= seq) {
                 return Ok(None);
             }
+        }
+        // One name per inode: a new name's inode may be fresh or come from
+        // a removed name, but not be named twice anew or stay held under a
+        // name the index keeps. The index, exact for the released image,
+        // holds each inode at most once, so a removed name's inode is held
+        // nowhere else.
+        let mut inos: Vec<u64> = added.iter().map(|&(_, ino, ..)| ino).collect();
+        inos.sort_unstable();
+        if inos.windows(2).any(|w| w[0] == w[1]) {
+            return Ok(None);
+        }
+        inos.retain(|ino| !removed_inos.contains(ino));
+        let held = |r| ds.arena.read(r, |m| inos.contains(&m.ino)) != Ok(false);
+        let mut entries = table.iter_mut().flat_map(|b| b.get_mut().iter());
+        if !inos.is_empty() && entries.any(|&(_, r)| held(r)) {
+            return Ok(None);
         }
 
         for (b, r) in &removed {
@@ -677,7 +696,7 @@ impl LibFs {
         mapping: Mapping,
     ) -> FsResult<Arc<MemInode>> {
         let device = self.kernel.device();
-        let raw = format::read_inode(device, &self.geom, ino)
+        let mut raw = format::read_inode(device, &self.geom, ino)
             .map_err(|e| FsError::Internal(e.to_string()))?;
         if !raw.is_committed(ino) {
             return Err(if raw.marker == 0 {
@@ -695,7 +714,13 @@ impl LibFs {
             .inode_type()
             .ok_or_else(|| FsError::Corrupted(format!("inode {ino} has malformed type")))?;
         let (dir, max_seq) = if itype == InodeType::Directory {
-            let (ds, max_seq) = self.rebuild_dir_state(&raw)?;
+            let ds = DirState::new(self.config.dir_buckets, raw.ntails.max(1) as usize);
+            let mut table = ds.buckets.write();
+            let mut tails: Vec<_> = ds.tails.iter().map(|t| t.lock()).collect();
+            let mapping = &self.base_mapping;
+            let max_seq =
+                self.rebuild_dir_index(&ds, ino, &mut raw, mapping, &mut table, &mut tails)?;
+            drop((table, tails));
             (Some(ds), max_seq)
         } else {
             (None, 0)
@@ -712,127 +737,33 @@ impl LibFs {
         ))
     }
 
-    /// Scan the directory's dentry log and rebuild the hash index and the
-    /// per-tail append state. Duplicate names (possible only in crash
-    /// images) are resolved by sequence number, repairing the loser with a
-    /// tombstone. Returns the index with the highest sequence number in the
-    /// log: this LibFS numbers its own records above it, or a name it
-    /// creates would rank below an older tombstone of the same name.
-    fn rebuild_dir_state(&self, raw: &format::RawInode) -> FsResult<(DirState, u64)> {
-        let ds = DirState::new(self.config.dir_buckets, raw.ntails.max(1) as usize);
-        let scan = self.scan_dir_log(raw)?;
-
-        let mapping = &self.base_mapping;
-        for off in &scan.stale {
-            self.tombstone_dentry_core(mapping, *off)?;
-        }
-        // A repaired loser is a tombstone like any other.
-        ds.free_slots
-            .lock()
-            .extend(scan.reusable.iter().chain(&scan.stale));
-        for (name, child, off) in scan.live {
-            let h = DirState::name_hash(&name);
-            let r = ds.arena.insert(crate::inode::DentryMeta {
-                name,
-                ino: child,
-                log_off: off,
-            });
-            let arr = ds.buckets.read();
-            let idx = (h as usize) % arr.len();
-            arr[idx].lock().push((h, r));
-            ds.live.fetch_add(1, Ordering::Relaxed);
-        }
-        for (tail, rebuilt) in ds.tails.iter().zip(scan.tails) {
-            *tail.lock() = rebuilt;
-        }
-        Ok((ds, scan.max_seq))
-    }
-
-    /// Read-only pass over a directory's core state: the live entries
-    /// (duplicates resolved by sequence number), the tombstoned slots
-    /// available for reuse, the losers that still need a repair tombstone,
-    /// the per-tail append positions, and the highest dentry sequence seen.
-    /// Touches only the device — never the auxiliary state — so it can run
-    /// both when building a fresh [`DirState`] and while splicing into an
-    /// existing one under its exclusive guards.
-    fn scan_dir_log(&self, raw: &format::RawInode) -> FsResult<DirScan> {
-        let device = self.kernel.device();
-        // name -> (seq, ino, off, deleted). Resolution runs over *every*
-        // committed record, deletions included. Verification accepts a log
-        // in which a tombstone and a live record share a name, so "live
-        // record" alone cannot be trusted: the highest sequence number per
-        // name decides, and a deleted winner means the name is dead. The
-        // kernel's recovery walk and fsck apply the same rule, so every
-        // reader sees one namespace in a forged image.
-        // Sized from the directory's live count — a field another LibFS
-        // wrote, so bounded: a forged count must not size an allocation.
-        let mut best: HashMap<String, (u64, u64, u64, bool)> =
-            HashMap::with_capacity(raw.size.min(1 << 16) as usize);
-        let mut scan = DirScan {
-            live: Vec::new(),
-            stale: Vec::new(),
-            reusable: Vec::new(),
-            tails: vec![crate::inode::Tail::default(); raw.ntails.max(1) as usize],
-            max_seq: 0,
-        };
-        let mut resolve = |d: format::RawDentry| {
-            if d.marker == 0 {
-                return;
-            }
-            scan.max_seq = scan.max_seq.max(d.seq);
-            let record = (d.seq, d.ino, d.offset, d.deleted);
-            let name = match String::from_utf8(d.name) {
-                Ok(name) => name,
-                Err(_) => {
-                    // Corrupt residue: recovery skips live records, and a
-                    // deleted record's slot is plainly reusable.
-                    if d.deleted {
-                        scan.reusable.push(d.offset);
-                    }
-                    return;
-                }
-            };
-            // The loser of a resolution keeps needing a repair tombstone
-            // if it is live; a deleted loser's slot is simply reusable.
-            let mut retire = |(_, _, off, deleted): (u64, u64, u64, bool)| {
-                if deleted {
-                    scan.reusable.push(off);
-                } else {
-                    scan.stale.push(off);
-                }
-            };
-            match best.entry(name) {
-                Entry::Occupied(mut winner) if d.seq > winner.get().0 => {
-                    retire(winner.insert(record));
-                }
-                Entry::Occupied(_) => retire(record),
-                Entry::Vacant(first) => {
-                    first.insert(record);
-                }
-            }
-        };
+    /// Read-only pass over a directory's core state: what
+    /// [`format::DirResolver`] decides about its log, and the per-tail
+    /// append positions. Touches only the device — never the auxiliary
+    /// state — so it can run both when building a fresh [`DirState`] and
+    /// while splicing into an existing one under its exclusive guards.
+    fn scan_dir_log(
+        &self,
+        ino: u64,
+        raw: &format::RawInode,
+    ) -> FsResult<(format::DirResolution, Vec<Tail>)> {
+        let mut resolver = format::DirResolver::new(ino, self.geom.max_inodes, raw.size);
+        let mut tails = vec![Tail::default(); raw.ntails.max(1) as usize];
         // One pass: each page is read once, and its position in its chain
         // yields the tail's append state — the last page visited per tail
         // is the one being appended to, after its last committed record.
-        format::walk_dir_pages(device, &self.geom, raw, |p| {
-            let tail = &mut scan.tails[p.tail];
+        format::walk_dir_pages(self.kernel.device(), &self.geom, raw, |p| {
+            let tail = &mut tails[p.tail];
             if tail.head_page == 0 {
                 tail.head_page = p.page;
             }
             tail.cur_page = p.page;
             tail.next_slot = p.next_slot();
-            p.dentries(&mut resolve);
+            p.dentries(|d| resolver.push(d));
             Ok(())
         })
         .map_err(FsError::Corrupted)?;
-        for (name, (_, child, off, deleted)) in best {
-            if deleted {
-                scan.reusable.push(off);
-            } else {
-                scan.live.push((name, child, off));
-            }
-        }
-        Ok(scan)
+        Ok((resolver.finish(), tails))
     }
 
     /// Test support — the differential oracle of the hand-off paths
@@ -855,7 +786,7 @@ impl LibFs {
         let _m = mi.meta.lock();
         let raw = format::read_inode(self.kernel.device(), &self.geom, mi.ino)
             .map_err(|e| e.to_string())?;
-        let scan = self.scan_dir_log(&raw).map_err(|e| e.to_string())?;
+        let (res, log_tails) = self.scan_dir_log(mi.ino, &raw).map_err(|e| e.to_string())?;
         let mut names = HashMap::new();
         for bucket in table.iter() {
             for (_, r) in bucket.lock().iter() {
@@ -864,10 +795,10 @@ impl LibFs {
                     .map_err(|e| format!("{path}: dangling index entry: {e:?}"))?;
             }
         }
-        let rebuilt: HashMap<String, (u64, u64)> = scan
+        let rebuilt: HashMap<String, (u64, u64)> = res
             .live
             .into_iter()
-            .map(|(n, ino, off)| (n, (ino, off)))
+            .map(|e| (e.name, (e.ino, e.offset)))
             .collect();
         let mut problems = Vec::new();
         if names != rebuilt {
@@ -885,11 +816,11 @@ impl LibFs {
             diff.sort();
             problems.push(format!("names differ: {}", diff.join(", ")));
         }
-        if !scan.stale.is_empty() {
-            problems.push(format!("live duplicates in the log at {:?}", scan.stale));
+        if !res.losers.is_empty() {
+            problems.push(format!("live duplicates in the log at {:?}", res.losers));
         }
         let free: HashSet<u64> = ds.free_slots.lock().iter().copied().collect();
-        let reusable: HashSet<u64> = scan.reusable.into_iter().collect();
+        let reusable: HashSet<u64> = res.reusable.into_iter().collect();
         if free != reusable {
             let mut only_index: Vec<_> = free.difference(&reusable).collect();
             let mut only_log: Vec<_> = reusable.difference(&free).collect();
@@ -899,8 +830,8 @@ impl LibFs {
                 "free slots differ: index only {only_index:?}, log only {only_log:?}"
             ));
         }
-        if tails != scan.tails {
-            problems.push(format!("tails: index {tails:?}, log {:?}", scan.tails));
+        if tails != log_tails {
+            problems.push(format!("tails: index {tails:?}, log {log_tails:?}"));
         }
         let live = ds.live.load(Ordering::SeqCst);
         if live != names.len() as u64 || live != rebuilt.len() as u64 {
@@ -915,10 +846,10 @@ impl LibFs {
             problems.push(format!("cached size {size}, log {}", raw.size));
         }
         let seq = mi.seq.load(Ordering::SeqCst);
-        if seq < raw.seq.max(scan.max_seq) {
+        if seq < raw.seq.max(res.max_seq) {
             problems.push(format!(
                 "sequence {seq} below the log's {}",
-                raw.seq.max(scan.max_seq)
+                raw.seq.max(res.max_seq)
             ));
         }
         if problems.is_empty() {

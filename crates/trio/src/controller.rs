@@ -502,52 +502,28 @@ impl Kernel {
                     })
                     .map_err(fs_err)?;
             }
-            let mut children = HashMap::new();
-            // Per name, keep the committed record with the highest sequence
-            // number — deletions included. Verification accepts a log that
-            // holds a tombstone and a live record of one name, so `is_live`
-            // alone cannot be trusted: recovery resolves names the way the
-            // LibFS index rebuild and fsck do, and every reader of a forged
-            // image sees the same namespace.
-            let mut best: std::collections::BTreeMap<String, (u64, bool, u64)> =
-                std::collections::BTreeMap::new();
-            let walk = format::walk_dir_log(&device, &geom, &inode, |d| {
-                if d.marker == 0 || d.name_has_nul() {
-                    return;
-                }
-                let name = match d.name_str() {
-                    Some(n) => n.to_string(),
-                    None => return,
-                };
-                if d.ino == 0 || d.ino > geom.max_inodes {
-                    return;
-                }
-                match best.get(&name) {
-                    Some(&(seq, _, _)) if seq >= d.seq => {}
-                    _ => {
-                        best.insert(name, (d.seq, d.deleted, d.ino));
-                    }
-                }
-            });
-            if walk.is_err() {
+            // Which records are live is [`format::DirResolver`]'s decision,
+            // as for fsck and the LibFS index rebuild: every reader of a
+            // crashed or forged image sees one namespace.
+            let Ok(res) = format::resolve_dir(&device, &geom, dir, &inode) else {
                 continue;
-            }
-            let mut pending: Vec<(String, u64, InodeType, u32, u32)> = Vec::new();
-            for (name, (_, deleted, ino)) in best {
-                if deleted {
-                    continue;
-                }
-                if let Ok(child) = format::read_inode(&device, &geom, ino) {
-                    if child.is_committed(ino) {
-                        if let Some(t) = child.inode_type() {
-                            pending.push((name, ino, t, child.mode, child.uid));
-                        }
-                    }
-                }
-            }
+            };
+            let mut pending: Vec<_> = res
+                .live
+                .into_iter()
+                .filter_map(|e| {
+                    let child = format::read_inode(&device, &geom, e.ino).ok()?;
+                    let itype = child.inode_type().filter(|_| child.is_committed(e.ino))?;
+                    Some((e.name, e.ino, itype, child.mode, child.uid))
+                })
+                .collect();
+            // Name order, so which parent claims a doubly linked child
+            // below does not depend on hashing.
+            pending.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            let mut children = HashMap::with_capacity(pending.len());
             for (name, child, itype, mode_bits, uid) in pending {
                 if !seen.insert(child) {
-                    continue; // cycle/duplicate residue: first parent wins
+                    continue; // cross-directory residue: first parent wins
                 }
                 children.insert(name, child);
                 shadow

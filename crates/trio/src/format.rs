@@ -53,9 +53,14 @@
 //! bug observable: the first line (with the marker) can persist while the
 //! second (with the name tail) does not.
 
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use pmem::{PmemDevice, PmemResult, PAGE_SIZE};
+
+use crate::fsck::FsckIssue;
 
 /// Inode record size in bytes.
 pub const INODE_SIZE: u64 = 256;
@@ -655,6 +660,229 @@ pub fn walk_dir_log(
     })
 }
 
+// ---- name resolution --------------------------------------------------------
+
+/// One live name of a directory, as [`DirResolver`] decides it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LiveDentry {
+    /// The name.
+    pub name: String,
+    /// Target inode.
+    pub ino: u64,
+    /// Device offset of the record.
+    pub offset: u64,
+    /// The record's sequence number.
+    pub seq: u64,
+}
+
+/// What a directory's log means, decided by [`DirResolver`].
+#[derive(Debug, Default)]
+pub struct DirResolution {
+    /// The live names, in no particular order.
+    pub live: Vec<LiveDentry>,
+    /// Offsets of live records that lost, to a record of their name or to
+    /// a name of their inode: each needs a repair tombstone.
+    pub losers: Vec<u64>,
+    /// Offsets of tombstoned records: slots free for reuse.
+    pub reusable: Vec<u64>,
+    /// What fsck reports about the log, sorted.
+    pub residue: Vec<FsckIssue>,
+    /// The highest sequence number of any committed record, torn ones
+    /// included: a LibFS numbers its own records above it.
+    pub max_seq: u64,
+}
+
+/// A record's rank and fate, kept per name.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    seq: u64,
+    offset: u64,
+    ino: u64,
+    deleted: bool,
+    /// Live records of this name that lost.
+    stale: u32,
+}
+
+impl Ranked {
+    /// The one order of records: the higher sequence number, and on equal
+    /// numbers the lower device offset.
+    fn outranks(&self, other: &Ranked) -> bool {
+        self.seq > other.seq || (self.seq == other.seq && self.offset < other.offset)
+    }
+}
+
+/// Hashes an inode number with one multiply, for the by-inode check.
+#[derive(Default)]
+struct InoHasher(u64);
+
+impl std::hash::Hasher for InoHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("inode numbers hash through write_u64")
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// The one decision of which dentry records of a directory are live
+/// (DESIGN.md §14, "Name resolution"). fsck, kernel recovery and the
+/// LibFS index rebuild each [`push`](DirResolver::push) every committed
+/// record during their own walk of the log, then
+/// [`finish`](DirResolver::finish):
+///
+/// * A **torn** record (marker over [`DENTRY_NAME_CAP`], a NUL in the
+///   name, not UTF-8) and an **out-of-range** one (inode number outside
+///   `1..=max_inodes`) name nothing: a tombstone's slot is reusable, a live
+///   one is `PartialDentry` or `DanglingDentry`.
+/// * Per name, the highest-ranked record wins, deletions included (a
+///   deleted winner means the name is dead). Rank is the sequence number,
+///   and on equal numbers the lower device offset. A live record that
+///   loses is `UnlinkResidue` under a deleted winner, else
+///   `DuplicateName`.
+/// * An inode live under two names keeps its higher-ranked record; the
+///   other is `RenameResidue`, a same-directory rename cut by a crash.
+///
+/// A record costs one hash of its name, whose bytes the resolver takes
+/// over; each winner costs one hash of its inode number.
+pub struct DirResolver {
+    dir: u64,
+    max_inodes: u64,
+    names: HashMap<String, Ranked>,
+    out: DirResolution,
+}
+
+impl DirResolver {
+    /// A resolver for directory `dir` on a device of `max_inodes` inodes,
+    /// sized for `size_hint` names (the size word: a field a LibFS wrote,
+    /// so capped before it sizes anything).
+    pub fn new(dir: u64, max_inodes: u64, size_hint: u64) -> DirResolver {
+        DirResolver {
+            dir,
+            max_inodes,
+            names: HashMap::with_capacity(size_hint.min(1 << 16) as usize),
+            out: DirResolution::default(),
+        }
+    }
+
+    /// Take one record into account; an uncommitted slot is not a record.
+    pub fn push(&mut self, d: RawDentry) {
+        if d.marker == 0 {
+            return;
+        }
+        let (dir, out) = (self.dir, &mut self.out);
+        out.max_seq = out.max_seq.max(d.seq);
+        let torn = d.marker as usize > DENTRY_NAME_CAP || d.name_has_nul();
+        let name = match String::from_utf8(d.name) {
+            Ok(name) if !torn && (1..=self.max_inodes).contains(&d.ino) => name,
+            name => {
+                let offset = d.offset;
+                match (d.deleted, name) {
+                    (true, _) => out.reusable.push(offset),
+                    (false, Ok(name)) if !torn => out.residue.push(FsckIssue::DanglingDentry {
+                        dir,
+                        child: d.ino,
+                        name,
+                    }),
+                    _ => out.residue.push(FsckIssue::PartialDentry { dir, offset }),
+                }
+                return;
+            }
+        };
+        let rec = Ranked {
+            seq: d.seq,
+            offset: d.offset,
+            ino: d.ino,
+            deleted: d.deleted,
+            stale: 0,
+        };
+        match self.names.entry(name) {
+            Entry::Vacant(first) => {
+                first.insert(rec);
+            }
+            Entry::Occupied(mut held) => {
+                let held = held.get_mut();
+                let (win, lose) = if rec.outranks(held) {
+                    (rec, *held)
+                } else {
+                    (*held, rec)
+                };
+                *held = Ranked {
+                    stale: held.stale + u32::from(!lose.deleted),
+                    ..win
+                };
+                match lose.deleted {
+                    true => out.reusable.push(lose.offset),
+                    false => out.losers.push(lose.offset),
+                }
+            }
+        }
+    }
+
+    /// Apply the per-inode rule to the per-name winners.
+    pub fn finish(self) -> DirResolution {
+        let (dir, mut out) = (self.dir, self.out);
+        out.live.reserve(self.names.len());
+        let mut inos: HashSet<u64, BuildHasherDefault<InoHasher>> =
+            HashSet::with_capacity_and_hasher(self.names.len(), Default::default());
+        let mut shared = false;
+        for (name, r) in self.names {
+            for _ in 0..r.stale {
+                let name = name.clone();
+                out.residue.push(match r.deleted {
+                    true => FsckIssue::UnlinkResidue { dir, name },
+                    false => FsckIssue::DuplicateName { dir, name },
+                });
+            }
+            if r.deleted {
+                out.reusable.push(r.offset);
+                continue;
+            }
+            shared |= !inos.insert(r.ino);
+            let (ino, offset, seq) = (r.ino, r.offset, r.seq);
+            out.live.push(LiveDentry {
+                name,
+                ino,
+                offset,
+                seq,
+            });
+        }
+        if shared {
+            // Each inode's best record first; every later one loses.
+            let key = |e: &LiveDentry| (e.ino, std::cmp::Reverse(e.seq), e.offset);
+            out.live.sort_unstable_by_key(key);
+            let (losers, residue) = (&mut out.losers, &mut out.residue);
+            out.live.dedup_by(|e, kept| {
+                let lost = e.ino == kept.ino;
+                if lost {
+                    losers.push(e.offset);
+                    residue.push(FsckIssue::RenameResidue { dir, ino: e.ino });
+                }
+                lost
+            });
+        }
+        out.residue.sort();
+        out
+    }
+}
+
+/// Resolve the whole log of directory `dir` (see [`DirResolver`]). Returns
+/// an error string on structural corruption (see [`walk_dir_pages`]).
+pub fn resolve_dir(
+    dev: &Arc<PmemDevice>,
+    geom: &Geometry,
+    dir: u64,
+    inode: &RawInode,
+) -> Result<DirResolution, String> {
+    let mut resolver = DirResolver::new(dir, geom.max_inodes, inode.size);
+    walk_dir_log(dev, geom, inode, |d| resolver.push(d))?;
+    Ok(resolver.finish())
+}
+
 /// Format the superblock (page 0) and persist it.
 pub fn write_superblock(dev: &Arc<PmemDevice>, geom: &Geometry) -> PmemResult<()> {
     dev.write_u64(SB_MAGIC, SUPER_MAGIC)?;
@@ -837,5 +1065,164 @@ mod tests {
     fn dentry_geometry_fits_page() {
         assert!(DIRPAGE_FIRST_DENTRY + DENTRIES_PER_PAGE * DENTRY_SIZE <= PAGE_SIZE as u64);
         assert_eq!(DENTRIES_PER_PAGE, 31);
+    }
+
+    /// A committed record in slot `slot` (offset `slot * 128`).
+    fn rec(slot: u64, name: &[u8], ino: u64, seq: u64, deleted: bool) -> RawDentry {
+        RawDentry {
+            offset: slot * DENTRY_SIZE,
+            marker: name.len() as u16,
+            deleted,
+            ino,
+            seq,
+            name: name.to_vec(),
+        }
+    }
+
+    #[test]
+    fn resolver_table() {
+        use FsckIssue::*;
+        const DIR: u64 = 1;
+        let unlink = |name: &str| UnlinkResidue {
+            dir: DIR,
+            name: name.into(),
+        };
+        let torn = |name: &[u8]| {
+            let mut d = rec(0, b"x", 5, 9, false);
+            d.name = name.to_vec();
+            d
+        };
+        let mut over_cap = rec(1, b"t", 5, 9, true);
+        over_cap.marker = DENTRY_NAME_CAP as u16 + 1;
+        // (case, records in walk order, live (name, ino), losers, reusable,
+        // residue); losers and reusable are slot numbers.
+        type Row<'a> = (
+            &'a str,
+            Vec<RawDentry>,
+            Vec<(&'a str, u64)>,
+            Vec<u64>,
+            Vec<u64>,
+            Vec<FsckIssue>,
+        );
+        let rows: Vec<Row> = vec![
+            (
+                "a tombstone of another inode outranks a live record",
+                vec![rec(0, b"a", 5, 1, false), rec(1, b"a", 6, 2, true)],
+                vec![],
+                vec![0],
+                vec![1],
+                vec![unlink("a")],
+            ),
+            (
+                "a live record outranks a tombstone",
+                vec![rec(0, b"a", 6, 2, false), rec(1, b"a", 5, 1, true)],
+                vec![("a", 6)],
+                vec![],
+                vec![1],
+                vec![],
+            ),
+            (
+                "unlink residue: a tombstone of its own inode outranks it",
+                vec![
+                    rec(0, b"a", 5, 1, false),
+                    rec(1, b"b", 7, 2, false),
+                    rec(2, b"a", 5, 3, true),
+                ],
+                vec![("b", 7)],
+                vec![0],
+                vec![2],
+                vec![unlink("a")],
+            ),
+            (
+                "one inode under two names: the newer is met second",
+                vec![rec(0, b"a", 5, 1, false), rec(1, b"b", 5, 2, false)],
+                vec![("b", 5)],
+                vec![0],
+                vec![],
+                vec![RenameResidue { dir: DIR, ino: 5 }],
+            ),
+            (
+                "one inode under two names: the newer is met first",
+                vec![rec(0, b"b", 5, 2, false), rec(1, b"a", 5, 1, false)],
+                vec![("b", 5)],
+                vec![1],
+                vec![],
+                vec![RenameResidue { dir: DIR, ino: 5 }],
+            ),
+            (
+                "equal seqs of one name: the lower offset wins",
+                vec![rec(1, b"a", 6, 3, true), rec(0, b"a", 5, 3, false)],
+                vec![("a", 5)],
+                vec![],
+                vec![1],
+                vec![],
+            ),
+            (
+                "equal seqs of one inode: the lower offset wins",
+                vec![rec(2, b"a", 5, 4, false), rec(0, b"b", 5, 4, false)],
+                vec![("b", 5)],
+                vec![2],
+                vec![],
+                vec![RenameResidue { dir: DIR, ino: 5 }],
+            ),
+            (
+                "two live records of one name are a duplicate",
+                vec![rec(0, b"a", 5, 1, false), rec(1, b"a", 6, 2, false)],
+                vec![("a", 6)],
+                vec![0],
+                vec![],
+                vec![DuplicateName {
+                    dir: DIR,
+                    name: "a".into(),
+                }],
+            ),
+            (
+                "torn names: NUL, not UTF-8, over the cap",
+                vec![torn(b"a\0"), torn(&[0xff, 0xfe]), over_cap],
+                vec![],
+                vec![],
+                vec![1],
+                vec![
+                    PartialDentry {
+                        dir: DIR,
+                        offset: 0
+                    };
+                    2
+                ],
+            ),
+            (
+                "inode 0 and an inode past max_inodes",
+                vec![rec(0, b"z", 0, 1, false), rec(1, b"y", 101, 2, true)],
+                vec![],
+                vec![],
+                vec![1],
+                vec![DanglingDentry {
+                    dir: DIR,
+                    child: 0,
+                    name: "z".into(),
+                }],
+            ),
+        ];
+        for (case, records, live, losers, reusable, residue) in rows {
+            let mut r = DirResolver::new(DIR, 100, 4);
+            let max_seq = records.iter().map(|d| d.seq).max().unwrap_or(0);
+            for d in records {
+                r.push(d);
+            }
+            let res = r.finish();
+            let mut got: Vec<(&str, u64)> =
+                res.live.iter().map(|e| (e.name.as_str(), e.ino)).collect();
+            got.sort();
+            assert_eq!(got, live, "{case}: live");
+            let slots = |v: &[u64]| {
+                let mut v: Vec<u64> = v.iter().map(|o| o / DENTRY_SIZE).collect();
+                v.sort();
+                v
+            };
+            assert_eq!(slots(&res.losers), losers, "{case}: losers");
+            assert_eq!(slots(&res.reusable), reusable, "{case}: reusable");
+            assert_eq!(res.residue, residue, "{case}: residue");
+            assert_eq!(res.max_seq, max_seq, "{case}: max_seq");
+        }
     }
 }

@@ -18,10 +18,10 @@
 //! **Benign** findings are expected crash residue that recovery simply
 //! cleans up: committed inodes no dentry references (the create crashed
 //! before the dentry's marker persisted), stale directory size fields,
-//! and live records a newer tombstone of the same name and inode
-//! supersedes. Verification accepts such a log, so liveness is decided by
-//! per-name sequence resolution over every committed record, the same rule
-//! recovery and the LibFS index rebuild apply.
+//! and live records a newer tombstone of the same name supersedes.
+//! Verification accepts such a log, so liveness is decided over every
+//! committed record by [`format::DirResolver`], the one rule recovery and
+//! the LibFS index rebuild apply too.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -32,7 +32,7 @@ use crate::format::{self, Geometry, InodeType};
 use crate::ROOT_INO;
 
 /// One finding from the walk.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FsckIssue {
     /// A committed dentry whose name contains NUL bytes: the §4.2
     /// partially persisted dentry. **Fatal.**
@@ -93,8 +93,8 @@ pub enum FsckIssue {
     },
     /// Two live dentries in one directory referencing the same inode —
     /// crash residue of a same-directory rename (the new name committed,
-    /// the old name's tombstone did not persist). Recovery keeps the
-    /// newer record by sequence number. Benign.
+    /// the old name's tombstone did not persist). Every reader keeps the
+    /// newer record. Benign.
     RenameResidue {
         /// The directory.
         dir: u64,
@@ -111,10 +111,10 @@ pub enum FsckIssue {
         /// Counted live entries.
         actual: u64,
     },
-    /// A live dentry superseded by a newer deleted record with the same
-    /// name and inode. The LibFS tombstones in place and never writes
-    /// one, but verification accepts such a log, so every reader resolves
-    /// it alike: by sequence number, and the name is dead. Benign.
+    /// A live dentry outranked by a deleted record of the same name. The
+    /// LibFS tombstones in place and never writes one, but verification
+    /// accepts such a log, so every reader resolves it alike: the name is
+    /// dead. Benign.
     UnlinkResidue {
         /// The directory.
         dir: u64,
@@ -198,7 +198,14 @@ pub fn fsck(device: &Arc<PmemDevice>) -> Result<FsckReport, String> {
 
 /// Walk with a known geometry (used when the superblock is trusted).
 pub fn fsck_with_geometry(device: &Arc<PmemDevice>, geom: &Geometry) -> FsckReport {
+    walk(device, geom).0
+}
+
+/// The walk behind [`fsck_with_geometry`]; also returns the offsets of the
+/// live records [`repair`] tombstones (see [`walk_dir`]).
+fn walk(device: &Arc<PmemDevice>, geom: &Geometry) -> (FsckReport, Vec<u64>) {
     let mut report = FsckReport::default();
+    let mut losers = Vec::new();
     let mut visited: HashSet<u64> = HashSet::new();
 
     let root = match format::read_inode(device, geom, ROOT_INO) {
@@ -208,7 +215,7 @@ pub fn fsck_with_geometry(device: &Arc<PmemDevice>, geom: &Geometry) -> FsckRepo
                 ino: ROOT_INO,
                 detail: e.to_string(),
             });
-            return report;
+            return (report, losers);
         }
     };
     if !root.is_committed(ROOT_INO) {
@@ -216,10 +223,18 @@ pub fn fsck_with_geometry(device: &Arc<PmemDevice>, geom: &Geometry) -> FsckRepo
             ino: ROOT_INO,
             detail: "root inode not committed".into(),
         });
-        return report;
+        return (report, losers);
     }
 
-    walk_dir(device, geom, ROOT_INO, &mut visited, &mut report, 0);
+    walk_dir(
+        device,
+        geom,
+        ROOT_INO,
+        &mut visited,
+        &mut report,
+        &mut losers,
+        0,
+    );
 
     // Orphan scan: committed inodes the walk never reached.
     let mut orphan_dirs = Vec::new();
@@ -293,7 +308,7 @@ pub fn fsck_with_geometry(device: &Arc<PmemDevice>, geom: &Geometry) -> FsckRepo
     audit_pages(device, geom, &visited, &mut report);
 
     report.reachable = visited.len() as u64 + 1; // + root
-    report
+    (report, losers)
 }
 
 /// Every data page referenced by one committed inode: directory log chains
@@ -440,23 +455,24 @@ fn audit_pages(
 /// Child inode numbers of a directory's live dentries (best effort; used by
 /// the orphan cycle scan).
 fn dir_children(device: &Arc<PmemDevice>, geom: &Geometry, dir: u64) -> Vec<u64> {
-    let mut out = Vec::new();
-    if let Ok(inode) = format::read_inode(device, geom, dir) {
-        let _ = format::walk_dir_log(device, geom, &inode, |d| {
-            if d.is_live() && d.ino != 0 && d.ino <= geom.max_inodes {
-                out.push(d.ino);
-            }
-        });
-    }
-    out
+    format::read_inode(device, geom, dir)
+        .map_err(|e| e.to_string())
+        .and_then(|inode| format::resolve_dir(device, geom, dir, &inode))
+        .map(|res| res.live.into_iter().map(|e| e.ino).collect())
+        .unwrap_or_default()
 }
 
+/// Check directory `dir` and, depth first, everything under it. The live
+/// records its resolution retires are added to `losers`, unless a name in
+/// it is live twice: which copy is right is then the fatal question, and
+/// [`repair`] leaves it open.
 fn walk_dir(
     device: &Arc<PmemDevice>,
     geom: &Geometry,
     dir: u64,
     visited: &mut HashSet<u64>,
     report: &mut FsckReport,
+    losers: &mut Vec<u64>,
     depth: u32,
 ) {
     if depth > 512 {
@@ -483,8 +499,8 @@ fn walk_dir(
             detail: "directory with a non-zero reserved word".into(),
         });
     }
-    let recs = match committed_records(device, geom, &inode, dir, Some(report)) {
-        Ok(v) => v,
+    let res = match format::resolve_dir(device, geom, dir, &inode) {
+        Ok(res) => res,
         Err(e) => {
             report.issues.push(FsckIssue::Structural {
                 ino: dir,
@@ -493,18 +509,21 @@ fn walk_dir(
             return;
         }
     };
+    let duplicate = |i: &FsckIssue| matches!(i, FsckIssue::DuplicateName { .. });
+    if !res.residue.iter().any(duplicate) {
+        losers.extend(&res.losers);
+    }
+    report.issues.extend(res.residue);
 
-    let live = resolve_live(recs, dir, Some(report));
-
-    if inode.size != live.len() as u64 {
+    if inode.size != res.live.len() as u64 {
         report.issues.push(FsckIssue::SizeMismatch {
             dir,
             recorded: inode.size,
-            actual: live.len() as u64,
+            actual: res.live.len() as u64,
         });
     }
 
-    let mut children: Vec<(String, u64)> = live.iter().map(|(n, i)| (n.clone(), *i)).collect();
+    let mut children: Vec<(String, u64)> = res.live.into_iter().map(|e| (e.name, e.ino)).collect();
     children.sort();
     for (name, child) in children {
         let cinode = match format::read_inode(device, geom, child) {
@@ -548,143 +567,9 @@ fn walk_dir(
             });
         }
         if ctype == InodeType::Directory {
-            walk_dir(device, geom, child, visited, report, depth + 1);
+            walk_dir(device, geom, child, visited, report, losers, depth + 1);
         }
     }
-}
-
-/// A directory's committed record: `(name, seq, ino, deleted)`.
-type DirRec = (String, u64, u64, bool);
-
-/// Collect a directory's committed dentry records. Deleted records are
-/// included — a tombstone can outrank a live record of its name in a log
-/// verification accepted — so liveness is decided afterwards by
-/// [`resolve_live`]. With `report`, §4.2 payload and target violations are
-/// reported; without it they are skipped silently (recovery erases them).
-fn committed_records(
-    device: &Arc<PmemDevice>,
-    geom: &Geometry,
-    inode: &format::RawInode,
-    dir: u64,
-    mut report: Option<&mut FsckReport>,
-) -> Result<Vec<DirRec>, String> {
-    let mut recs: Vec<DirRec> = Vec::new();
-    format::walk_dir_log(device, geom, inode, |d| {
-        if d.marker == 0 {
-            return;
-        }
-        let torn = d.marker as usize > format::DENTRY_NAME_CAP || d.name_has_nul();
-        let name = if torn { None } else { d.name_str() };
-        let name = match name {
-            Some(n) => n.to_string(),
-            None => {
-                // Tombstoned records were never payload-checked; a torn
-                // name only violates §4.2 on a record claiming to be live.
-                if !d.deleted {
-                    if let Some(r) = report.as_deref_mut() {
-                        r.issues.push(FsckIssue::PartialDentry {
-                            dir,
-                            offset: d.offset,
-                        });
-                    }
-                }
-                return;
-            }
-        };
-        if d.ino == 0 || d.ino > geom.max_inodes {
-            if !d.deleted {
-                if let Some(r) = report.as_deref_mut() {
-                    r.issues.push(FsckIssue::DanglingDentry {
-                        dir,
-                        child: d.ino,
-                        name,
-                    });
-                }
-            }
-            return;
-        }
-        recs.push((name, d.seq, d.ino, d.deleted));
-    })?;
-    Ok(recs)
-}
-
-/// Per-name and per-inode sequence resolution over a directory's committed
-/// records — exactly the rule recovery applies. A live record below the
-/// per-name winner is benign only when a newer deleted record for the
-/// same inode explicitly killed it; any other live loser is a genuine
-/// duplicate. An inode live under two names (same-directory rename
-/// residue) keeps the newer name. Returns the live `name → ino` map; with
-/// `report`, residue and duplicates are reported against `dir`.
-fn resolve_live(
-    recs: Vec<DirRec>,
-    dir: u64,
-    mut report: Option<&mut FsckReport>,
-) -> HashMap<String, u64> {
-    // Per-name record tuples: (seq, ino, deleted).
-    type NameRecs = Vec<(u64, u64, bool)>;
-    let mut by_name: HashMap<String, NameRecs> = HashMap::new();
-    for (name, seq, ino, deleted) in recs {
-        by_name.entry(name).or_default().push((seq, ino, deleted));
-    }
-    let mut live: HashMap<String, u64> = HashMap::new();
-    let mut live_seq: HashMap<String, u64> = HashMap::new();
-    let mut resolved: Vec<(String, NameRecs)> = by_name.into_iter().collect();
-    resolved.sort(); // deterministic issue order across identical images
-    for (name, mut v) in resolved {
-        v.sort_unstable();
-        let &(winner_seq, winner_ino, winner_deleted) = v.last().expect("non-empty");
-        for &(seq, ino, deleted) in &v[..v.len() - 1] {
-            if deleted {
-                continue;
-            }
-            let Some(r) = report.as_deref_mut() else {
-                continue;
-            };
-            let killed = v.iter().any(|&(s2, i2, d2)| s2 > seq && d2 && i2 == ino);
-            if killed {
-                r.issues.push(FsckIssue::UnlinkResidue {
-                    dir,
-                    name: name.clone(),
-                });
-            } else {
-                r.issues.push(FsckIssue::DuplicateName {
-                    dir,
-                    name: name.clone(),
-                });
-            }
-        }
-        if !winner_deleted {
-            live.insert(name.clone(), winner_ino);
-            live_seq.insert(name, winner_seq);
-        }
-    }
-
-    // Same inode live under two names: same-directory rename residue (the
-    // old name's tombstone did not persist). Keep the newer record, as
-    // recovery does.
-    let mut by_ino: HashMap<u64, (String, u64)> = HashMap::new();
-    let mut sorted_live: Vec<(String, u64)> = live.iter().map(|(n, i)| (n.clone(), *i)).collect();
-    sorted_live.sort();
-    for (name, ino) in sorted_live {
-        let seq = live_seq[&name];
-        match by_ino.get(&ino) {
-            Some((old_name, old_seq)) => {
-                if let Some(r) = report.as_deref_mut() {
-                    r.issues.push(FsckIssue::RenameResidue { dir, ino });
-                }
-                if seq > *old_seq {
-                    live.remove(old_name);
-                    by_ino.insert(ino, (name, seq));
-                } else {
-                    live.remove(&name);
-                }
-            }
-            None => {
-                by_ino.insert(ino, (name, seq));
-            }
-        }
-    }
-    live
 }
 
 // ---- logical snapshots and fingerprints --------------------------------
@@ -758,8 +643,8 @@ fn file_content_hash(
 /// sorted by path — the **logical** state of the image, independent of
 /// physical placement, allocator shard count, and benign crash residue
 /// (orphans, stale sizes, unpersisted tombstones), all of
-/// which recovery discards. Liveness uses the same per-name sequence
-/// resolution as [`fsck`]; nothing is reported.
+/// which recovery discards. Liveness is [`format::DirResolver`]'s, as in
+/// [`fsck`]; nothing is reported.
 pub fn logical_snapshot(
     device: &Arc<PmemDevice>,
     geom: &Geometry,
@@ -773,9 +658,11 @@ pub fn logical_snapshot(
             Ok(i) => i,
             Err(e) => return Err(e.to_string()),
         };
-        let recs = committed_records(device, geom, &inode, dir, None)?;
-        let mut children: Vec<(String, u64)> =
-            resolve_live(recs, dir, None).into_iter().collect();
+        let mut children: Vec<(String, u64)> = format::resolve_dir(device, geom, dir, &inode)?
+            .live
+            .into_iter()
+            .map(|e| (e.name, e.ino))
+            .collect();
         children.sort();
         for (name, child) in children {
             let cinode = match format::read_inode(device, geom, child) {
@@ -1033,8 +920,9 @@ mod tests {
 #[allow(clippy::items_after_test_module)]
 /// Actively repair benign crash residue on a device (mutating it):
 ///
-/// * tombstone the stale record of each same-directory rename residue
-///   (the newer sequence number wins, as recovery resolves it),
+/// * tombstone the live records name resolution retires — the stale name
+///   of each same-directory rename residue and each live record a
+///   tombstone of its name outranks ([`format::DirResolver`]),
 /// * rewrite stale directory size fields to the live entry count,
 /// * clear the commit marker of orphaned inodes so their numbers return
 ///   to circulation at the next remount.
@@ -1044,71 +932,25 @@ mod tests {
 /// post-repair report, which contains no benign findings.
 pub fn repair(device: &Arc<PmemDevice>) -> Result<FsckReport, String> {
     let geom = format::read_superblock(device)?;
-    let before = fsck_with_geometry(device, &geom);
-
+    let (before, losers) = walk(device, &geom);
+    let persist = |off: u64, bytes: &[u8]| -> Result<(), String> {
+        device.write(off, bytes).map_err(|e| e.to_string())?;
+        device.persist(off, bytes.len()).map_err(|e| e.to_string())
+    };
+    for off in losers {
+        persist(off + format::D_DELETED, &[1])?;
+    }
     for issue in &before.issues {
         match issue {
-            FsckIssue::RenameResidue { dir, ino } => {
-                // Find every live dentry for `ino` in `dir`; keep the one
-                // with the highest seq, tombstone the rest.
-                let inode = format::read_inode(device, &geom, *dir).map_err(|e| e.to_string())?;
-                let mut records: Vec<(u64, u64)> = Vec::new(); // (seq, offset)
-                format::walk_dir_log(device, &geom, &inode, |d| {
-                    if d.is_live() && d.ino == *ino {
-                        records.push((d.seq, d.offset));
-                    }
-                })?;
-                records.sort_unstable();
-                for (_, off) in records.iter().take(records.len().saturating_sub(1)) {
-                    device
-                        .write(*off + format::D_DELETED, &[1])
-                        .map_err(|e| e.to_string())?;
-                    device
-                        .persist(*off + format::D_DELETED, 1)
-                        .map_err(|e| e.to_string())?;
-                }
-            }
+            // The count already leaves the losers out.
             FsckIssue::SizeMismatch { dir, actual, .. } => {
-                let base = geom.inode_offset(*dir);
-                device
-                    .write_u64(base + format::I_SIZE, *actual)
-                    .map_err(|e| e.to_string())?;
-                device
-                    .persist(base + format::I_SIZE, 8)
-                    .map_err(|e| e.to_string())?;
+                persist(
+                    geom.inode_offset(*dir) + format::I_SIZE,
+                    &actual.to_le_bytes(),
+                )?;
             }
             FsckIssue::OrphanInode { ino } => {
-                let base = geom.inode_offset(*ino);
-                device.write_u64(base, 0).map_err(|e| e.to_string())?;
-                device.persist(base, 8).map_err(|e| e.to_string())?;
-            }
-            FsckIssue::UnlinkResidue { dir, name } => {
-                // Mark deleted every live record for `name` that a newer
-                // deleted record for the same inode supersedes.
-                let inode = format::read_inode(device, &geom, *dir).map_err(|e| e.to_string())?;
-                let mut recs: Vec<(u64, u64, bool, u64)> = Vec::new(); // (seq, ino, deleted, off)
-                format::walk_dir_log(device, &geom, &inode, |d| {
-                    if d.marker == 0 {
-                        return;
-                    }
-                    if d.name_str() == Some(name.as_str()) {
-                        recs.push((d.seq, d.ino, d.deleted, d.offset));
-                    }
-                })?;
-                for &(seq, ino, deleted, off) in &recs {
-                    if deleted {
-                        continue;
-                    }
-                    let killed = recs.iter().any(|&(s2, i2, d2, _)| s2 > seq && d2 && i2 == ino);
-                    if killed {
-                        device
-                            .write(off + format::D_DELETED, &[1])
-                            .map_err(|e| e.to_string())?;
-                        device
-                            .persist(off + format::D_DELETED, 1)
-                            .map_err(|e| e.to_string())?;
-                    }
-                }
+                persist(geom.inode_offset(*ino), &0u64.to_le_bytes())?;
             }
             FsckIssue::PageLeak { page, .. } => {
                 // Clear the leaked bit so the allocator's next recovery
@@ -1117,29 +959,10 @@ pub fn repair(device: &Arc<PmemDevice>) -> Result<FsckReport, String> {
                 let idx = page - geom.data_start_page;
                 let off = geom.bitmap_offset() + idx / 8;
                 let b = device.read_u8(off).map_err(|e| e.to_string())?;
-                device
-                    .write_u8(off, b & !(1 << (idx % 8)))
-                    .map_err(|e| e.to_string())?;
-                device.persist(off, 1).map_err(|e| e.to_string())?;
+                persist(off, &[b & !(1 << (idx % 8))])?;
             }
             _ => {} // fatal issues are reported, not repaired
         }
     }
-
-    // Repairing rename residue / sizes can cascade (a size recount after a
-    // tombstone): run once more for a clean post-state.
-    let mut after = fsck_with_geometry(device, &geom);
-    for issue in &after.issues {
-        if let FsckIssue::SizeMismatch { dir, actual, .. } = issue {
-            let base = geom.inode_offset(*dir);
-            device
-                .write_u64(base + format::I_SIZE, *actual)
-                .map_err(|e| e.to_string())?;
-            device
-                .persist(base + format::I_SIZE, 8)
-                .map_err(|e| e.to_string())?;
-        }
-    }
-    after = fsck_with_geometry(device, &geom);
-    Ok(after)
+    Ok(fsck_with_geometry(device, &geom))
 }

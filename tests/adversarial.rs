@@ -427,6 +427,35 @@ fn a_forged_tombstone_outranking_a_live_name_is_not_replayed() {
     assert!(!names.contains(&"y".to_string()), "{names:?}");
 }
 
+/// A tombstone rewritten into a second live name for an inode that is live
+/// under `r0`, with the size word counting it, so verification passes: the
+/// rebuild keeps the newer name, tombstones `r0` and stores the live count,
+/// and the next release verifies.
+#[test]
+fn a_forged_second_name_for_a_live_inode_is_not_replayed() {
+    let (kernel, a, b, dir) = replay_setup(|a| {
+        touch(a, "/d/t");
+        a.unlink("/d/t").unwrap();
+    });
+    b.stat("/d").unwrap();
+    let off = record_of(&kernel, dir, "t");
+    let dev = kernel.device();
+    let ino = dev
+        .read_u64(record_of(&kernel, dir, "r0") + format::D_INO)
+        .unwrap();
+    dev.write(off + format::D_NAME, b"z").unwrap();
+    dev.write_u64(off + format::D_INO, ino).unwrap();
+    dev.write_u64(off + format::D_SEQ, 1000).unwrap();
+    dev.write(off + format::D_DELETED, &[0]).unwrap();
+    dev.write_u16(off + format::D_MARKER, 1).unwrap();
+    let size = kernel.geometry().inode_offset(dir) + format::I_SIZE;
+    dev.write_u64(size, 5).unwrap();
+    let names = forged_hand_back(&kernel, &a, &b, dir);
+    assert_eq!(names, ["r1", "r2", "r3", "z"]);
+    assert_eq!(dev.read_u64(size).unwrap(), 4);
+    a.release_path("/d").unwrap();
+}
+
 /// A new live record numbered below an older tombstone of its name: the
 /// rebuild ranks the tombstone first and drops the name.
 #[test]

@@ -207,32 +207,99 @@ fn recovery_reclaims_orphans_and_recomputes_sizes() {
     assert_eq!(fs2.read_file("/real.txt").unwrap(), b"visible");
 }
 
+/// Crash states of a same-directory rename parked between its two steps.
+const RENAME_STATES: u64 = 64;
+
+/// A same-directory rename commits the new dentry, then tombstones the
+/// old one. A crash between the two leaves the inode live under both
+/// names; every reader must resolve that to one name, the newer. The
+/// rename is parked with the new record's marker flushed but not fenced,
+/// for both name orders, and each sampled state is recovered: fsck's
+/// logical snapshot, the recovered kernel's verified children and the
+/// LibFS's `stat` and `readdir` name the same single path. Unlinking
+/// either name then leaves the other readable or absent, and the root
+/// still verifies.
 #[test]
 fn rename_crash_window_is_benign_residue_at_worst() {
-    // A same-directory rename appends the new dentry, then tombstones the
-    // old. A crash between the two leaves the inode named twice — recovery
-    // keeps the newer name; fsck must classify the state as benign.
-    let device = PmemDevice::new_tracked(DEV);
-    let (_k, fs) = arckfs::new_fs_on(device.clone(), Config::arckfs_plus()).unwrap();
-    fs.write_file("/before", b"payload").unwrap();
-    device.persist_all(); // quiesce: the create is fully durable
+    use std::time::Duration;
+    use vfs::FsError;
 
-    fs.rename("/before", "/after").unwrap();
-    let report = check_sampled(&device, 200, 5).unwrap();
-    assert!(report.is_consistent(), "{report:?}");
+    let mount = |dev| {
+        let kernel = Kernel::recover(dev, KernelConfig::arckfs_plus()).unwrap();
+        let fs = LibFs::mount(kernel.clone(), Config::arckfs_plus(), 0).unwrap();
+        (kernel, fs)
+    };
+    for (from, to) in [("/a", "/b"), ("/b", "/a")] {
+        let device = PmemDevice::new_tracked(DEV);
+        let (_k, fs) = arckfs::new_fs_on(device.clone(), Config::arckfs_plus()).unwrap();
+        fs.write_file(from, b"payload").unwrap();
+        device.persist_all(); // quiesce: the create is fully durable
 
-    // Recover a mid-rename crash state; exactly one of the names resolves.
-    let recovered = crashmc::recover_one(&device, 3).unwrap();
-    let kernel = Kernel::recover(recovered, KernelConfig::arckfs_plus()).unwrap();
-    let fs2 = LibFs::mount(kernel, Config::arckfs_plus(), 0).unwrap();
-    let before = fs2.stat("/before").is_ok();
-    let after = fs2.stat("/after").is_ok();
-    assert!(
-        before != after,
-        "exactly one name must survive (before={before}, after={after})"
-    );
-    let surviving = if after { "/after" } else { "/before" };
-    assert_eq!(fs2.read_file(surviving).unwrap(), b"payload");
+        let gate = arckfs::inject::arm_on(&device, "dentry.marker_flushed");
+        let renamer = fs.clone();
+        let h = std::thread::spawn(move || renamer.rename(from, to));
+        assert!(gate.wait_reached(Duration::from_secs(10)));
+        let report = check_sampled(&device, 200, 5).unwrap();
+        assert!(report.is_consistent(), "{report:?}");
+
+        let mut bad = Vec::new();
+        for seed in 0..RENAME_STATES {
+            let dev = crashmc::recover_one(&device, seed).unwrap();
+            let geom = trio::format::read_superblock(&dev).unwrap();
+            let fsck: Vec<String> = trio::logical_snapshot(&dev, &geom)
+                .unwrap()
+                .into_iter()
+                .map(|e| e.path)
+                .collect();
+            let (kernel, fs2) = mount(dev);
+            let mut verified: Vec<String> = kernel
+                .verified_children(trio::ROOT_INO)
+                .into_keys()
+                .map(|n| format!("/{n}"))
+                .collect();
+            verified.sort();
+            let mut listed: Vec<String> = fs2
+                .readdir("/")
+                .unwrap()
+                .into_iter()
+                .map(|e| format!("/{}", e.name))
+                .collect();
+            listed.sort();
+            let mut stated: Vec<String> = [from, to]
+                .into_iter()
+                .filter(|p| fs2.stat(p).is_ok())
+                .map(String::from)
+                .collect();
+            stated.sort();
+            if fsck.len() != 1 || [&verified, &listed, &stated].iter().any(|v| **v != fsck) {
+                bad.push(format!(
+                    "seed {seed}: fsck {fsck:?}, kernel {verified:?}, readdir {listed:?}, \
+                     stat {stated:?}"
+                ));
+                continue;
+            }
+            for (gone, other) in [(from, to), (to, from)] {
+                let (_kernel, fs3) = mount(crashmc::recover_one(&device, seed).unwrap());
+                let _ = fs3.unlink(gone);
+                match fs3.read_file(other) {
+                    Ok(bytes) if bytes == b"payload" => {}
+                    Err(FsError::NotFound) => {}
+                    r => bad.push(format!("seed {seed}: {other} after unlink({gone}): {r:?}")),
+                }
+                if let Err(e) = fs3.release_path("/") {
+                    bad.push(format!("seed {seed}: release after unlink({gone}): {e}"));
+                }
+            }
+        }
+        gate.release();
+        h.join().unwrap().unwrap();
+        assert!(
+            bad.is_empty(),
+            "rename {from} -> {to}: {} of {RENAME_STATES} states:\n{}",
+            bad.len(),
+            bad.join("\n")
+        );
+    }
 }
 
 #[test]

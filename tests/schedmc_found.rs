@@ -521,6 +521,61 @@ fn gap_zeroing_point_is_swept() {
     }
 }
 
+/// Grant participant `tid` of `ctl` until it parks at `point` or, with no
+/// point, until it finishes.
+fn run_until(ctl: &inject::Controller, tid: usize, point: Option<&str>) {
+    for _ in 0..10_000 {
+        let parked = ctl.quiesce(schedmc::QUIESCE_GRACE);
+        match parked.iter().find(|(t, _)| *t == tid) {
+            Some((_, p)) if Some(p.as_str()) == point => return,
+            Some(_) => assert!(ctl.step(tid)),
+            None if ctl.statuses()[tid].1 == inject::ThreadStatus::Finished => {
+                assert!(point.is_none(), "finished before {point:?}");
+                return;
+            }
+            None => {}
+        }
+    }
+    panic!("participant {tid} never reached {point:?}");
+}
+
+/// Two writers of disjoint bytes in one hole block: `a` parks between its
+/// lookup's miss and its extent insert, `b` fills the block to completion,
+/// then `a` resumes. `a`'s insert finds `b`'s page and writes into it, so
+/// both writes read back, the rest of the block reads zero, and `a`'s own
+/// page goes back to the pool: nothing leaks once the LibFS unmounts.
+#[test]
+fn two_writers_in_one_hole_block_both_land() {
+    let device = PmemDevice::new(16 << 20);
+    let (_k, fs) = arckfs::new_fs_on(device.clone(), Config::arckfs_plus()).unwrap();
+    let fd = fs.create("/f").unwrap();
+    fs.truncate(fd, 8192).unwrap();
+    let ctl = inject::Controller::new();
+    let writer = |at: u64, byte: u8| {
+        let fs = fs.clone();
+        move || fs.write_at(fd, &[byte; 100], at)
+    };
+    let a = ctl.spawn("a", writer(0, b'a'));
+    let b = ctl.spawn("b", writer(2048, b'b'));
+    run_until(&ctl, 0, Some("file.write.hole_fill"));
+    run_until(&ctl, 1, None);
+    run_until(&ctl, 0, None);
+    drop(ctl);
+    a.join().unwrap().unwrap();
+    b.join().unwrap().unwrap();
+
+    let mut expected = vec![0u8; 8192];
+    expected[..100].fill(b'a');
+    expected[2048..2148].fill(b'b');
+    let mut got = vec![0u8; 8192];
+    assert_eq!(fs.read_at(fd, &mut got, 0).unwrap(), 8192);
+    assert!(got == expected, "a lost write: a={}, b={}", got[0], got[2048]);
+    fs.close(fd).unwrap();
+    fs.unmount().unwrap();
+    let report = trio::fsck::fsck(&device).unwrap();
+    assert!(report.issues.is_empty(), "{:?}", report.issues);
+}
+
 /// A ranged writer against the preallocator on the same file: the
 /// remaining pair of the ranged vocabulary stays clean.
 #[test]
